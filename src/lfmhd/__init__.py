@@ -6,7 +6,7 @@ audits every run against the energy functionals and structural
 identities the construction rests on.
 """
 
-from .correction import correction_data, correction_field, harmonic_extension
+from .correction import correction_field, harmonic_extension
 from .diagnostics import (
     EnergyReport,
     LemmaReport,
@@ -31,7 +31,6 @@ from .geometry import (
     cov_grad,
     cov_grad_vector,
     cov_laplacian,
-    covariant,
     piola_residual,
 )
 from .grid import FieldShapeError, Grid, GridSpec
@@ -91,14 +90,12 @@ __all__ = [
     "check_compatibility",
     "commutator",
     "constraint_residuals",
-    "correction_data",
     "correction_field",
     "cov_curl",
     "cov_div",
     "cov_grad",
     "cov_grad_vector",
     "cov_laplacian",
-    "covariant",
     "derivative_commutator",
     "difference_energy",
     "divergence_monitor",

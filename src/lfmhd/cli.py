@@ -25,6 +25,7 @@ from .config import ConfigError, RunConfig, load_config
 from .diagnostics import (
     ENERGY_COLUMNS,
     EnergyReport,
+    LemmaReport,
     constraint_residuals,
     energy_functionals,
     lemma_suite,
@@ -42,11 +43,14 @@ EXIT_CFL = 3
 EXIT_NON_CONTRACTION = 4
 EXIT_DEGENERATE = 5
 EXIT_CHECKPOINT = 6
+EXIT_NOT_CONVERGED = 7  # Picard hit max_iter; only iteration.csv is written
 
 _UNITS_NOTE = "units: dimensionless reference-slab quantities"
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -135,7 +139,7 @@ def _write_residuals_csv(out: Path, traj: Trajectory, cfg: RunConfig, stride: in
     )
 
 
-def _write_lemmas_csv(out: Path, grid: Grid, cfg: RunConfig) -> None:
+def _write_lemmas_csv(out: Path, grid: Grid, cfg: RunConfig) -> LemmaReport:
     report = lemma_suite(grid, seed=cfg.data.seed, kappa=cfg.scheme.kappa)
     _write_csv(
         out / "lemmas.csv",
@@ -144,6 +148,7 @@ def _write_lemmas_csv(out: Path, grid: Grid, cfg: RunConfig) -> None:
         ["check", "label", "value"],
         ([r["check"], r["label"], r["value"]] for r in report.rows),
     )
+    return report
 
 
 def _solve_from_config(cfg: RunConfig):
@@ -157,6 +162,11 @@ def _solve_from_config(cfg: RunConfig):
     return grid, eos, init, traj, log
 
 
+def _not_converged(log: IterationLog) -> int:
+    print(f"not converged: {log.stop_reason}", file=sys.stderr)
+    return EXIT_NOT_CONVERGED
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -167,9 +177,11 @@ def _cmd_run(cfg: RunConfig) -> int:
     grid, eos, init, traj, log = _solve_from_config(cfg)
     order = cfg.diagnostics.max_time_order
     stride = cfg.outputs.snapshot_stride
+    _write_iteration_csv(out, log, order)
+    if not log.converged:
+        return _not_converged(log)
     report = energy_functionals(traj, order=order)
     _write_energy_csv(out, report, stride)
-    _write_iteration_csv(out, log, order)
     _write_residuals_csv(out, traj, cfg, stride)
     if cfg.diagnostics.lemma_suite:
         _write_lemmas_csv(out, grid, cfg)
@@ -203,7 +215,7 @@ def _cmd_picard_trace(cfg: RunConfig) -> int:
         r = "" if ratios[i] is None else f"{ratios[i]:.6f}"
         print(f"  {i + 1:7d}  {d:.11e}  {r}")
     print(f"  stop: {log.stop_reason}")
-    return 0
+    return 0 if log.converged else _not_converged(log)
 
 
 def _cmd_kappa_sweep(cfg: RunConfig) -> int:
@@ -253,8 +265,7 @@ def _cmd_check_lemmas(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grid = Grid(GridSpec(cfg.grid.n1, cfg.grid.n2, cfg.grid.n3,
                          dealias_fraction=cfg.grid.dealias_fraction))
-    _write_lemmas_csv(out, grid, cfg)
-    report = lemma_suite(grid, seed=cfg.data.seed, kappa=cfg.scheme.kappa)
+    report = _write_lemmas_csv(out, grid, cfg)
     pairs = []
     for check in ("hodge", "elliptic", "trace_pin", "trace_ratio"):
         vals = report.values(check)

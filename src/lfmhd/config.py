@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .grid import GridSpec
 from .state import PRESETS
 
 
@@ -158,11 +159,10 @@ def _require(cond: bool, source: str, message: str) -> None:
 
 def _validate(cfg: RunConfig, source: str) -> None:
     g, p, s, d = cfg.grid, cfg.physics, cfg.scheme, cfg.data
-    _require(g.n1 >= 8 and g.n1 % 2 == 0, source, f"grid.n1 must be even and >= 8, got {g.n1}")
-    _require(g.n2 >= 8 and g.n2 % 2 == 0, source, f"grid.n2 must be even and >= 8, got {g.n2}")
-    _require(g.n3 >= 8, source, f"grid.n3 must be >= 8, got {g.n3}")
-    _require(0.0 < g.dealias_fraction <= 1.0, source,
-             f"grid.dealias_fraction must lie in (0, 1], got {g.dealias_fraction}")
+    try:
+        GridSpec(g.n1, g.n2, g.n3, dealias_fraction=g.dealias_fraction)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: grid.{exc}") from None
     _require(p.diffusivity > 0.0, source, "physics.diffusivity must be positive")
     _require(p.c0 >= 0.0, source, "physics.c0 must be nonnegative")
     _require(p.epsilon > 0.0, source, "physics.epsilon must be positive")

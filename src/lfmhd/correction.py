@@ -19,8 +19,6 @@ the zero mode interpolates the two wall means linearly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import GeometryCache
@@ -29,14 +27,6 @@ from .smoothing import mollify
 
 # switch the sinh ratio to the scaled-exponential form beyond this |xi|
 _SINH_SWITCH = 30.0
-
-
-@dataclass
-class CorrectionData:
-    """Boundary datum and its harmonic extension."""
-
-    g: np.ndarray    # (3, 2, n1, n2)
-    psi: np.ndarray  # (3, n1, n2, n3+1)
 
 
 def correction_boundary_data(
@@ -119,14 +109,3 @@ def correction_field(
     """The harmonic correction field psi for one (eta, v) pair."""
     g = correction_boundary_data(grid, eta, v, cache, kappa)
     return harmonic_extension(grid, g)
-
-
-def correction_data(
-    grid: Grid,
-    eta: np.ndarray,
-    v: np.ndarray,
-    cache: GeometryCache,
-    kappa: float,
-) -> CorrectionData:
-    g = correction_boundary_data(grid, eta, v, cache, kappa)
-    return CorrectionData(g=g, psi=harmonic_extension(grid, g))

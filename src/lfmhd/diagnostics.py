@@ -1,9 +1,9 @@
 """Energy functionals, residual audits and the empirical lemma battery.
 
-Everything here is read-only over trajectories: each function rebuilds
-whatever geometry it needs from the stored flow maps at the trajectory's
-own smoothing scale, so the diagnostics cannot drift out of sync with
-the solver state.
+Everything here is read-only over trajectories: each function reads the
+smoothed geometry and correction field from ``Trajectory.geometry``,
+the same per-node arrays the solver froze, so the diagnostics cannot
+drift out of sync with the solver state.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correction import correction_field, harmonic_extension
+from .correction import harmonic_extension
 from .fields import perturbed_map, random_vector, wall_vanishing_scalar
 from .geometry import (
     GeometryCache,
@@ -25,6 +25,7 @@ from .geometry import (
 from .grid import Grid
 from .linear_step import Trajectory
 from .smoothing import mollify
+from .state import FlowState, taylor_sign_margin
 
 
 # ----------------------------------------------------------------------
@@ -156,40 +157,47 @@ class EnergyReport:
             yield {name: float(self.columns[name][j]) for name in ENERGY_COLUMNS}
 
 
-def physical_energy_balance(traj: Trajectory, caches: list[GeometryCache] | None = None):
+def physical_energy_balance(traj: Trajectory):
     """Physical energy, viscous-resistive dissipation, and the step residuals.
 
     Returns (E, D, residual) arrays over the nodes, with residual[j] the
     defect of E(t_j) - E(t_{j-1}) + trapezoid of D over the step; an
     exact balance makes it zero.
     """
-    grid, eos = traj.grid, traj.eos
+    grid, eos, geo = traj.grid, traj.eos, traj.geometry
     n = len(traj)
-    if caches is None:
-        caches = [build_geometry(grid, s.eta, traj.kappa) for s in traj.states]
     E = np.empty(n)
     D = np.empty(n)
     for j, s in enumerate(traj.states):
-        cache = caches[j]
+        J_s = geo.J_s[j]
         kinetic = 0.5 * grid.integrate(s.rho0 * np.sum(s.v * s.v, axis=0))
-        magnetic = 0.5 * grid.integrate(cache.J_s * np.sum(s.b * s.b, axis=0))
+        magnetic = 0.5 * grid.integrate(J_s * np.sum(s.b * s.b, axis=0))
         internal = grid.integrate(s.rho0 * np.asarray(eos.q_potential(eos.rho(s.q))))
         E[j] = kinetic + magnetic + internal
-        Gb = cov_grad_vector(grid, cache.a_s, s.b)
-        D[j] = eos.diffusivity * grid.integrate(cache.J_s * np.sum(Gb * Gb, axis=(0, 1)))
+        Gb = cov_grad_vector(grid, geo.a_s[j], s.b)
+        D[j] = eos.diffusivity * grid.integrate(J_s * np.sum(Gb * Gb, axis=(0, 1)))
     residual = np.zeros(n)
     residual[1:] = np.diff(E) + 0.5 * traj.dt * (D[1:] + D[:-1])
     return E, D, residual
 
 
-def small_geometry_norm(grid: Grid, cache: GeometryCache) -> float:
+def small_geometry_norm(grid: Grid, a_s: np.ndarray, J_s: np.ndarray) -> float:
     """||Js - 1||_3 + ||Id - a~||_3, the closeness-to-identity gauge."""
-    total_j = grid.norm(cache.J_s - 1.0, 3)
-    delta = np.eye(3)[:, :, None, None, None] - cache.a_s
+    total_j = grid.norm(J_s - 1.0, 3)
+    delta = np.eye(3)[:, :, None, None, None] - a_s
     total_a = np.sqrt(sum(
         grid.norm(delta[mu, alpha], 3) ** 2 for mu in range(3) for alpha in range(3)
     ))
     return float(total_j + total_a)
+
+
+def _constraints(s: FlowState, a_s: np.ndarray, J_s: np.ndarray) -> tuple[float, float, float]:
+    """Taylor margin, geometry gauge and ||div_a b|| of one node."""
+    return (
+        taylor_sign_margin(s, a_s),
+        small_geometry_norm(s.grid, a_s, J_s),
+        s.grid.low_norm(cov_div(s.grid, a_s, s.b)),
+    )
 
 
 def energy_functionals(traj: Trajectory, order: int = 2) -> EnergyReport:
@@ -199,11 +207,8 @@ def energy_functionals(traj: Trajectory, order: int = 2) -> EnergyReport:
     sums (the full scale would run to order 4; the desk-scale default
     stops at 2 and the report header says so).
     """
-    from .state import taylor_sign_margin  # local import to avoid a cycle
-
     grid, dt, kappa = traj.grid, traj.dt, traj.kappa
     n = len(traj)
-    caches = [build_geometry(grid, s.eta, kappa) for s in traj.states]
 
     cols: dict[str, np.ndarray] = {name: np.zeros(n) for name in ENERGY_COLUMNS}
     cols["t"] = traj.times
@@ -214,14 +219,14 @@ def energy_functionals(traj: Trajectory, order: int = 2) -> EnergyReport:
         for name in stacks for k in range(order + 1)
     }
 
+    geo = traj.geometry
     for j, s in enumerate(traj.states):
-        cache = caches[j]
         cols["E_eta4"][j] = map_norm(grid, s.eta, 4) ** 2
 
         # boundary term: fourth tangential derivatives of the once-mollified
         # displacement, contracted with the third row of the smoothed inverse
         disp_w = grid.boundary_slices(mollify(grid, grid.displacement(s.eta), kappa))
-        aw = grid.boundary_slices(cache.a_s)
+        aw = grid.boundary_slices(geo.a_s[j])
         bdy = 0.0
         lap_w = grid.tangential_laplacian(disp_w)
         for i in range(2):
@@ -235,10 +240,9 @@ def energy_functionals(traj: Trajectory, order: int = 2) -> EnergyReport:
             cols[col][j] = sum(
                 grid.norm(dstacks[(name, k)][j], k) ** 2 for k in range(order + 1)
             )
-
-        cols["taylor_margin"][j] = taylor_sign_margin(s, cache)
-        cols["small_geometry"][j] = small_geometry_norm(grid, cache)
-        cols["div_b"][j] = grid.low_norm(cov_div(grid, cache.a_s, s.b))
+        cols["taylor_margin"][j], cols["small_geometry"][j], cols["div_b"][j] = (
+            _constraints(s, geo.a_s[j], geo.J_s[j])
+        )
 
     cols["E_total"] = (
         cols["E_eta4"] + cols["E_boundary"] + cols["E_v"] + cols["E_b"] + cols["E_q"]
@@ -255,7 +259,7 @@ def energy_functionals(traj: Trajectory, order: int = 2) -> EnergyReport:
         for j in range(n)
     ])
 
-    E, D, residual = physical_energy_balance(traj, caches)
+    E, D, residual = physical_energy_balance(traj)
     cols["E_phys"] = E
     cols["D_diss"] = D
     cols["balance_residual"] = residual
@@ -277,15 +281,10 @@ def constraint_residuals(
     Flags mark a Taylor margin below c0 / 2 and a geometry gauge above
     epsilon; both thresholds follow the run configuration.
     """
-    from .state import taylor_sign_margin
-
-    grid = traj.grid
+    geo = traj.geometry
     rows = []
-    for s in traj.states:
-        cache = build_geometry(grid, s.eta, traj.kappa)
-        margin = taylor_sign_margin(s, cache)
-        small = small_geometry_norm(grid, cache)
-        div_b = grid.low_norm(cov_div(grid, cache.a_s, s.b))
+    for s, a_s, J_s in zip(traj.states, geo.a_s, geo.J_s):
+        margin, small, div_b = _constraints(s, a_s, J_s)
         rows.append({
             "t": s.t,
             "div_b": div_b,
@@ -311,8 +310,8 @@ def divergence_monitor(
     grid = traj.grid
     h3 = grid.h3
     div = np.array([
-        grid.low_norm(cov_div(grid, build_geometry(grid, s.eta, traj.kappa).a_s, s.b))
-        for s in traj.states
+        grid.low_norm(cov_div(grid, a_s, s.b))
+        for s, a_s in zip(traj.states, traj.geometry.a_s)
     ])
     envelope = allowance + drift_constant * traj.times * (traj.dt + h3 * h3)
     return div, div > envelope
@@ -325,27 +324,24 @@ def nonlinear_residuals(traj: Trajectory) -> dict[str, np.ndarray]:
     correction field, with time derivatives from the snapshot stack; on a
     converged fixed point all four arrays sit at scheme accuracy.
     """
-    grid, eos, kappa, dt = traj.grid, traj.eos, traj.kappa, traj.dt
+    grid, eos, dt, geo = traj.grid, traj.eos, traj.dt, traj.geometry
     rho0 = traj.states[0].rho0
     n = len(traj)
-    caches = [build_geometry(grid, s.eta, kappa) for s in traj.states]
 
     stacks = {name: traj.stack(name) for name in ("eta", "v", "b", "q")}
     dts = {name: time_derivative(stacks[name], dt, 1) for name in stacks}
 
     out = {name: np.empty(n) for name in ("eta", "v", "q", "b")}
     for j, s in enumerate(traj.states):
-        cache = caches[j]
-        a = cache.a_s
-        psi = correction_field(grid, s.eta, s.v, cache, kappa)
-        out["eta"][j] = grid.low_norm(dts["eta"][j] - s.v - psi)
+        a, J_s = geo.a_s[j], geo.J_s[j]
+        out["eta"][j] = grid.low_norm(dts["eta"][j] - s.v - geo.psi[j])
 
         Gb = cov_grad_vector(grid, a, s.b)
         lorentz = np.einsum("a...,al...->l...", s.b, Gb)
-        r_v = (rho0 / cache.J_s)[None] * dts["v"][j] - lorentz + cov_grad(grid, a, s.Q)
+        r_v = (rho0 / J_s)[None] * dts["v"][j] - lorentz + cov_grad(grid, a, s.Q)
         out["v"][j] = grid.low_norm(r_v)
 
-        r_coeff = cache.J_s * np.asarray(eos.rho_p(s.q)) / rho0
+        r_coeff = J_s * np.asarray(eos.rho_p(s.q)) / rho0
         out["q"][j] = grid.low_norm(r_coeff * dts["q"][j] + cov_div(grid, a, s.v))
 
         div_v = cov_div(grid, a, s.v)
@@ -437,15 +433,14 @@ def wave_equation_residual(traj: Trajectory) -> np.ndarray:
     the defect is pure scheme error (time stencils, wall stencils,
     dealiasing).  Returns the L2 defect per node.
     """
-    grid, eos, dt, kappa = traj.grid, traj.eos, traj.dt, traj.kappa
+    grid, eos, dt = traj.grid, traj.eos, traj.dt
     rho0 = traj.states[0].rho0
     n = len(traj)
-    caches = [build_geometry(grid, s.eta, kappa) for s in traj.states]
 
     q_st = traj.stack("q")
     v_st = traj.stack("v")
-    a_st = np.stack([c.a_s for c in caches])
-    J_st = np.stack([c.J_s for c in caches])
+    a_st = traj.geometry.a_s
+    J_st = traj.geometry.J_s
     r_st = J_st * np.asarray(eos.rho_p(q_st)) / rho0[None]
 
     dq = time_derivative(q_st, dt, 1)

@@ -24,6 +24,9 @@ import numpy as np
 from .grid import Grid
 from .smoothing import mollify
 
+# Jacobians at or below this value are refused as degenerate
+DET_FLOOR = 1e-6
+
 
 class DegenerateMapError(RuntimeError):
     """Flow map Jacobian at or below the determinant floor.
@@ -70,11 +73,11 @@ def deformation_gradient(grid: Grid, eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _invert_pointwise(deta: np.ndarray, det_floor: float, grid: Grid):
+def _invert_pointwise(deta: np.ndarray, grid: Grid):
     mats = np.moveaxis(deta, (0, 1), (-2, -1))  # (..., alpha, mu)
     J = np.linalg.det(mats)
     jmin = float(J.min())
-    if jmin <= det_floor:
+    if jmin <= DET_FLOOR:
         index = np.unravel_index(int(np.argmin(J)), J.shape)
         coords = (
             float(grid.y1[index[0]]),
@@ -87,26 +90,21 @@ def _invert_pointwise(deta: np.ndarray, det_floor: float, grid: Grid):
     return J, a
 
 
-def build_geometry(
-    grid: Grid,
-    eta: np.ndarray,
-    kappa: float,
-    det_floor: float = 1e-6,
-) -> GeometryCache:
+def build_geometry(grid: Grid, eta: np.ndarray, kappa: float) -> GeometryCache:
     """Assemble the geometry cache for a flow map and its smoothed copy.
 
     The smoothed map applies the squared tangential mollifier to the
     displacement.  Raises :class:`DegenerateMapError` if either Jacobian
-    drops to the floor.
+    drops to ``DET_FLOOR``.
     """
     deta = deformation_gradient(grid, eta)
-    J, a = _invert_pointwise(deta, det_floor, grid)
+    J, a = _invert_pointwise(deta, grid)
     A = J[None, None] * a
 
     disp = grid.displacement(eta)
     eta_s = grid.identity_map + mollify(grid, disp, kappa, power=2)
     deta_s = deformation_gradient(grid, eta_s)
-    J_s, a_s = _invert_pointwise(deta_s, det_floor, grid)
+    J_s, a_s = _invert_pointwise(deta_s, grid)
 
     return GeometryCache(
         grid=grid, kappa=kappa, eta=eta, J=J, a=a, A=A,
@@ -156,19 +154,6 @@ def cov_laplacian(grid: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
     if f.ndim == 3:
         return cov_div(grid, a, cov_grad(grid, a, f))
     return np.stack([cov_div(grid, a, cov_grad(grid, a, comp)) for comp in f])
-
-
-def covariant(grid: Grid, a: np.ndarray, f: np.ndarray, kind: str) -> np.ndarray:
-    """Dispatch helper over the four covariant operators."""
-    if kind == "grad":
-        return cov_grad(grid, a, f) if f.ndim == 3 else cov_grad_vector(grid, a, f)
-    if kind == "div":
-        return cov_div(grid, a, f)
-    if kind == "curl":
-        return cov_curl(grid, a, f)
-    if kind == "laplacian":
-        return cov_laplacian(grid, a, f)
-    raise ValueError(f"unknown covariant operator kind {kind!r}")
 
 
 def piola_field(grid: Grid, A: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ and the Dirichlet rows of the implicit solve are eliminated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, bicgstab
@@ -56,8 +56,22 @@ class DiffusionSolveError(RuntimeError):
 
 
 @dataclass
+class SmoothedGeometry:
+    """Smoothed-map geometry and correction field at every node, stacked."""
+
+    a_s: np.ndarray    # (nodes, 3, 3, ...)
+    J_s: np.ndarray    # (nodes, ...)
+    psi: np.ndarray    # (nodes, 3, ...)
+
+
+@dataclass
 class Trajectory:
-    """States on a uniform time lattice, plus the run parameters."""
+    """States on a uniform time lattice, plus the run parameters.
+
+    The states are treated as immutable: ``geometry`` is computed from
+    them once, on first read, and shared by the solver and every
+    diagnostic.
+    """
 
     grid: Grid
     eos: EquationOfState
@@ -82,6 +96,22 @@ class Trajectory:
     @property
     def final(self) -> FlowState:
         return self.states[-1]
+
+    @cached_property
+    def geometry(self) -> SmoothedGeometry:
+        """Smoothed inverse, its Jacobian and psi per node, at the run's kappa."""
+        grid, kappa = self.grid, self.kappa
+        n = len(self.states)
+        shape = grid.spec.shape
+        a_s = np.empty((n, 3, 3) + shape)
+        J_s = np.empty((n,) + shape)
+        psi = np.empty((n, 3) + shape)
+        for j, s in enumerate(self.states):
+            cache = build_geometry(grid, s.eta, kappa)
+            a_s[j] = cache.a_s
+            J_s[j] = cache.J_s
+            psi[j] = correction_field(grid, s.eta, s.v, cache, kappa)
+        return SmoothedGeometry(a_s=a_s, J_s=J_s, psi=psi)
 
 
 def trivial_trajectory(
@@ -118,52 +148,33 @@ class FrozenCoefficients:
     """Ring quantities of a previous iterate at the integrator nodes.
 
     Stores, per node: the smoothed-geometry inverse and Jacobian, the
-    correction field psi, the frozen magnetic field and head, and the
-    acoustic weight r = Js R'(q) / rho0.  ``at`` interpolates linearly.
+    correction field psi, the frozen magnetic field, and the acoustic
+    weight r = Js R'(q) / rho0.  ``at`` interpolates linearly.
     """
 
     grid: Grid
     eos: EquationOfState
     kappa: float
     times: np.ndarray
-    eta: np.ndarray    # (nodes, 3, ...)
-    psi: np.ndarray
+    psi: np.ndarray    # (nodes, 3, ...)
     a_s: np.ndarray    # (nodes, 3, 3, ...)
     J_s: np.ndarray
     b: np.ndarray
-    q: np.ndarray
     r: np.ndarray
     rho0: np.ndarray = field(repr=False, default=None)
 
     @classmethod
-    def freeze(cls, traj: Trajectory, det_floor: float = 1e-6) -> "FrozenCoefficients":
-        grid, eos, kappa = traj.grid, traj.eos, traj.kappa
+    def freeze(cls, traj: Trajectory) -> "FrozenCoefficients":
+        geo = traj.geometry
         rho0 = traj.states[0].rho0
-        n = len(traj)
-        shape = grid.spec.shape
-        eta = np.empty((n, 3) + shape)
-        psi = np.empty((n, 3) + shape)
-        a_s = np.empty((n, 3, 3) + shape)
-        J_s = np.empty((n,) + shape)
-        b = np.empty((n, 3) + shape)
-        q = np.empty((n,) + shape)
-        r = np.empty((n,) + shape)
-        for j, s in enumerate(traj.states):
-            cache = build_geometry(grid, s.eta, kappa, det_floor=det_floor)
-            eta[j] = s.eta
-            psi[j] = correction_field(grid, s.eta, s.v, cache, kappa)
-            a_s[j] = cache.a_s
-            J_s[j] = cache.J_s
-            b[j] = s.b
-            q[j] = s.q
-            r[j] = cache.J_s * eos.rho_p(s.q) / rho0
+        r = geo.J_s * traj.eos.rho_p(traj.stack("q")) / rho0
         if r.min() <= 0.0:
             raise ValueError(
                 f"frozen acoustic weight r must be positive, min = {r.min():.3e}"
             )
         return cls(
-            grid=grid, eos=eos, kappa=kappa, times=traj.times,
-            eta=eta, psi=psi, a_s=a_s, J_s=J_s, b=b, q=q, r=r, rho0=rho0,
+            grid=traj.grid, eos=traj.eos, kappa=traj.kappa, times=traj.times,
+            psi=geo.psi, a_s=geo.a_s, J_s=geo.J_s, b=traj.stack("b"), r=r, rho0=rho0,
         )
 
     def at(self, t: float) -> FrozenSample:
@@ -208,7 +219,7 @@ def _d3_matrix(nz: int, h: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _flat_modal_factors(nz: int, h: float, dt: float):
+def _flat_modal_factors(nz: int, h: float):
     """Eigen-factorization of the composed normal operator, interior rows."""
     D33 = (_d3_matrix(nz, h) @ _d3_matrix(nz, h))[1:-1, 1:-1]
     w, V = np.linalg.eig(D33)
@@ -217,7 +228,7 @@ def _flat_modal_factors(nz: int, h: float, dt: float):
 
 def _flat_preconditioner(grid: Grid, dt: float):
     nz = grid.spec.n3 + 1
-    w, V, Vinv = _flat_modal_factors(nz, grid.h3, dt)
+    w, V, Vinv = _flat_modal_factors(nz, grid.h3)
     ksq = grid.k1[:, None] ** 2 + grid.k2[None, :] ** 2
     denom = 1.0 + dt * ksq[:, :, None] - dt * w[None, None, :]
 

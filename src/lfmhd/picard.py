@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correction import correction_field
 from .diagnostics import difference_energy
 from .geometry import build_geometry
 from .grid import Grid
@@ -87,7 +86,6 @@ def solve_nonlinear_kappa(
     truncation_order: int = 2,
     cfl_safety: float = 0.4,
     diffusion_tol: float = 1e-9,
-    det_floor: float = 1e-6,
     attest: bool = True,
 ) -> tuple[Trajectory, IterationLog]:
     """Iterate frozen-coefficient solves to a fixed point at one kappa.
@@ -97,7 +95,8 @@ def solve_nonlinear_kappa(
     checked from the second iterate on.  Three consecutive increases of
     d_n raise :class:`NonContractionError`.  With ``attest`` the returned
     trajectory is re-frozen and re-advanced once and the residual stored
-    in the log, so the fixed point is certified self-consistent.
+    in the log, so the fixed point is certified self-consistent; the
+    re-freeze also fills the trajectory's ``geometry``.
     """
     report = check_compatibility(init, order=0)
     if report.max_residual() > COMPAT_TOL:
@@ -105,8 +104,7 @@ def solve_nonlinear_kappa(
             f"initial data fails order-0 compatibility: {report.residuals()}"
         )
     if not _is_trivial(init):
-        cache0 = build_geometry(grid, init.eta, kappa, det_floor=det_floor)
-        margin = taylor_sign_margin(init, cache0)
+        margin = taylor_sign_margin(init, build_geometry(grid, init.eta, kappa).a_s)
         if margin <= 0.0:
             raise InitialDataError(
                 f"Rayleigh-Taylor sign condition violated at t = 0: margin {margin:.3e}"
@@ -119,7 +117,7 @@ def solve_nonlinear_kappa(
     traj = traj_prev
     for n in range(1, max_iter + 1):
         tic = time.perf_counter()
-        frozen = FrozenCoefficients.freeze(traj_prev, det_floor=det_floor)
+        frozen = FrozenCoefficients.freeze(traj_prev)
         traj = advance_linearized(
             grid, frozen, init, dt, T,
             cfl_safety=cfl_safety, diffusion_tol=diffusion_tol,
@@ -141,7 +139,7 @@ def solve_nonlinear_kappa(
         logbook.stop_reason = f"max_iter = {max_iter} reached"
 
     if attest and logbook.converged:
-        frozen = FrozenCoefficients.freeze(traj, det_floor=det_floor)
+        frozen = FrozenCoefficients.freeze(traj)
         traj_check = advance_linearized(
             grid, frozen, init, dt, T,
             cfl_safety=cfl_safety, diffusion_tol=diffusion_tol,
@@ -176,19 +174,16 @@ class SweepReport:
 
 def max_correction_norm(traj: Trajectory) -> float:
     """max over nodes of ||psi||_0 along a trajectory, at its own kappa."""
-    grid = traj.grid
-    worst = 0.0
-    for s in traj.states:
-        cache = build_geometry(grid, s.eta, traj.kappa)
-        psi = correction_field(grid, s.eta, s.v, cache, traj.kappa)
-        worst = max(worst, grid.low_norm(psi))
-    return worst
+    return max(traj.grid.low_norm(psi) for psi in traj.geometry.psi)
 
 
 def _sweep_single(args):
-    grid, init, kappa, T, dt, kwargs = args
+    grid, init, kappa, T, dt, finest, kwargs = args
     traj, logbook = solve_nonlinear_kappa(grid, init, kappa, T, dt, **kwargs)
-    return traj, logbook
+    psi_max = max_correction_norm(traj)
+    if not finest:
+        del traj.geometry  # only the finest member is read again
+    return traj, logbook, psi_max
 
 
 def kappa_sweep(
@@ -214,7 +209,7 @@ def kappa_sweep(
 
     order = kwargs.get("truncation_order", 2)
     workers = int(os.environ.get("LFMHD_THREADS", "1"))
-    jobs = [(grid, init, kappa, T, dt, kwargs) for kappa in kappas]
+    jobs = [(grid, init, kappa, T, dt, kappa == kappas[-1], kwargs) for kappa in kappas]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_single, jobs))
@@ -231,7 +226,7 @@ def kappa_sweep(
         kappas=list(kappas),
         iterations=[lg.iterations for lg in logs],
         d_final=[lg.d_history[-1] if lg.d_history else 0.0 for lg in logs],
-        psi_max=[max_correction_norm(t) for t in trajs],
+        psi_max=[r[2] for r in results],
         deltas=deltas,
         truncation_order=order,
     )

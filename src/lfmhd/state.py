@@ -102,17 +102,18 @@ class CompatibilityReport:
         return max(v for v in self.residuals().values() if v is not None)
 
 
-def taylor_sign_margin(state: FlowState, cache: GeometryCache | None = None) -> float:
+def taylor_sign_margin(state: FlowState, a_s: np.ndarray | None = None) -> float:
     """min over both walls of -N . grad_a Q with outward unit normals.
 
     N = -e3 on the bottom wall and +e3 on the top wall, so the margin is
-    the worst-case inward slope of the total pressure head.  Without a
-    cache the raw (unsmoothed) geometry of the state's map is used.
+    the worst-case inward slope of the total pressure head, taken in the
+    smoothed inverse ``a_s``.  Without it the raw (unsmoothed) geometry
+    of the state's map is used.
     """
     grid = state.grid
-    if cache is None:
-        cache = build_geometry(grid, state.eta, 0.0)
-    g3 = cov_grad(grid, cache.a_s, state.Q)[2]
+    if a_s is None:
+        a_s = build_geometry(grid, state.eta, 0.0).a_s
+    g3 = cov_grad(grid, a_s, state.Q)[2]
     bottom = g3[..., 0]
     top = -g3[..., -1]
     return float(min(bottom.min(), top.min()))
@@ -223,7 +224,7 @@ def make_initial_data(
 
     cache = build_geometry(grid, state.eta, kappa=0.0)
     if eps_q > 0.0:
-        margin = taylor_sign_margin(state, cache)
+        margin = taylor_sign_margin(state, cache.a_s)
         if margin < c0:
             raise InitialDataError(
                 f"Rayleigh-Taylor sign condition violated: margin {margin:.6f} "

@@ -225,7 +225,6 @@ def test_criterion_04_alinhac_identity(grid16):
 def _random_frozen(grid, eos, rng, nodes, dt):
     shape = grid.spec.shape
     n = nodes
-    eta = np.empty((n, 3) + shape)
     psi = np.empty((n, 3) + shape)
     a_s = np.empty((n, 3, 3) + shape)
     J_s = np.empty((n,) + shape)
@@ -234,15 +233,14 @@ def _random_frozen(grid, eos, rng, nodes, dt):
     rho0 = np.ones(shape)
     for j in range(n):
         cache = build_geometry(grid, fields.perturbed_map(grid, rng, eps=0.03, band=1), 0.1)
-        eta[j] = cache.eta_s
         psi[j] = 0.05 * fields.random_vector(grid, rng, band=1, n3_modes=1)
         a_s[j] = cache.a_s
         J_s[j] = cache.J_s
         q[j] = 0.1 * fields.random_scalar(grid, rng, band=1, n3_modes=1)
         r[j] = cache.J_s * np.asarray(eos.rho_p(q[j])) / rho0
     return FrozenCoefficients(
-        grid=grid, eos=eos, kappa=0.1, times=dt * np.arange(n), eta=eta,
-        psi=psi, a_s=a_s, J_s=J_s, b=np.zeros((n, 3) + shape), q=q, r=r,
+        grid=grid, eos=eos, kappa=0.1, times=dt * np.arange(n),
+        psi=psi, a_s=a_s, J_s=J_s, b=np.zeros((n, 3) + shape), r=r,
         rho0=rho0,
     )
 

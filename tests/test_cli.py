@@ -22,6 +22,10 @@ data.seed = 0
 """
 
 
+# the cheapest legal lattice, appended after BASE to override it
+SMALL = "grid.n1 = 8\ngrid.n2 = 8\ngrid.n3 = 8\n"
+
+
 def write_cfg(tmp_path, out_dir, extra="", base=BASE, name="run.cfg"):
     path = tmp_path / name
     path.write_text(base + f"outputs.directory = {out_dir}\n" + extra)
@@ -129,6 +133,22 @@ def test_picard_trace_prints_iterates(tmp_path, capsys):
     assert all(r is not None and r < 0.5 for r in ratios[1:])
 
 
+def test_max_iter_without_convergence_exit_code(tmp_path, capsys):
+    # convergence is checked from the second iterate on, so one never converges
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, out, extra=SMALL + "scheme.picard_max_iter = 1\n")
+    assert cli.main(["run", cfg]) == cli.EXIT_NOT_CONVERGED
+    assert "max_iter = 1 reached" in capsys.readouterr().err
+    comment, header, rows = read_csv(out / "iteration.csv")
+    assert comment.endswith("stop = max_iter = 1 reached; self_check = ")
+    assert len(rows) == 1
+    assert not (out / "energy.csv").exists()
+    assert cli.main(["picard-trace", cfg]) == cli.EXIT_NOT_CONVERGED
+    captured = capsys.readouterr()
+    assert "stop: max_iter = 1 reached" in captured.out
+    assert "max_iter = 1 reached" in captured.err
+
+
 def test_kappa_sweep_requires_list(tmp_path, capsys):
     cfg = write_cfg(tmp_path, tmp_path / "out")
     assert cli.main(["kappa-sweep", cfg]) == cli.EXIT_CONFIG
@@ -160,6 +180,21 @@ def test_check_lemmas_writes_table(tmp_path, capsys):
     assert checks == {"hodge", "elliptic", "trace_pin", "trace_ratio"}
     assert all(float(row[2]) >= 0.0 for row in rows)
     assert "hodge" in capsys.readouterr().out
+
+
+def test_check_lemmas_runs_the_suite_once(tmp_path, monkeypatch):
+    real = cli.lemma_suite
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "lemma_suite", counting)
+    out = tmp_path / "out"
+    assert cli.main(["check-lemmas", write_cfg(tmp_path, out, extra=SMALL)]) == 0
+    assert len(calls) == 1
+    assert (out / "lemmas.csv").exists()
 
 
 def test_energy_report_matches_run_output(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Energy reports, residual audits, and the empirical lemma battery."""
 
 import copy
+import sys
 
 import numpy as np
 import pytest
 
-from lfmhd import fields
+from lfmhd import fields, geometry
 from lfmhd.diagnostics import (
     ENERGY_COLUMNS,
     alinhac_residual,
@@ -23,7 +24,7 @@ from lfmhd.diagnostics import (
 from lfmhd.geometry import build_geometry
 from lfmhd.grid import Grid, GridSpec
 from lfmhd.linear_step import Trajectory, implicit_diffusion_solve, trivial_trajectory
-from lfmhd.picard import solve_nonlinear_kappa
+from lfmhd.picard import max_correction_norm, solve_nonlinear_kappa
 from lfmhd.state import FlowState, make_initial_data
 
 # the squared Sobolev-4 norm of the reference positions on the 16^3 lattice
@@ -294,6 +295,58 @@ def test_wave_residual_scheme_sized_and_noise_sensitive(quiescent_run):
         s.q = s.q + pert
     noisy = wave_equation_residual(bad)
     assert noisy.max() > 10.0 * res.max()
+
+
+# ----------------------------------------------------------------------
+# one smoothed geometry per trajectory
+
+
+def _small_tube_run(grid, eos):
+    init = make_initial_data(grid, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
+    traj, log = solve_nonlinear_kappa(grid, init, kappa=0.1, T=0.05, dt=0.0125)
+    assert log.converged and log.self_check is not None
+    return traj
+
+
+def _trajectory_diagnostics(traj):
+    out = {f"energy.{k}": v for k, v in energy_functionals(traj).columns.items()}
+    out.update({f"residual.{k}": v for k, v in nonlinear_residuals(traj).items()})
+    out["wave"] = wave_equation_residual(traj)
+    rows = constraint_residuals(traj)
+    out.update({f"constraint.{k}": np.array([r[k] for r in rows]) for k in rows[0]})
+    out["divergence"] = divergence_monitor(traj, drift_constant=1.0)[0]
+    out["psi_max"] = np.array(max_correction_norm(traj))
+    return out
+
+
+def test_diagnostics_build_no_geometry_after_attested_solve(grid_small, eos, monkeypatch):
+    traj = _small_tube_run(grid_small, eos)
+    real = geometry.build_geometry
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("lfmhd") and getattr(m, "build_geometry", None) is real]
+    assert geometry in bound
+    for module in bound:
+        monkeypatch.setattr(module, "build_geometry", counting)
+    _trajectory_diagnostics(traj)
+    assert len(calls) == 0
+
+
+def test_fresh_trajectory_gives_identical_diagnostics(grid_small, eos):
+    traj = _small_tube_run(grid_small, eos)
+    fresh = Trajectory(
+        grid=traj.grid, eos=traj.eos, kappa=traj.kappa, dt=traj.dt,
+        states=[copy.deepcopy(s) for s in traj.states],
+    )
+    solved, rebuilt = _trajectory_diagnostics(traj), _trajectory_diagnostics(fresh)
+    assert solved.keys() == rebuilt.keys()
+    for name in solved:
+        np.testing.assert_array_equal(rebuilt[name], solved[name], err_msg=name)
 
 
 # ----------------------------------------------------------------------
