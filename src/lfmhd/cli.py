@@ -116,10 +116,12 @@ def _write_iteration_csv(out: Path, log: IterationLog, order: int) -> None:
     )
 
 
-def _write_residuals_csv(out: Path, traj: Trajectory, cfg: RunConfig, stride: int) -> None:
+def _write_residuals_csv(out: Path, traj: Trajectory, cfg: RunConfig, stride: int,
+                         energy: EnergyReport) -> None:
     res = nonlinear_residuals(traj)
     wave = wave_equation_residual(traj)
-    cons = constraint_residuals(traj, c0=cfg.physics.c0, epsilon=cfg.physics.epsilon)
+    cons = constraint_residuals(traj, c0=cfg.physics.c0, epsilon=cfg.physics.epsilon,
+                                energy=energy)
     header = ["t", "res_eta", "res_v", "res_q", "res_b", "wave_residual",
               "div_b", "taylor_margin", "small_geometry", "taylor_ok", "small_ok"]
     rows = []
@@ -182,7 +184,7 @@ def _cmd_run(cfg: RunConfig) -> int:
         return _not_converged(log)
     report = energy_functionals(traj, order=order)
     _write_energy_csv(out, report, stride)
-    _write_residuals_csv(out, traj, cfg, stride)
+    _write_residuals_csv(out, traj, cfg, stride, report)
     if cfg.diagnostics.lemma_suite:
         _write_lemmas_csv(out, grid, cfg)
     if cfg.outputs.checkpoint:
@@ -243,6 +245,11 @@ def _cmd_kappa_sweep(cfg: RunConfig) -> int:
         header,
         rows,
     )
+    if not all(report.converged):
+        for kappa, ok, reason in zip(report.kappas, report.converged, report.stop_reasons):
+            if not ok:
+                print(f"not converged: kappa = {kappa}: {reason}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     energy = energy_functionals(traj, order=cfg.diagnostics.max_time_order)
     _write_energy_csv(out, energy, cfg.outputs.snapshot_stride)
     if cfg.outputs.checkpoint:
@@ -253,7 +260,8 @@ def _cmd_kappa_sweep(cfg: RunConfig) -> int:
     _print_table("kappa-sweep", [
         ("kappas", " ".join(_fmt(k) for k in report.kappas)),
         ("deltas", " ".join(_fmt(d) for d in deltas)),
-        ("deltas strictly decreasing", str(bool(decreasing and deltas))),
+        ("deltas strictly decreasing",
+         str(decreasing) if len(deltas) >= 2 else "n/a (fewer than two deltas)"),
         ("max correction norm (finest)", _fmt(report.psi_max[-1])),
         ("artifacts", str(out)),
     ])

@@ -7,6 +7,7 @@ can never fall back to a default silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -174,6 +175,10 @@ def _validate(cfg: RunConfig, source: str) -> None:
                  f"scheme.kappa_list must be strictly decreasing, got {list(s.kappa_list)}")
     _require(s.dt > 0.0, source, "scheme.dt must be positive")
     _require(s.T > 0.0, source, "scheme.T must be positive")
+    steps = s.T / s.dt
+    _require(math.isfinite(steps) and round(steps) >= 1
+             and abs(round(steps) * s.dt - s.T) <= 1e-9 * max(1.0, s.T), source,
+             f"scheme.T = {s.T} must be a positive integer multiple of scheme.dt = {s.dt}")
     _require(0.0 < s.cfl_safety <= 1.0, source,
              f"scheme.cfl_safety must lie in (0, 1], got {s.cfl_safety}")
     _require(s.picard_tol > 0.0, source, "scheme.picard_tol must be positive")

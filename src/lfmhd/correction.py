@@ -55,15 +55,13 @@ def correction_boundary_data(
     return grid.invert_tangential_laplacian_nonzero(g)
 
 
-def _sinh_profiles(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Normal profiles S0, S1 per tangential mode, shape (n1, n2, n3+1)."""
-    k = np.sqrt(grid.k1[:, None] ** 2 + grid.k2[None, :] ** 2)
+def _sinh_profiles(grid: Grid) -> np.ndarray:
+    """Normal profiles S0, S1 per tangential mode, shape (2, n1, n2 // 2 + 1, n3+1)."""
+    kk = np.sqrt(grid.ksq)
     y3 = grid.y3
 
-    def ratio(kk: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def ratio(s: np.ndarray) -> np.ndarray:
         # sinh(k s) / sinh(k), stable for large k
-        small = kk < _SINH_SWITCH
-        out = np.empty(np.broadcast(kk, s).shape)
         with np.errstate(over="ignore", invalid="ignore"):
             out_small = np.sinh(kk * s) / np.sinh(kk)
         exp_form = (
@@ -71,18 +69,14 @@ def _sinh_profiles(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
             * (1.0 - np.exp(-2.0 * kk * s))
             / (1.0 - np.exp(-2.0 * kk))
         )
-        np.copyto(out, np.where(small, out_small, exp_form))
-        return out
+        return np.where(kk < _SINH_SWITCH, out_small, exp_form)
 
-    kk = k[:, :, None]
-    yy = y3[None, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        S1 = ratio(kk, yy)
-        S0 = ratio(kk, 1.0 - yy)
+        S = np.stack([ratio(1.0 - y3), ratio(y3)])
     # zero mode: linear interpolation of the wall means
-    S0[0, 0, :] = 1.0 - y3
-    S1[0, 0, :] = y3
-    return S0, S1
+    S[0, 0, 0] = 1.0 - y3
+    S[1, 0, 0] = y3
+    return S
 
 
 def harmonic_extension(grid: Grid, g: np.ndarray) -> np.ndarray:
@@ -93,10 +87,9 @@ def harmonic_extension(grid: Grid, g: np.ndarray) -> np.ndarray:
     """
     if grid.field_kind(g) != "boundary" or g.shape[-3] != 2:
         raise ValueError(f"boundary data must have shape (..., 2, n1, n2), got {g.shape}")
-    S0, S1 = _sinh_profiles(grid)
-    gh = np.fft.fft2(g, axes=(-2, -1))
-    psi_h = gh[..., 0, :, :, None] * S0 + gh[..., 1, :, :, None] * S1
-    return np.fft.ifft2(psi_h, axes=(-3, -2)).real
+    S = grid.cached_symbol("sinh_profiles", lambda: _sinh_profiles(grid))
+    # each wall's profile lifts its datum into the slab; psi is their sum
+    return grid.apply_symbol(g, S).sum(axis=-4)
 
 
 def correction_field(

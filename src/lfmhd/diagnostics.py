@@ -21,6 +21,8 @@ from .geometry import (
     cov_grad,
     cov_grad_vector,
     cov_laplacian,
+    curl_from_gradient,
+    deformation_gradient,
 )
 from .grid import Grid
 from .linear_step import Trajectory
@@ -79,18 +81,15 @@ def map_norm(grid: Grid, eta: np.ndarray, s: int) -> float:
     The order-0 term uses the raw positions; all derivatives act on the
     periodic displacement with the identity's constant gradient added
     back, so the non-periodic reference coordinates never reach the FFT.
+    Expanding the first-order squares gives
+    ||eta||_0^2 + ||disp||_s^2 - ||disp||_0^2 + sum_mu int (2 d_mu disp_mu + 1).
     """
-    disp = grid.displacement(eta)
-    total = 0.0
-    for p1, p2, p3 in Grid._multi_indices(s):
-        if p1 == p2 == p3 == 0:
-            total += grid.integrate(np.sum(eta * eta, axis=0))
-            continue
-        d = np.stack([grid.derivative_multi(disp[alpha], p1, p2, p3) for alpha in range(3)])
-        if p1 + p2 + p3 == 1:
-            mu = (p1, p2, p3).index(1)
-            d[mu] = d[mu] + 1.0
-        total += grid.integrate(np.sum(d * d, axis=0))
+    total = grid.integrate(np.sum(eta * eta, axis=0))
+    if s > 0:
+        disp = grid.displacement(eta)
+        total += grid.norm(disp, s) ** 2 - grid.integrate(disp * disp)
+        total += sum(grid.integrate(2.0 * grid.derivative(disp[mu], mu + 1) + 1.0)
+                     for mu in range(3))
     return float(np.sqrt(total))
 
 
@@ -183,12 +182,8 @@ def physical_energy_balance(traj: Trajectory):
 
 def small_geometry_norm(grid: Grid, a_s: np.ndarray, J_s: np.ndarray) -> float:
     """||Js - 1||_3 + ||Id - a~||_3, the closeness-to-identity gauge."""
-    total_j = grid.norm(J_s - 1.0, 3)
     delta = np.eye(3)[:, :, None, None, None] - a_s
-    total_a = np.sqrt(sum(
-        grid.norm(delta[mu, alpha], 3) ** 2 for mu in range(3) for alpha in range(3)
-    ))
-    return float(total_j + total_a)
+    return float(grid.norm(J_s - 1.0, 3) + grid.norm(delta, 3))
 
 
 def _constraints(s: FlowState, a_s: np.ndarray, J_s: np.ndarray) -> tuple[float, float, float]:
@@ -225,7 +220,7 @@ def energy_functionals(traj: Trajectory, order: int = 2) -> EnergyReport:
 
         # boundary term: fourth tangential derivatives of the once-mollified
         # displacement, contracted with the third row of the smoothed inverse
-        disp_w = grid.boundary_slices(mollify(grid, grid.displacement(s.eta), kappa))
+        disp_w = mollify(grid, grid.boundary_slices(grid.displacement(s.eta)), kappa)
         aw = grid.boundary_slices(geo.a_s[j])
         bdy = 0.0
         lap_w = grid.tangential_laplacian(disp_w)
@@ -275,16 +270,24 @@ def constraint_residuals(
     traj: Trajectory,
     c0: float | None = None,
     epsilon: float = 0.1,
+    energy: EnergyReport | None = None,
 ) -> list[dict]:
     """Per-node constraint table: div b, Taylor margin, geometry gauge.
 
     Flags mark a Taylor margin below c0 / 2 and a geometry gauge above
-    epsilon; both thresholds follow the run configuration.
+    epsilon; both thresholds follow the run configuration.  Given the
+    trajectory's energy report, the three values are read from its
+    columns instead of being computed again.
     """
-    geo = traj.geometry
+    if energy is None:
+        geo = traj.geometry
+        values = [_constraints(s, a_s, J_s)
+                  for s, a_s, J_s in zip(traj.states, geo.a_s, geo.J_s)]
+    else:
+        values = zip(*(energy.columns[name]
+                       for name in ("taylor_margin", "small_geometry", "div_b")))
     rows = []
-    for s, a_s, J_s in zip(traj.states, geo.a_s, geo.J_s):
-        margin, small, div_b = _constraints(s, a_s, J_s)
+    for s, (margin, small, div_b) in zip(traj.states, values):
         rows.append({
             "t": s.t,
             "div_b": div_b,
@@ -341,10 +344,10 @@ def nonlinear_residuals(traj: Trajectory) -> dict[str, np.ndarray]:
         r_v = (rho0 / J_s)[None] * dts["v"][j] - lorentz + cov_grad(grid, a, s.Q)
         out["v"][j] = grid.low_norm(r_v)
 
-        r_coeff = J_s * np.asarray(eos.rho_p(s.q)) / rho0
-        out["q"][j] = grid.low_norm(r_coeff * dts["q"][j] + cov_div(grid, a, s.v))
-
         div_v = cov_div(grid, a, s.v)
+        r_coeff = J_s * np.asarray(eos.rho_p(s.q)) / rho0
+        out["q"][j] = grid.low_norm(r_coeff * dts["q"][j] + div_v)
+
         Gv = cov_grad_vector(grid, a, s.v)
         transport = np.einsum("a...,al...->l...", s.b, Gv) - s.b * div_v
         r_b = dts["b"][j] - cov_laplacian(grid, a, s.b) - transport
@@ -389,12 +392,8 @@ def alinhac_residual(cache: GeometryCache, f: np.ndarray) -> float:
     term1 = np.einsum("g...,ga...->a...", d4eta, gradG)
 
     # W[gamma, beta] = d1 d_beta of the smoothed displacement
-    powers = ((2, 0, 0), (1, 1, 0), (1, 0, 1))
-    W = np.stack([
-        np.stack([grid.derivative_multi(disp_s[gamma], *powers[beta]) for beta in range(3)])
-        for gamma in range(3)
-    ])
-    df = np.stack([grid.derivative(f, mu + 1) for mu in range(3)])
+    W = grid.gradient(grid.derivative(disp_s, 1)).swapaxes(0, 1)
+    df = grid.gradient(f)
     term2 = np.zeros_like(G)
     for alpha in range(3):
         for mu in range(3):
@@ -465,10 +464,7 @@ def wave_equation_residual(traj: Trajectory) -> np.ndarray:
             - np.einsum("a...,a...->...", b, cov_grad(grid, a, div_b))
         )
         w0 -= dr[j] * dq[j]
-        w0 -= sum(
-            da[j][mu, alpha] * grid.derivative(v_st[j][alpha], mu + 1)
-            for mu in range(3) for alpha in range(3)
-        )
+        w0 -= np.einsum("ma...,ma...->...", da[j], grid.gradient(v_st[j]))
         lorentz = np.einsum("a...,al...->l...", b, Gb)
         grad_Q = cov_grad(grid, a, s.Q)
         grad_Jr = cov_grad(grid, a, Jr)
@@ -497,11 +493,7 @@ def _flat_div(grid: Grid, X: np.ndarray) -> np.ndarray:
 
 
 def _flat_curl(grid: Grid, X: np.ndarray) -> np.ndarray:
-    out = np.empty_like(X)
-    out[0] = grid.derivative(X[2], 2) - grid.derivative(X[1], 3)
-    out[1] = grid.derivative(X[0], 3) - grid.derivative(X[2], 1)
-    out[2] = grid.derivative(X[1], 1) - grid.derivative(X[0], 2)
-    return out
+    return curl_from_gradient(grid.gradient(X))
 
 
 def lemma_suite(
@@ -540,15 +532,8 @@ def lemma_suite(
     eta = perturbed_map(grid, rng, eps=0.05, band=1)
     cache = build_geometry(grid, eta, kappa)
     eta_s_norm = map_norm(grid, cache.eta_s, 2)
-    disp_s = grid.displacement(cache.eta_s)
-    dbar_sq = 0.0
-    for gamma in range(3):
-        for i in range(2):
-            d = grid.derivative(disp_s[gamma], i + 1)
-            if gamma == i:
-                d = d + 1.0
-            dbar_sq += grid.norm(d, 2) ** 2
-    dbar_norm = np.sqrt(dbar_sq)
+    # tangential columns of the smoothed deformation gradient
+    dbar_norm = grid.norm(deformation_gradient(grid, cache.eta_s)[:, :2], 2)
     P = (1.0 + eta_s_norm) ** 3
     for i in range(n_samples):
         f = wall_vanishing_scalar(grid, rng, band=2)

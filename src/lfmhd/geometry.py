@@ -10,8 +10,8 @@ Index conventions, with Greek indices running over 1..3:
 
 Derivatives of flow maps always act on the periodic displacement
 ``eta - Id`` in the tangential directions, so the identity map is exact
-on the discrete lattice.  Inversion and determinants are pointwise 3x3
-algebra; products inside covariant operators are pointwise with the
+on the discrete lattice.  Jacobians and inverses come from the
+closed-form 3x3 adjugate, pointwise; products inside covariant operators are pointwise with the
 grid's tangential dealiasing applied to each result.
 """
 
@@ -62,32 +62,25 @@ class GeometryCache:
 
 def deformation_gradient(grid: Grid, eta: np.ndarray) -> np.ndarray:
     """d(eta_alpha)/d(y_mu) as a (3, 3, n1, n2, n3+1) array."""
-    disp = grid.displacement(eta)
-    out = np.empty((3, 3) + grid.spec.shape)
-    for alpha in range(3):
-        for mu in range(3):
-            d = grid.derivative(disp[alpha], mu + 1)
-            if alpha == mu:
-                d = d + 1.0
-            out[alpha, mu] = d
-    return out
+    grad = grid.gradient(grid.displacement(eta))  # grad[mu, alpha]
+    return grad.swapaxes(0, 1) + np.eye(3)[:, :, None, None, None]
 
 
 def _invert_pointwise(deta: np.ndarray, grid: Grid):
-    mats = np.moveaxis(deta, (0, 1), (-2, -1))  # (..., alpha, mu)
-    J = np.linalg.det(mats)
+    """Jacobian J, cofactor A (the adjugate, A[mu, alpha]) and a = A / J."""
+    A = np.empty_like(deta)
+    for mu in range(3):
+        m1, m2 = (mu + 1) % 3, (mu + 2) % 3
+        for alpha in range(3):
+            a1, a2 = (alpha + 1) % 3, (alpha + 2) % 3
+            A[mu, alpha] = deta[a1, m1] * deta[a2, m2] - deta[a1, m2] * deta[a2, m1]
+    J = deta[0, 0] * A[0, 0] + deta[0, 1] * A[1, 0] + deta[0, 2] * A[2, 0]
     jmin = float(J.min())
     if jmin <= DET_FLOOR:
         index = np.unravel_index(int(np.argmin(J)), J.shape)
-        coords = (
-            float(grid.y1[index[0]]),
-            float(grid.y2[index[1]]),
-            float(grid.y3[index[2]]),
-        )
+        coords = (float(grid.y1[index[0]]), float(grid.y2[index[1]]), float(grid.y3[index[2]]))
         raise DegenerateMapError(jmin, tuple(int(i) for i in index), coords)
-    inv = np.linalg.inv(mats)  # inv[..., mu, alpha]
-    a = np.moveaxis(inv, (-2, -1), (0, 1))
-    return J, a
+    return J, A, A / J
 
 
 def build_geometry(grid: Grid, eta: np.ndarray, kappa: float) -> GeometryCache:
@@ -97,14 +90,9 @@ def build_geometry(grid: Grid, eta: np.ndarray, kappa: float) -> GeometryCache:
     displacement.  Raises :class:`DegenerateMapError` if either Jacobian
     drops to ``DET_FLOOR``.
     """
-    deta = deformation_gradient(grid, eta)
-    J, a = _invert_pointwise(deta, grid)
-    A = J[None, None] * a
-
-    disp = grid.displacement(eta)
-    eta_s = grid.identity_map + mollify(grid, disp, kappa, power=2)
-    deta_s = deformation_gradient(grid, eta_s)
-    J_s, a_s = _invert_pointwise(deta_s, grid)
+    J, A, a = _invert_pointwise(deformation_gradient(grid, eta), grid)
+    eta_s = grid.identity_map + mollify(grid, grid.displacement(eta), kappa, power=2)
+    J_s, _, a_s = _invert_pointwise(deformation_gradient(grid, eta_s), grid)
 
     return GeometryCache(
         grid=grid, kappa=kappa, eta=eta, J=J, a=a, A=A,
@@ -118,35 +106,27 @@ def build_geometry(grid: Grid, eta: np.ndarray, kappa: float) -> GeometryCache:
 
 def cov_grad(grid: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Covariant gradient a^{mu alpha} d_mu f of a scalar field."""
-    df = np.stack([grid.derivative(f, mu + 1) for mu in range(3)])
-    out = np.einsum("ma...,m...->a...", a, df)
-    return grid.dealias(out)
+    return grid.dealias(np.einsum("ma...,m...->a...", a, grid.gradient(f)))
 
 
 def cov_grad_vector(grid: Grid, a: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Covariant gradient of a vector field; out[alpha, lam] = grad^alpha X_lam."""
-    dX = np.stack([np.stack([grid.derivative(X[lam], mu + 1) for mu in range(3)])
-                   for lam in range(3)])  # (lam, mu, ...)
-    out = np.einsum("ma...,lm...->al...", a, dX)
-    return grid.dealias(out)
+    return grid.dealias(np.einsum("ma...,ml...->al...", a, grid.gradient(X)))
 
 
 def cov_div(grid: Grid, a: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Covariant divergence a^{mu alpha} d_mu X_alpha."""
-    dX = np.stack([np.stack([grid.derivative(X[alpha], mu + 1) for mu in range(3)])
-                   for alpha in range(3)])  # (alpha, mu, ...)
-    out = np.einsum("ma...,am...->...", a, dX)
-    return grid.dealias(out)
+    return grid.dealias(np.einsum("ma...,ma...->...", a, grid.gradient(X)))
 
 
 def cov_curl(grid: Grid, a: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Covariant curl, the antisymmetric part of the covariant gradient."""
-    G = cov_grad_vector(grid, a, X)  # G[mu, alpha] = grad^mu X_alpha
-    out = np.empty_like(X)
-    out[0] = G[1, 2] - G[2, 1]
-    out[1] = G[2, 0] - G[0, 2]
-    out[2] = G[0, 1] - G[1, 0]
-    return out
+    return curl_from_gradient(cov_grad_vector(grid, a, X))
+
+
+def curl_from_gradient(G: np.ndarray) -> np.ndarray:
+    """Curl from a gradient table G[mu, alpha] = d_mu X_alpha."""
+    return np.stack([G[1, 2] - G[2, 1], G[2, 0] - G[0, 2], G[0, 1] - G[1, 0]])
 
 
 def cov_laplacian(grid: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -158,10 +138,7 @@ def cov_laplacian(grid: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def piola_field(grid: Grid, A: np.ndarray) -> np.ndarray:
     """Row divergences d_mu A^{mu alpha} of a cofactor matrix."""
-    return np.stack([
-        sum(grid.derivative(A[mu, alpha], mu + 1) for mu in range(3))
-        for alpha in range(3)
-    ])
+    return np.einsum("mma...->a...", grid.gradient(A))
 
 
 def piola_residual(cache: GeometryCache, smoothed: bool = False) -> float:

@@ -77,9 +77,9 @@ def _wavenumbers(n: int) -> np.ndarray:
 class Grid:
     """Cached operators for one :class:`GridSpec`.
 
-    Holds wavenumber tables, dealias masks, quadrature weights and the
-    coordinate lattice, and implements derivatives, tangential inversion
-    and the Sobolev norms used by the diagnostics.
+    Holds wavenumber tables, cached half-spectrum symbols, quadrature
+    weights and the coordinate lattice, and implements derivatives,
+    tangential inversion and the Sobolev norms used by the diagnostics.
     """
 
     def __init__(self, spec: GridSpec):
@@ -92,6 +92,9 @@ class Grid:
         self.y3 = np.linspace(0.0, 1.0, n3 + 1)
         self.k1 = _wavenumbers(n1)
         self.k2 = _wavenumbers(n2)
+        self._k1h = self.k1[:, None, None]
+        self._k2h = self.k2[None, : n2 // 2 + 1, None]
+        self._symbols: dict = {}
         # trapezoid weights along y3; tangential quadrature is the plain mean
         w3 = np.full(n3 + 1, self.h3)
         w3[0] *= 0.5
@@ -113,11 +116,6 @@ class Grid:
             f"nor boundary (..., {s.n1}, {s.n2}) layout"
         )
 
-    def _tangential_axes(self, f: np.ndarray) -> tuple[int, int]:
-        if self.field_kind(f) == "interior":
-            return (f.ndim - 3, f.ndim - 2)
-        return (f.ndim - 2, f.ndim - 1)
-
     @cached_property
     def identity_map(self) -> np.ndarray:
         """The reference position field y, shape (3, n1, n2, n3 + 1)."""
@@ -133,30 +131,54 @@ class Grid:
         return eta - self.identity_map
 
     # ------------------------------------------------------------------
-    # spectral helpers
+    # the spectral kernel
+    #
+    # Every tangential transform goes through rfft2/irfft2 on the half
+    # spectrum, shape (n1, n2 // 2 + 1).  Symbols carry a trailing y3 axis
+    # of length 1 (plane-wise multipliers) or n3 + 1 (normal profiles) and
+    # are cached on the grid under a key.
 
-    def _multiplier(self, f: np.ndarray, p1: int, p2: int) -> np.ndarray:
-        """Apply the tangential Fourier multiplier (i k1)^p1 (i k2)^p2.
+    def cached_symbol(self, key, build) -> np.ndarray:
+        """The half-spectrum symbol stored under ``key``; ``build()`` makes it once."""
+        sym = self._symbols.get(key)
+        if sym is None:
+            sym = self._symbols[key] = build()
+        return sym
 
-        Any positive power zeroes the Nyquist column of that axis, so the
-        result agrees exactly with composing single derivatives.
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        """|xi|^2 on the half spectrum, shape (n1, n2 // 2 + 1, 1)."""
+        return self._k1h**2 + self._k2h**2
+
+    def _derivative_symbol(self, p1: int, p2: int) -> np.ndarray:
+        """(i k1)^p1 (i k2)^p2; any positive power zeroes that Nyquist line,
+        so mixed derivatives agree exactly with composed single ones."""
+        def build():
+            m1 = (1j * self._k1h) ** p1
+            m2 = (1j * self._k2h) ** p2
+            if p1:
+                m1[self.spec.n1 // 2] = 0.0
+            if p2:
+                m2[:, -1] = 0.0
+            return m1 * m2
+        return self.cached_symbol(("derivative", p1, p2), build)
+
+    def _spectrum(self, f: np.ndarray) -> np.ndarray:
+        """Tangential half spectrum; boundary fields gain a length-1 y3 axis."""
+        if self.field_kind(f) == "interior":
+            return np.fft.rfft2(f, axes=(-3, -2))
+        return np.fft.rfft2(f, axes=(-2, -1))[..., None]
+
+    def apply_symbol(self, f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        """Multiply the tangential spectrum of ``f`` by ``symbol`` and transform back.
+
+        The product broadcasts as numpy does.  A boundary field keeps its
+        layout under a plane-wise symbol and is lifted into the slab by a
+        symbol with a full y3 axis.
         """
-        ax1, ax2 = self._tangential_axes(f)
-        fh = np.fft.fft2(f, axes=(ax1, ax2))
-        n1, n2 = self.spec.n1, self.spec.n2
-        m1 = (1j * self.k1) ** p1 if p1 else np.ones(n1, dtype=complex)
-        m2 = (1j * self.k2) ** p2 if p2 else np.ones(n2, dtype=complex)
-        if p1:
-            m1[n1 // 2] = 0.0
-        if p2:
-            m2[n2 // 2] = 0.0
-        shape1 = [1] * f.ndim
-        shape1[ax1] = n1
-        shape2 = [1] * f.ndim
-        shape2[ax2] = n2
-        fh *= m1.reshape(shape1)
-        fh *= m2.reshape(shape2)
-        return np.fft.ifft2(fh, axes=(ax1, ax2)).real
+        out = np.fft.irfft2(self._spectrum(f) * symbol, s=(self.spec.n1, self.spec.n2),
+                            axes=(-3, -2))
+        return out[..., 0] if out.shape[-1] == 1 else out
 
     def _fd3(self, f: np.ndarray) -> np.ndarray:
         """Second-order d/dy3: central inside, one-sided at the walls."""
@@ -174,72 +196,61 @@ class Grid:
 
     def derivative(self, f: np.ndarray, axis: int) -> np.ndarray:
         """Partial derivative along axis 1, 2 (spectral) or 3 (FD)."""
-        if axis == 1:
-            return self._multiplier(f, 1, 0)
-        if axis == 2:
-            return self._multiplier(f, 0, 1)
+        if axis in (1, 2):
+            return self.apply_symbol(f, self._derivative_symbol(int(axis == 1), int(axis == 2)))
         if axis == 3:
             return self._fd3(f)
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
 
+    def gradient(self, f: np.ndarray) -> np.ndarray:
+        """All three partials of an interior field, derivative axis first.
+
+        ``out[mu]`` is d f / d y_(mu+1); both tangential partials come from
+        one forward transform.
+        """
+        out = np.empty((3,) + f.shape)
+        out[2] = self._fd3(f)  # refuses anything but an interior field
+        sym = self.cached_symbol("gradient", lambda: np.stack(
+            [self._derivative_symbol(1, 0), self._derivative_symbol(0, 1)]))
+        # the stacked symbol's axis goes in front of f's component axes
+        sym = sym.reshape((2,) + (1,) * (f.ndim - 3) + sym.shape[1:])
+        out[:2] = self.apply_symbol(f[None], sym)
+        return out
+
     def derivative_multi(self, f: np.ndarray, p1: int, p2: int, p3: int) -> np.ndarray:
         """Mixed derivative d1^p1 d2^p2 d3^p3 by composition."""
-        g = self._multiplier(f, p1, p2) if (p1 or p2) else f
+        g = self.apply_symbol(f, self._derivative_symbol(p1, p2)) if (p1 or p2) else f
         for _ in range(p3):
             g = self._fd3(g)
         return g
 
     def tangential_laplacian(self, f: np.ndarray) -> np.ndarray:
         """Flat tangential Laplacian d11 + d22 via the -|xi|^2 multiplier."""
-        ax1, ax2 = self._tangential_axes(f)
-        fh = np.fft.fft2(f, axes=(ax1, ax2))
-        shape1 = [1] * f.ndim
-        shape1[ax1] = self.spec.n1
-        shape2 = [1] * f.ndim
-        shape2[ax2] = self.spec.n2
-        k1sq = (self.k1**2).reshape(shape1)
-        k2sq = (self.k2**2).reshape(shape2)
-        fh *= -(k1sq + k2sq)
-        return np.fft.ifft2(fh, axes=(ax1, ax2)).real
+        return self.apply_symbol(f, self.cached_symbol("laplacian", lambda: -self.ksq))
 
     def project_nonzero(self, f: np.ndarray) -> np.ndarray:
         """Remove the tangential mean on every y3 plane (or boundary plane)."""
-        ax1, ax2 = self._tangential_axes(f)
-        return f - f.mean(axis=(ax1, ax2), keepdims=True)
+        axes = (-3, -2) if self.field_kind(f) == "interior" else (-2, -1)
+        return f - f.mean(axis=axes, keepdims=True)
 
     def invert_tangential_laplacian_nonzero(self, g: np.ndarray) -> np.ndarray:
         """Solve lap_t u = P_{!=0} g plane-wise with zero tangential mean."""
-        ax1, ax2 = self._tangential_axes(g)
-        gh = np.fft.fft2(g, axes=(ax1, ax2))
-        shape1 = [1] * g.ndim
-        shape1[ax1] = self.spec.n1
-        shape2 = [1] * g.ndim
-        shape2[ax2] = self.spec.n2
-        ksq = (self.k1**2).reshape(shape1) + (self.k2**2).reshape(shape2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gh = np.where(ksq > 0.0, -gh / ksq, 0.0)
-        return np.fft.ifft2(gh, axes=(ax1, ax2)).real
-
-    @cached_property
-    def _dealias_mask(self) -> np.ndarray:
-        n1, n2 = self.spec.n1, self.spec.n2
-        idx1 = np.abs(np.fft.fftfreq(n1, d=1.0 / n1))
-        idx2 = np.abs(np.fft.fftfreq(n2, d=1.0 / n2))
-        c1 = np.floor(self.spec.dealias_fraction * (n1 / 2.0))
-        c2 = np.floor(self.spec.dealias_fraction * (n2 / 2.0))
-        return (idx1[:, None] <= c1) & (idx2[None, :] <= c2)
+        def build():
+            with np.errstate(divide="ignore"):
+                return np.where(self.ksq > 0.0, -1.0 / self.ksq, 0.0)
+        return self.apply_symbol(g, self.cached_symbol("inverse_laplacian", build))
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
         """Truncate the tangential spectrum to the dealias fraction."""
         if self.spec.dealias_fraction >= 1.0:
             return f
-        ax1, ax2 = self._tangential_axes(f)
-        fh = np.fft.fft2(f, axes=(ax1, ax2))
-        shape = [1] * f.ndim
-        shape[ax1] = self.spec.n1
-        shape[ax2] = self.spec.n2
-        fh *= self._dealias_mask.reshape(shape)
-        return np.fft.ifft2(fh, axes=(ax1, ax2)).real
+        def build():
+            n1, n2, frac = self.spec.n1, self.spec.n2, self.spec.dealias_fraction
+            idx1 = np.abs(np.fft.fftfreq(n1, d=1.0 / n1))[:, None, None]
+            idx2 = np.arange(n2 // 2 + 1)[None, :, None]
+            return ((idx1 <= np.floor(frac * n1 / 2.0))
+                    & (idx2 <= np.floor(frac * n2 / 2.0))).astype(float)
+        return self.apply_symbol(f, self.cached_symbol("dealias", build))
 
     # ------------------------------------------------------------------
     # quadrature and norms
@@ -259,18 +270,31 @@ class Grid:
         """Interior L2 norm without derivative terms (components summed)."""
         return float(np.sqrt(self.integrate(f * f)))
 
-    @staticmethod
-    def _multi_indices(s: int):
-        for total in range(s + 1):
-            for p1 in range(total + 1):
-                for p2 in range(total - p1 + 1):
-                    yield p1, p2, total - p1 - p2
+    def _parseval_weight(self, key, build) -> np.ndarray:
+        """A half-spectrum weight with the mirrored columns counted twice and
+        the transform scaling folded in, so sum(weight |f^|^2) is a plane mean."""
+        def scaled():
+            n1, n2 = self.spec.n1, self.spec.n2
+            mirror = np.full(n2 // 2 + 1, 2.0)
+            mirror[[0, -1]] = 1.0
+            return build() * mirror[:, None] / float(n1 * n2) ** 2
+        return self.cached_symbol(("parseval",) + key, scaled)
+
+    def _sobolev_weight(self, r: int) -> np.ndarray:
+        """sum over p1 + p2 <= r of k1^(2 p1) k2^(2 p2), Nyquist rule included."""
+        def build():
+            kk1 = np.abs(self._derivative_symbol(1, 0)) ** 2
+            kk2 = np.abs(self._derivative_symbol(0, 1)) ** 2
+            return sum(kk1**p1 * kk2**p2 for p1 in range(r + 1) for p2 in range(r + 1 - p1))
+        return self._parseval_weight(("interior", r), build)[..., 0]
 
     def norm(self, f: np.ndarray, s: float, where: str = "interior") -> float:
         """Sobolev norm of a field.
 
         Interior norms take integer s in 0..4 and sum squared L2 norms of
-        all mixed derivatives of order <= s.  Boundary norms take
+        all mixed derivatives of order <= s, by Parseval on every y3 plane:
+        one transform per normal order p3 of d3^p3 f, weighted by the
+        summed tangential symbol of order <= s - p3.  Boundary norms take
         half-integer s in 0..7/2 and use the tangential multiplier
         (1 + |xi|^2)^(s/2), summed over both planes.  Component axes are
         summed in quadrature.
@@ -280,10 +304,16 @@ class Grid:
                 raise ValueError(f"interior norm order must be an integer in 0..4, got {s}")
             if self.field_kind(f) != "interior":
                 raise FieldShapeError("interior norm expects an interior field")
+            s = int(s)
+            g = f
             total = 0.0
-            for p1, p2, p3 in self._multi_indices(int(s)):
-                d = self.derivative_multi(f, p1, p2, p3)
-                total += self.integrate(d * d)
+            for p3 in range(s):
+                fh = self._spectrum(g)
+                power = (fh.real**2 + fh.imag**2) @ self.w3
+                total += float(np.sum(power * self._sobolev_weight(s - p3)))
+                g = self._fd3(g)
+            # the top normal order carries no tangential derivative
+            total += self.integrate(g * g)
             return float(np.sqrt(total))
         if where == "boundary":
             two_s = 2.0 * s
@@ -293,12 +323,9 @@ class Grid:
                 )
             if self.field_kind(f) != "boundary":
                 raise FieldShapeError("boundary norm expects a boundary field")
-            fh = np.fft.fft2(f, axes=(-2, -1))
-            fh /= self.spec.n1 * self.spec.n2
-            ksq = self.k1[:, None] ** 2 + self.k2[None, :] ** 2
-            weight = (1.0 + ksq) ** s
-            total = np.sum(weight * np.abs(fh) ** 2)
-            return float(np.sqrt(total))
+            fh = self._spectrum(f)
+            weight = self._parseval_weight(("boundary", s), lambda: (1.0 + self.ksq) ** s)
+            return float(np.sqrt(np.sum((fh.real**2 + fh.imag**2) * weight)))
         raise ValueError(f"where must be 'interior' or 'boundary', got {where!r}")
 
     def boundary_slices(self, f: np.ndarray) -> np.ndarray:

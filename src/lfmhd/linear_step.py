@@ -86,9 +86,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.states)
 
-    def __iter__(self):
-        return iter(self.states)
-
     def stack(self, name: str) -> np.ndarray:
         """Stack one field over time, shape (nodes, ...)."""
         return np.stack([getattr(s, name) for s in self.states])
@@ -229,15 +226,21 @@ def _flat_modal_factors(nz: int, h: float):
 def _flat_preconditioner(grid: Grid, dt: float):
     nz = grid.spec.n3 + 1
     w, V, Vinv = _flat_modal_factors(nz, grid.h3)
-    ksq = grid.k1[:, None] ** 2 + grid.k2[None, :] ** 2
-    denom = 1.0 + dt * ksq[:, :, None] - dt * w[None, None, :]
+
+    def build():
+        # per tangential mode and normal eigenmode; the wall planes stay zero
+        inv = np.ones(grid.ksq.shape[:2] + (nz,))
+        inv[..., 1:-1] = 1.0 / (1.0 + dt * grid.ksq - dt * w)
+        return inv
+
+    symbol = grid.cached_symbol(("flat_diffusion", dt), build)
 
     def apply(res_int: np.ndarray) -> np.ndarray:
-        rh = np.fft.fft2(res_int, axes=(0, 1))
-        wh = np.einsum("ab,ijb->ija", Vinv, rh)
-        wh /= denom
-        xh = np.einsum("ab,ijb->ija", V, wh)
-        return np.fft.ifft2(xh, axes=(0, 1)).real
+        # the real modal basis acts along y3 only, so it commutes with the
+        # tangential transform
+        full = np.zeros(grid.spec.shape)
+        full[..., 1:-1] = res_int @ Vinv.T
+        return grid.apply_symbol(full, symbol)[..., 1:-1] @ V.T
 
     return apply
 

@@ -98,13 +98,16 @@ def solve_nonlinear_kappa(
     in the log, so the fixed point is certified self-consistent; the
     re-freeze also fills the trajectory's ``geometry``.
     """
-    report = check_compatibility(init, order=0)
+    # one geometry of the initial map: the compatibility check reads its
+    # unsmoothed inverse, the Taylor check its smoothed one
+    cache = build_geometry(grid, init.eta, kappa)
+    report = check_compatibility(init, order=0, cache=cache)
     if report.max_residual() > COMPAT_TOL:
         raise InitialDataError(
             f"initial data fails order-0 compatibility: {report.residuals()}"
         )
     if not _is_trivial(init):
-        margin = taylor_sign_margin(init, build_geometry(grid, init.eta, kappa).a_s)
+        margin = taylor_sign_margin(init, cache.a_s)
         if margin <= 0.0:
             raise InitialDataError(
                 f"Rayleigh-Taylor sign condition violated at t = 0: margin {margin:.3e}"
@@ -160,6 +163,8 @@ class SweepReport:
     psi_max: list[float]
     deltas: list[float]          # sup-in-time difference energy, consecutive kappas
     truncation_order: int
+    converged: list[bool]
+    stop_reasons: list[str]
 
     def rows(self):
         for j, kappa in enumerate(self.kappas):
@@ -229,5 +234,7 @@ def kappa_sweep(
         psi_max=[r[2] for r in results],
         deltas=deltas,
         truncation_order=order,
+        converged=[lg.converged for lg in logs],
+        stop_reasons=[lg.stop_reason for lg in logs],
     )
     return trajs[-1], report

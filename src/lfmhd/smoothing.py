@@ -17,11 +17,6 @@ import numpy as np
 from .grid import Grid
 
 
-def _gaussian_symbol(grid: Grid, kappa: float, power: int) -> np.ndarray:
-    ksq = grid.k1[:, None] ** 2 + grid.k2[None, :] ** 2
-    return np.exp(-0.5 * power * kappa * kappa * ksq)
-
-
 def mollify(grid: Grid, f: np.ndarray, kappa: float, power: int = 1) -> np.ndarray:
     """Apply the Gaussian tangential mollifier (to the given power).
 
@@ -32,13 +27,11 @@ def mollify(grid: Grid, f: np.ndarray, kappa: float, power: int = 1) -> np.ndarr
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     if kappa == 0.0 or power == 0:
         return f.copy()
-    ax1, ax2 = grid._tangential_axes(f)
-    fh = np.fft.fft2(f, axes=(ax1, ax2))
-    shape = [1] * f.ndim
-    shape[ax1] = grid.spec.n1
-    shape[ax2] = grid.spec.n2
-    fh *= _gaussian_symbol(grid, kappa, power).reshape(shape)
-    return np.fft.ifft2(fh, axes=(ax1, ax2)).real
+    symbol = grid.cached_symbol(
+        ("gaussian", kappa, power),
+        lambda: np.exp(-0.5 * power * kappa * kappa * grid.ksq),
+    )
+    return grid.apply_symbol(f, symbol)
 
 
 def commutator(grid: Grid, f: np.ndarray, g: np.ndarray, kappa: float) -> np.ndarray:

@@ -171,6 +171,52 @@ def test_kappa_sweep_deltas_decrease(tmp_path, capsys):
     assert (out / "energy.csv").exists()
 
 
+def test_kappa_sweep_without_convergence_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, out, extra=SMALL + "scheme.kappa_list = 0.2 0.1\n"
+                    "scheme.picard_max_iter = 1\n")
+    assert cli.main(["kappa-sweep", cfg]) == cli.EXIT_NOT_CONVERGED
+    err = capsys.readouterr().err
+    for kappa in ("0.2", "0.1"):
+        assert f"not converged: kappa = {kappa}: max_iter = 1 reached" in err
+    _, header, rows = read_csv(out / "sweep.csv")
+    assert column(header, rows, "iterations", int) == [1, 1]
+    assert not (out / "energy.csv").exists()
+
+
+def test_kappa_sweep_single_delta_is_not_called_decreasing(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, out, extra=SMALL + "scheme.kappa_list = 0.2 0.1\n")
+    assert cli.main(["kappa-sweep", cfg]) == 0
+    out_text = capsys.readouterr().out
+    assert re.search(r"deltas strictly decreasing\s+n/a", out_text)
+    assert "True" not in out_text
+
+
+def test_T_not_multiple_of_dt_exit_code(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, tmp_path / "out", extra="scheme.T = 0.03\n")
+    assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "scheme.T" in err and "scheme.dt" in err
+
+
+def test_run_computes_each_constraint_once(tmp_path, monkeypatch):
+    from lfmhd import diagnostics
+
+    real = diagnostics._constraints
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "_constraints", counting)
+    out = tmp_path / "out"
+    assert cli.main(["run", write_cfg(tmp_path, out, extra=SMALL)]) == 0
+    _, _, rows = read_csv(out / "energy.csv")
+    assert len(calls) == len(rows) == 3
+
+
 def test_check_lemmas_writes_table(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["check-lemmas", write_cfg(tmp_path, out)]) == 0

@@ -95,6 +95,14 @@ def test_range_validation(line, fragment):
         parse_config(line)
 
 
+@pytest.mark.parametrize("line", ["scheme.T = 0.03", "scheme.T = 0.006", "scheme.T = 1e308"])
+def test_T_must_be_a_multiple_of_dt(line):
+    # the default dt is 0.0125
+    with pytest.raises(ConfigError, match=r"scheme\.T = .* multiple of scheme\.dt = 0\.0125"):
+        parse_config(line)
+    assert parse_config("scheme.T = 0.0375").scheme.T == 0.0375
+
+
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("grid.n1 = 32\nscheme.T = 0.1\n")

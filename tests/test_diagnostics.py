@@ -245,6 +245,13 @@ def test_constraint_rows_healthy_run(quiescent_run):
     assert rows[0]["small_geometry"] == 0.0
 
 
+def test_constraint_rows_read_from_energy_report(magnetic_run):
+    computed = constraint_residuals(magnetic_run, c0=0.25, epsilon=0.1)
+    read = constraint_residuals(magnetic_run, c0=0.25, epsilon=0.1,
+                                energy=energy_functionals(magnetic_run))
+    assert read == computed
+
+
 def test_divergence_monitor_flags_corruption(magnetic_run, grid16):
     div, flags = divergence_monitor(magnetic_run, drift_constant=1.0)
     assert not flags.any()

@@ -105,3 +105,24 @@ def test_max_correction_norm_zero_on_trivial(grid16, eos):
     st = _zero_state(grid16, eos)
     traj, _ = solve_nonlinear_kappa(grid16, st, KAPPA, T, DT)
     assert max_correction_norm(traj) == 0.0
+
+
+def test_initial_map_geometry_built_once_per_solve(grid_small, eos, monkeypatch):
+    from lfmhd import picard, state
+
+    st = make_initial_data(grid_small, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
+    real = state.build_geometry
+    calls = {"picard": [], "state": []}
+
+    def counting(name):
+        def build(*args, **kwargs):
+            calls[name].append(args[2] if len(args) > 2 else kwargs["kappa"])
+            return real(*args, **kwargs)
+        return build
+
+    monkeypatch.setattr(picard, "build_geometry", counting("picard"))
+    monkeypatch.setattr(state, "build_geometry", counting("state"))
+    _, log = solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+    assert log.converged
+    # check_compatibility reads the unsmoothed inverse of the same build
+    assert calls == {"picard": [KAPPA], "state": []}
