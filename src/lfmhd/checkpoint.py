@@ -11,12 +11,13 @@ Layout, all integers little-endian u32 unless noted:
 
 Every payload is one scalar lattice; vectors are stored component-wise
 (``v1``..``v3``), trajectory snapshots under ``snapNNN.`` prefixes, and
-scalar metadata (time, smoothing scale, step) as constant lattices so
-the format stays uniform.
+scalar metadata (time, smoothing scale, step, diffusivity, dealias
+fraction) as constant lattices so the format stays uniform.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -31,7 +32,7 @@ VERSION = 1
 
 
 class CheckpointError(Exception):
-    """Raised when a file fails the magic/version/dims validation."""
+    """Raised when a file cannot be read or fails the format validation."""
 
 
 def _to_wire(field: np.ndarray) -> bytes:
@@ -62,7 +63,10 @@ def write_fields(path: str | Path, dims: tuple[int, int, int],
 
 
 def read_fields(path: str | Path) -> tuple[tuple[int, int, int], dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc}") from None
     if len(raw) < len(MAGIC) + 20:
         raise CheckpointError(f"{path}: file too short for a checkpoint header")
     if raw[:8] != MAGIC:
@@ -89,7 +93,10 @@ def read_fields(path: str | Path) -> tuple[tuple[int, int, int], dict[str, np.nd
                 f"{path}: truncated field data, dims ({n1}, {n2}, {n3}) "
                 f"need {payload} bytes per field"
             )
-        name = raw[offset:offset + name_len].decode("ascii")
+        try:
+            name = raw[offset:offset + name_len].decode("ascii")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: field name at byte {offset} is not ASCII") from None
         offset += name_len
         fields[name] = _from_wire(raw[offset:offset + payload], (n1, n2, n3))
         offset += payload
@@ -136,11 +143,16 @@ def write_state(path: str | Path, state: FlowState) -> None:
     write_fields(path, (spec.n1, spec.n2, spec.n3), _state_fields(state))
 
 
-def read_state(path: str | Path, eos: EquationOfState | None = None,
-               dealias_fraction: float = 2.0 / 3.0) -> FlowState:
+def _grid(path: str | Path, dims: tuple[int, int, int], dealias_fraction: float) -> Grid:
+    try:
+        return Grid(GridSpec(*dims, dealias_fraction=dealias_fraction))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
+def read_state(path: str | Path) -> FlowState:
     dims, fields = read_fields(path)
-    grid = Grid(GridSpec(*dims, dealias_fraction=dealias_fraction))
-    return _state_from_fields(grid, eos or EquationOfState(), fields)
+    return _state_from_fields(_grid(path, dims, 2.0 / 3.0), EquationOfState(), fields)
 
 
 def write_trajectory(path: str | Path, traj: Trajectory) -> None:
@@ -150,6 +162,8 @@ def write_trajectory(path: str | Path, traj: Trajectory) -> None:
         "meta.kappa": np.full(shape, traj.kappa),
         "meta.dt": np.full(shape, traj.dt),
         "meta.nodes": np.full(shape, float(len(traj))),
+        "meta.diffusivity": np.full(shape, traj.eos.diffusivity),
+        "meta.dealias_fraction": np.full(shape, spec.dealias_fraction),
     }
     for j, state in enumerate(traj.states):
         prefix = f"snap{j:03d}."
@@ -158,23 +172,33 @@ def write_trajectory(path: str | Path, traj: Trajectory) -> None:
     write_fields(path, (spec.n1, spec.n2, spec.n3), fields)
 
 
-def read_trajectory(path: str | Path, eos: EquationOfState | None = None,
-                    dealias_fraction: float = 2.0 / 3.0) -> Trajectory:
+def read_trajectory(path: str | Path) -> Trajectory:
+    """Read a trajectory with the diffusivity and dealias fraction it ran at.
+
+    Files without ``meta.diffusivity`` or ``meta.dealias_fraction`` read
+    as 1.0 and 2/3, the values every run used before they were recorded.
+    """
     dims, fields = read_fields(path)
-    grid = Grid(GridSpec(*dims, dealias_fraction=dealias_fraction))
-    eos = eos or EquationOfState()
     for key in ("meta.kappa", "meta.dt", "meta.nodes"):
         if key not in fields:
             raise CheckpointError(f"{path}: missing field {key!r}; not a trajectory checkpoint")
-    nodes = int(fields["meta.nodes"].flat[0])
+
+    meta = {"diffusivity": 1.0, "dealias_fraction": 2.0 / 3.0}
+    meta.update((key.removeprefix("meta."), float(field.flat[0]))
+                for key, field in fields.items() if key.startswith("meta."))
+    kappa, dt, nodes, diffusivity = (meta[k] for k in ("kappa", "dt", "nodes", "diffusivity"))
+    for name, ok in (
+        ("kappa", 0.0 <= kappa < math.inf),
+        ("dt", 0.0 < dt < math.inf),
+        ("nodes", nodes >= 1.0 and nodes.is_integer()),
+        ("diffusivity", 0.0 < diffusivity < math.inf),
+    ):
+        if not ok:
+            raise CheckpointError(f"{path}: meta.{name} out of range: {meta[name]}")
+    grid = _grid(path, dims, meta["dealias_fraction"])
+    eos = EquationOfState(diffusivity=diffusivity)
     states = [
         _state_from_fields(grid, eos, fields, prefix=f"snap{j:03d}.")
-        for j in range(nodes)
+        for j in range(int(nodes))
     ]
-    return Trajectory(
-        grid=grid,
-        eos=eos,
-        kappa=float(fields["meta.kappa"].flat[0]),
-        dt=float(fields["meta.dt"].flat[0]),
-        states=states,
-    )
+    return Trajectory(grid=grid, eos=eos, kappa=kappa, dt=dt, states=states)

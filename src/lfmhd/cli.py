@@ -34,8 +34,8 @@ from .diagnostics import (
 )
 from .geometry import DegenerateMapError
 from .grid import Grid, GridSpec
-from .linear_step import CflError, Trajectory
-from .picard import IterationLog, NonContractionError, SweepReport, kappa_sweep, solve_nonlinear_kappa
+from .linear_step import CflError, DiffusionSolveError, Trajectory
+from .picard import IterationLog, NonContractionError, kappa_sweep, solve_nonlinear_kappa
 from .state import EquationOfState, InitialDataError, make_initial_data
 
 EXIT_CONFIG = 2
@@ -44,6 +44,7 @@ EXIT_NON_CONTRACTION = 4
 EXIT_DEGENERATE = 5
 EXIT_CHECKPOINT = 6
 EXIT_NOT_CONVERGED = 7  # Picard hit max_iter; only iteration.csv is written
+EXIT_DIFFUSION = 8
 
 _UNITS_NOTE = "units: dimensionless reference-slab quantities"
 
@@ -221,7 +222,7 @@ def _cmd_picard_trace(cfg: RunConfig) -> int:
 
 
 def _cmd_kappa_sweep(cfg: RunConfig) -> int:
-    if not cfg.scheme.kappa_list:
+    if len(cfg.scheme.kappa_list) < 2:
         raise ConfigError("kappa-sweep needs scheme.kappa_list with at least two values")
     out = Path(cfg.outputs.directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -355,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
+    except DiffusionSolveError as exc:
+        print(f"diffusion solve stalled: {exc}", file=sys.stderr)
+        return EXIT_DIFFUSION
     except Exception as exc:  # pragma: no cover - catch-all contract
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -28,11 +28,18 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
+
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     parts = [p for p in raw.replace(",", " ").split() if p]
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 @dataclass
@@ -96,20 +103,20 @@ _CASTERS = {
     "grid.n1": int,
     "grid.n2": int,
     "grid.n3": int,
-    "grid.dealias_fraction": float,
-    "physics.diffusivity": float,
-    "physics.c0": float,
-    "physics.epsilon": float,
-    "scheme.kappa": float,
+    "grid.dealias_fraction": _parse_float,
+    "physics.diffusivity": _parse_float,
+    "physics.c0": _parse_float,
+    "physics.epsilon": _parse_float,
+    "scheme.kappa": _parse_float,
     "scheme.kappa_list": _parse_float_list,
-    "scheme.dt": float,
-    "scheme.T": float,
-    "scheme.cfl_safety": float,
-    "scheme.picard_tol": float,
+    "scheme.dt": _parse_float,
+    "scheme.T": _parse_float,
+    "scheme.cfl_safety": _parse_float,
+    "scheme.picard_tol": _parse_float,
     "scheme.picard_max_iter": int,
-    "scheme.diffusion_tol": float,
+    "scheme.diffusion_tol": _parse_float,
     "data.preset": str,
-    "data.amplitude": float,
+    "data.amplitude": _parse_float,
     "data.seed": int,
     "outputs.directory": str,
     "outputs.snapshot_stride": int,
@@ -187,6 +194,7 @@ def _validate(cfg: RunConfig, source: str) -> None:
     _require(d.preset in PRESETS, source,
              f"data.preset must be one of {list(PRESETS)}, got {d.preset!r}")
     _require(d.amplitude >= 0.0, source, "data.amplitude must be nonnegative")
+    _require(d.seed >= 0, source, f"data.seed must be >= 0, got {d.seed}")
     _require(cfg.outputs.snapshot_stride >= 1, source, "outputs.snapshot_stride must be >= 1")
     _require(cfg.diagnostics.max_time_order in (1, 2), source,
              f"diagnostics.max_time_order must be 1 or 2, got {cfg.diagnostics.max_time_order}")

@@ -302,11 +302,10 @@ def constraint_residuals(
 def divergence_monitor(
     traj: Trajectory,
     drift_constant: float,
-    allowance: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flag nodes whose div_a b exceeds the calibrated drift envelope.
 
-    The envelope is allowance + drift_constant * t * (dt + h3^2); data
+    The envelope is 1e-8 + drift_constant * t * (dt + h3^2); data
     that starts divergence-free stays under it, while corrupted data
     trips the flag immediately.
     """
@@ -316,7 +315,7 @@ def divergence_monitor(
         grid.low_norm(cov_div(grid, a_s, s.b))
         for s, a_s in zip(traj.states, traj.geometry.a_s)
     ])
-    envelope = allowance + drift_constant * traj.times * (traj.dt + h3 * h3)
+    envelope = 1e-8 + drift_constant * traj.times * (traj.dt + h3 * h3)
     return div, div > envelope
 
 
@@ -499,22 +498,22 @@ def _flat_curl(grid: Grid, X: np.ndarray) -> np.ndarray:
 def lemma_suite(
     grid: Grid,
     seed: int = 0,
-    n_samples: int = 4,
     kappa: float = 0.1,
 ) -> LemmaReport:
     """Measure the constants in the normal-trace div-curl estimate, the
     variable-coefficient elliptic gradient estimate, and the harmonic
     trace sandwich on single modes.
 
-    The report carries one row per (check, sample/mode, order); the
-    estimates hold when the values stay bounded as the corpus and the
-    resolution vary, which is what the tests assert.
+    Each random corpus holds four samples.  The report carries one row
+    per (check, sample/mode, order); the estimates hold when the values
+    stay bounded as the corpus and the resolution vary, which is what the
+    tests assert.
     """
     rng = np.random.default_rng(seed)
     report = LemmaReport()
 
     # div-curl with normal trace
-    for i in range(n_samples):
+    for i in range(4):
         X = random_vector(grid, rng, band=3, n3_modes=2)
         for s in (1, 2):
             num = grid.norm(X, s)
@@ -535,7 +534,7 @@ def lemma_suite(
     # tangential columns of the smoothed deformation gradient
     dbar_norm = grid.norm(deformation_gradient(grid, cache.eta_s)[:, :2], 2)
     P = (1.0 + eta_s_norm) ** 3
-    for i in range(n_samples):
+    for i in range(4):
         f = wall_vanishing_scalar(grid, rng, band=2)
         num = grid.norm(cov_grad(grid, cache.a_s, f), 2)
         den = P * (

@@ -337,7 +337,6 @@ def advance_linearized(
     T: float,
     cfl_safety: float = 0.4,
     diffusion_tol: float = 1e-9,
-    diffusion_max_iter: int = 500,
 ) -> Trajectory:
     """Integrate the frozen-coefficient system from ``init`` over [0, T].
 
@@ -384,9 +383,7 @@ def advance_linearized(
             "a...,al...->l...", s1.b, cov_grad_vector(grid, s1.a_s, v_n)
         ) - s1.b * div_v
         rhs_b = b_lag + dt * transport
-        b_n = implicit_diffusion_solve(
-            grid, s1.a_s, rhs_b, dt, tol=diffusion_tol, max_iter=diffusion_max_iter
-        )
+        b_n = implicit_diffusion_solve(grid, s1.a_s, rhs_b, dt, tol=diffusion_tol)
         _enforce_walls(q_n, b_n)
 
         state = FlowState(

@@ -11,9 +11,7 @@ the size of that first nontrivial step.
 from __future__ import annotations
 
 import logging
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +52,6 @@ class IterationLog:
     converged: bool = False
     stop_reason: str = ""
     tol: float = 0.0
-    truncation_order: int = 2
     self_check: float | None = None
     wall_seconds: list[float] = field(default_factory=list)
 
@@ -86,17 +83,16 @@ def solve_nonlinear_kappa(
     truncation_order: int = 2,
     cfl_safety: float = 0.4,
     diffusion_tol: float = 1e-9,
-    attest: bool = True,
 ) -> tuple[Trajectory, IterationLog]:
     """Iterate frozen-coefficient solves to a fixed point at one kappa.
 
     Stops when the sup-in-time difference energy d_n between consecutive
     iterates (order ``truncation_order``) falls below tol * (1 + d_1),
     checked from the second iterate on.  Three consecutive increases of
-    d_n raise :class:`NonContractionError`.  With ``attest`` the returned
-    trajectory is re-frozen and re-advanced once and the residual stored
-    in the log, so the fixed point is certified self-consistent; the
-    re-freeze also fills the trajectory's ``geometry``.
+    d_n raise :class:`NonContractionError`.  A converged trajectory is
+    re-frozen and re-advanced once and the residual stored in the log, so
+    the fixed point is certified self-consistent; the re-freeze also
+    fills the trajectory's ``geometry``.
     """
     # one geometry of the initial map: the compatibility check reads its
     # unsmoothed inverse, the Taylor check its smoothed one
@@ -115,7 +111,7 @@ def solve_nonlinear_kappa(
 
     nsteps = int(round(T / dt))
     traj_prev = trivial_trajectory(grid, init.eos, init.rho0, kappa, dt, nsteps)
-    logbook = IterationLog(tol=tol, truncation_order=truncation_order)
+    logbook = IterationLog(tol=tol)
 
     traj = traj_prev
     for n in range(1, max_iter + 1):
@@ -141,7 +137,7 @@ def solve_nonlinear_kappa(
     else:
         logbook.stop_reason = f"max_iter = {max_iter} reached"
 
-    if attest and logbook.converged:
+    if logbook.converged:
         frozen = FrozenCoefficients.freeze(traj)
         traj_check = advance_linearized(
             grid, frozen, init, dt, T,
@@ -162,7 +158,6 @@ class SweepReport:
     d_final: list[float]
     psi_max: list[float]
     deltas: list[float]          # sup-in-time difference energy, consecutive kappas
-    truncation_order: int
     converged: list[bool]
     stop_reasons: list[str]
 
@@ -182,15 +177,6 @@ def max_correction_norm(traj: Trajectory) -> float:
     return max(traj.grid.low_norm(psi) for psi in traj.geometry.psi)
 
 
-def _sweep_single(args):
-    grid, init, kappa, T, dt, finest, kwargs = args
-    traj, logbook = solve_nonlinear_kappa(grid, init, kappa, T, dt, **kwargs)
-    psi_max = max_correction_norm(traj)
-    if not finest:
-        del traj.geometry  # only the finest member is read again
-    return traj, logbook, psi_max
-
-
 def kappa_sweep(
     grid: Grid,
     init: FlowState,
@@ -203,9 +189,8 @@ def kappa_sweep(
 
     Returns the smallest-kappa trajectory and a report whose deltas are
     the sup-in-time difference energies between consecutive runs (the
-    Cauchy diagnostic for the vanishing-smoothing limit).  Worker count
-    follows LFMHD_THREADS; runs are independent so the results do not
-    depend on it.
+    Cauchy diagnostic for the vanishing-smoothing limit).  The members
+    run one after another, and at most two are held at a time.
     """
     if len(kappas) < 1 or any(k <= 0 for k in kappas):
         raise ValueError(f"kappas must be positive, got {kappas}")
@@ -213,28 +198,26 @@ def kappa_sweep(
         raise ValueError(f"kappas must be strictly descending, got {kappas}")
 
     order = kwargs.get("truncation_order", 2)
-    workers = int(os.environ.get("LFMHD_THREADS", "1"))
-    jobs = [(grid, init, kappa, T, dt, kappa == kappas[-1], kwargs) for kappa in kappas]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_single, jobs))
-    else:
-        results = [_sweep_single(job) for job in jobs]
-
-    trajs = [r[0] for r in results]
-    logs = [r[1] for r in results]
-    deltas = [
-        float(np.max(difference_energy(trajs[j], trajs[j + 1], order)))
-        for j in range(len(trajs) - 1)
-    ]
+    logs: list[IterationLog] = []
+    psi_max: list[float] = []
+    deltas: list[float] = []
+    traj = None
+    for kappa in kappas:
+        prev = traj
+        if prev is not None:
+            del prev.geometry  # only the finest member's memo is read again
+        traj, logbook = solve_nonlinear_kappa(grid, init, kappa, T, dt, **kwargs)
+        logs.append(logbook)
+        psi_max.append(max_correction_norm(traj))
+        if prev is not None:
+            deltas.append(float(np.max(difference_energy(prev, traj, order))))
     report = SweepReport(
         kappas=list(kappas),
         iterations=[lg.iterations for lg in logs],
         d_final=[lg.d_history[-1] if lg.d_history else 0.0 for lg in logs],
-        psi_max=[r[2] for r in results],
+        psi_max=psi_max,
         deltas=deltas,
-        truncation_order=order,
         converged=[lg.converged for lg in logs],
         stop_reasons=[lg.stop_reason for lg in logs],
     )
-    return trajs[-1], report
+    return traj, report

@@ -25,7 +25,7 @@ def mollify(grid: Grid, f: np.ndarray, kappa: float, power: int = 1) -> np.ndarr
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    if kappa == 0.0 or power == 0:
+    if kappa == 0.0:
         return f.copy()
     symbol = grid.cached_symbol(
         ("gaussian", kappa, power),

@@ -60,10 +60,6 @@ class FlowState:
     rho0: np.ndarray   # (n1, n2, n3+1), reference density R(q0) J(0)
 
     @property
-    def R(self) -> np.ndarray:
-        return self.eos.rho(self.q)
-
-    @property
     def Q(self) -> np.ndarray:
         """Total pressure head q + |b|^2 / 2."""
         return self.q + 0.5 * np.sum(self.b * self.b, axis=0)

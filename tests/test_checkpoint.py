@@ -2,10 +2,13 @@
 
 import importlib.util
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lfmhd
 from lfmhd.checkpoint import (
@@ -158,3 +161,95 @@ def test_state_checkpoint_is_not_a_trajectory(tmp_path, state):
     write_state(path, state)
     with pytest.raises(CheckpointError, match="not a trajectory checkpoint"):
         read_trajectory(path)
+
+
+def test_unreadable_path_refused(tmp_path):
+    with pytest.raises(CheckpointError, match="cannot read"):
+        read_fields(tmp_path / "nonexistent.ckpt")
+    with pytest.raises(CheckpointError, match="cannot read"):
+        read_fields(tmp_path)
+
+
+def _trajectory_fields(extra):
+    shape = (8, 8, 9)
+    fields = {"meta.kappa": np.full(shape, 0.1), "meta.dt": np.full(shape, 0.01),
+              "meta.nodes": np.full(shape, 1.0)}
+    for name in ("t", "eta1", "eta2", "eta3", "v1", "v2", "v3", "b1", "b2", "b3", "q"):
+        fields[f"snap000.{name}"] = np.zeros(shape)
+    fields["snap000.rho0"] = np.ones(shape)
+    fields.update({key: np.full(shape, value) for key, value in extra.items()})
+    return fields
+
+
+def test_trajectory_records_diffusivity_and_dealias(tmp_path):
+    grid = lfmhd.Grid(lfmhd.GridSpec(8, 8, 8, dealias_fraction=0.5))
+    eos = lfmhd.EquationOfState(diffusivity=0.25)
+    traj = trivial_trajectory(grid, eos, np.ones(grid.shape), kappa=0.1, dt=0.01, nsteps=2)
+    path = tmp_path / "t.ckpt"
+    write_trajectory(path, traj)
+    back = read_trajectory(path)
+    assert back.eos == eos
+    assert back.grid.spec == grid.spec
+    # a file written before the two settings were recorded reads the defaults
+    old = tmp_path / "old.ckpt"
+    write_fields(old, (8, 8, 8), _trajectory_fields({}))
+    back = read_trajectory(old)
+    assert back.eos == lfmhd.EquationOfState()
+    assert back.grid.spec == lfmhd.GridSpec(8, 8, 8)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("meta.diffusivity", 0.0), ("meta.diffusivity", np.inf), ("meta.diffusivity", np.nan),
+    ("meta.dealias_fraction", 0.0), ("meta.dealias_fraction", 1.5),
+    ("meta.dealias_fraction", np.nan), ("meta.nodes", np.nan), ("meta.nodes", 1.5),
+    ("meta.dt", 0.0), ("meta.kappa", -0.1),
+])
+def test_out_of_range_recorded_setting_refused(tmp_path, key, value):
+    path = tmp_path / "bad.ckpt"
+    write_fields(path, (8, 8, 8), _trajectory_fields({key: value}))
+    with pytest.raises(CheckpointError, match=key.split(".")[1]):
+        read_trajectory(path)
+
+
+@pytest.fixture(scope="module")
+def state_bytes(state, tmp_path_factory):
+    path = tmp_path_factory.mktemp("valid") / "s.ckpt"
+    write_state(path, state)
+    return path.read_bytes()
+
+
+def _read(raw: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.ckpt"
+        path.write_bytes(raw)
+        return read_fields(path)
+
+
+# well-formed headers whose fields are garbled, so parsing gets past the magic
+_HEADED = st.builds(
+    lambda count, dims, names, tail: (
+        MAGIC + struct.pack("<IIIII", 1, *dims, count)
+        + b"".join(struct.pack("<I", len(n)) + n + bytes(dims[0] * dims[1] * (dims[2] + 1) * 8)
+                   for n in names)
+        + tail
+    ),
+    st.integers(0, 3),
+    st.sampled_from([(8, 8, 8), (8, 10, 9), (7, 8, 8)]),
+    st.lists(st.binary(max_size=6), max_size=3),
+    st.binary(max_size=16),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(raw=st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(lambda b: MAGIC + b),
+                     _HEADED),
+       cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_read_fields_raises_only_checkpoint_error(state_bytes, raw, cut):
+    # any bytes are read or refused with CheckpointError, nothing else
+    try:
+        _read(raw)
+    except CheckpointError:
+        pass
+    # and every strict prefix of a valid file is refused
+    with pytest.raises(CheckpointError):
+        _read(state_bytes[: int(cut * len(state_bytes))])

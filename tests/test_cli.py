@@ -1,12 +1,14 @@
 """Command-line front end: artifact sets, exit codes, determinism."""
 
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lfmhd import cli
+from lfmhd.checkpoint import MAGIC
 from lfmhd.picard import NonContractionError
 
 BASE = """
@@ -193,6 +195,14 @@ def test_kappa_sweep_single_delta_is_not_called_decreasing(tmp_path, capsys):
     assert "True" not in out_text
 
 
+def test_kappa_sweep_single_value_list_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, out, extra=SMALL + "scheme.kappa_list = 0.1\n")
+    assert cli.main(["kappa-sweep", cfg]) == cli.EXIT_CONFIG
+    assert "at least two values" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_T_not_multiple_of_dt_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, tmp_path / "out", extra="scheme.T = 0.03\n")
     assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
@@ -243,9 +253,15 @@ def test_check_lemmas_runs_the_suite_once(tmp_path, monkeypatch):
     assert (out / "lemmas.csv").exists()
 
 
-def test_energy_report_matches_run_output(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [
+    "",
+    # a field that diffuses, at settings the reader once replaced by 1.0 and 2/3
+    SMALL + "data.preset = magnetic-tube\nphysics.diffusivity = 0.5\n"
+    "grid.dealias_fraction = 0.5\n",
+], ids=["defaults", "recorded-settings"])
+def test_energy_report_matches_run_output(tmp_path, capsys, extra):
     out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, out, extra="outputs.checkpoint = on\n")
+    cfg = write_cfg(tmp_path, out, extra="outputs.checkpoint = on\n" + extra)
     assert cli.main(["run", cfg]) == 0
     ckpt = out / "trajectory.ckpt"
     assert ckpt.exists() and (out / "final_state.ckpt").exists()
@@ -260,3 +276,41 @@ def test_energy_report_rejects_garbage(tmp_path, capsys):
     junk.write_bytes(b"GARBAGE!" + b"\x00" * 64)
     assert cli.main(["energy-report", str(junk)]) == cli.EXIT_CHECKPOINT
     assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_missing_checkpoint_exit_code(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.ckpt"
+    assert cli.main(["energy-report", str(missing)]) == cli.EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and "nonexistent.ckpt" in err
+
+
+def test_non_ascii_field_name_exit_code(tmp_path, capsys):
+    header = struct.pack("<IIIII", 1, 8, 8, 8, 1)
+    field = struct.pack("<I", 2) + b"q\xff" + bytes(8 * 8 * 9 * 8)
+    path = tmp_path / "name.ckpt"
+    path.write_bytes(MAGIC + header + field)
+    assert cli.main(["energy-report", str(path)]) == cli.EXIT_CHECKPOINT
+    assert "not ASCII" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,fragment", [
+    ("data.seed = -1\n", "data.seed"),
+    ("scheme.kappa = inf\n", "scheme.kappa"),
+    ("physics.c0 = inf\n", "physics.c0"),
+    ("data.amplitude = inf\n", "data.amplitude"),
+])
+def test_values_that_crash_later_are_config_errors(tmp_path, capsys, extra, fragment):
+    cfg = write_cfg(tmp_path, tmp_path / "out", extra=SMALL + extra)
+    assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and fragment in err
+
+
+def test_diffusion_stall_exit_code(tmp_path, capsys):
+    # a residual target below rounding leaves the Krylov solve stalled
+    cfg = write_cfg(tmp_path, tmp_path / "out", extra=SMALL + "data.preset = magnetic-tube\n"
+                    "scheme.diffusion_tol = 1e-30\n")
+    assert cli.main(["run", cfg]) == cli.EXIT_DIFFUSION
+    err = capsys.readouterr().err
+    assert err.startswith("diffusion solve stalled:") and "target 1.0e-30" in err

@@ -1,8 +1,12 @@
 """Config parser: defaults, overrides, and hard rejection of bad input."""
 
-import pytest
+import math
 
-from lfmhd.config import ConfigError, load_config, parse_config
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lfmhd.config import _CASTERS, ConfigError, load_config, parse_config
 
 
 def test_empty_text_gives_defaults():
@@ -89,6 +93,13 @@ def test_bad_value_reports_key_and_line():
     ("data.amplitude = -0.1", "amplitude"),
     ("outputs.snapshot_stride = 0", "snapshot_stride"),
     ("diagnostics.max_time_order = 3", "max_time_order"),
+    ("data.seed = -1", "data.seed must be >= 0"),
+    ("physics.c0 = inf", r"physics\.c0: not a finite number"),
+    ("scheme.kappa = inf", r"scheme\.kappa: not a finite number"),
+    ("data.amplitude = inf", r"data\.amplitude: not a finite number"),
+    ("scheme.dt = nan", r"scheme\.dt: not a finite number"),
+    ("grid.dealias_fraction = -inf", r"grid\.dealias_fraction: not a finite number"),
+    ("scheme.kappa_list = inf 0.2", r"scheme\.kappa_list: not a finite number"),
 ])
 def test_range_validation(line, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -121,3 +132,28 @@ def test_error_names_the_source_file(tmp_path):
     path.write_text("grid.n1 = 32\nnope.key = 1\n")
     with pytest.raises(ConfigError, match=r"bad\.cfg:2"):
         load_config(path)
+
+
+_VALUES = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "-1", "0", "1e308", "0.2 0.1", "0.1, nan", "on"]),
+    st.floats().map(repr),
+    st.integers(-3, 40).map(str),
+    st.text(max_size=10),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(entries=st.dictionaries(st.sampled_from(sorted(_CASTERS)), _VALUES, max_size=4),
+       noise=st.lists(st.text(max_size=30), max_size=1))
+def test_any_text_parses_or_raises_config_error(entries, noise):
+    # whatever the parser accepts is safe to run: finite floats, seed >= 0
+    text = "\n".join([f"{key} = {value}" for key, value in entries.items()] + noise)
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    for section in vars(cfg).values():
+        for value in vars(section).values():
+            if isinstance(value, (float, tuple)):
+                assert all(map(math.isfinite, value if isinstance(value, tuple) else (value,)))
+    assert cfg.data.seed >= 0

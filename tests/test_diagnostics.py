@@ -381,7 +381,7 @@ def test_alinhac_perturbed_map_small():
 
 
 def test_lemma_suite_windows(grid16):
-    rep = lemma_suite(grid16, seed=0, n_samples=4)
+    rep = lemma_suite(grid16, seed=0)
     hodge = rep.values("hodge")
     assert len(hodge) == 8
     assert 0.2 < min(hodge) and max(hodge) < 1.5
@@ -394,8 +394,8 @@ def test_lemma_suite_windows(grid16):
 
 
 def test_lemma_constants_stable_under_refinement(grid16):
-    r16 = lemma_suite(grid16, seed=0, n_samples=4)
-    r32 = lemma_suite(Grid(GridSpec(32, 32, 32)), seed=0, n_samples=4)
+    r16 = lemma_suite(grid16, seed=0)
+    r32 = lemma_suite(Grid(GridSpec(32, 32, 32)), seed=0)
     for check in ("hodge", "elliptic"):
         lo = min(min(r16.values(check)), min(r32.values(check)))
         hi = max(max(r16.values(check)), max(r32.values(check)))

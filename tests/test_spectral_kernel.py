@@ -260,3 +260,13 @@ def test_numpy_fft_only_in_grid_module():
         if p.name != "grid.py" and re.search(r"\bfft\b", p.read_text())
     ]
     assert offenders == []
+
+
+def test_no_module_reads_the_environment():
+    # every setting reaches the package through its arguments or the config
+    package = Path(lfmhd.__file__).parent
+    offenders = [
+        p.name for p in sorted(package.glob("*.py"))
+        if re.search(r"\bos\.environ\b|\bgetenv\b", p.read_text())
+    ]
+    assert offenders == []
