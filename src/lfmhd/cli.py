@@ -285,6 +285,11 @@ def _cmd_check_lemmas(cfg: RunConfig) -> int:
 
 def _cmd_energy_report(path: str, out_dir: str, order: int) -> int:
     traj = read_trajectory(path)
+    if len(traj) < order + 1:
+        raise CheckpointError(
+            f"{path}: {len(traj)} nodes; an order-{order} time derivative "
+            f"needs at least {order + 1}"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = energy_functionals(traj, order=order)

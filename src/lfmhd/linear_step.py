@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .correction import correction_field
 from .geometry import build_geometry, cov_div, cov_grad, cov_grad_vector, cov_laplacian
@@ -49,10 +48,11 @@ class DiffusionSolveError(RuntimeError):
     def __init__(self, iterations: int, residual: float, tol: float):
         self.iterations = iterations
         self.residual = residual
-        super().__init__(
-            f"implicit diffusion solve stalled after {iterations} iterations "
-            f"at relative residual {residual:.3e} (target {tol:.1e})"
-        )
+        if np.isfinite(residual):
+            where = f"stalled after {iterations} iterations at relative residual {residual:.3e}"
+        else:
+            where = f"stopped after {iterations} iterations: the residual is non-finite"
+        super().__init__(f"implicit diffusion solve {where} (target {tol:.1e})")
 
 
 @dataclass
@@ -245,6 +245,78 @@ def _flat_preconditioner(grid: Grid, dt: float):
     return apply
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    # a fixed-order sum: BLAS dot and nrm2 split theirs by thread count,
+    # which made the 32^3 artifacts depend on OPENBLAS_NUM_THREADS
+    return np.einsum("i,i->", x, y)
+
+
+def _norm(x: np.ndarray) -> float:
+    return np.sqrt(_dot(x, x))
+
+
+def bicgstab(matvec, b, rtol, maxiter, M, callback=None):
+    """Preconditioned BiCGSTAB from x = 0, the iteration of scipy 1.17.
+
+    ``matvec`` applies the operator and ``M`` the preconditioner to a flat
+    vector; ``callback(x)`` runs after each full iteration.  Stops when
+    ||b - A x|| < rtol ||b||.  Returns ``(x, info)``: info is 0 on
+    convergence, ``maxiter`` when the budget ran out, -10 and -11 on a rho
+    and an omega breakdown, and -12 as soon as rho, omega or the residual
+    norm is not finite.
+    """
+    x = np.zeros_like(b)
+    bnorm = _norm(b)
+    if bnorm == 0.0:
+        return x, 0
+    atol = rtol * bnorm
+    tiny = np.finfo(b.dtype).eps ** 2   # scipy's breakdown bound for rho and omega
+    r = b.copy()
+    for iteration in range(maxiter):
+        rnorm = _norm(r)
+        if rnorm < atol:
+            return x, 0
+        rho = _dot(b, r)        # the shadow residual is r_0 = b
+        if not (np.isfinite(rnorm) and np.isfinite(rho)):
+            return x, -12
+        if abs(rho) < tiny:
+            return x, -10
+        if iteration > 0:
+            if abs(omega) < tiny:
+                return x, -11
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        phat = M(p)
+        v = matvec(phat)
+        rv = _dot(b, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= alpha * v          # r is now s = b - A (x + alpha phat)
+        snorm = _norm(r)
+        if snorm < atol:
+            x += alpha * phat
+            return x, 0
+        if not np.isfinite(snorm):
+            return x, -12
+        shat = M(r)
+        t = matvec(shat)
+        omega = _dot(t, r) / _dot(t, t)
+        if not np.isfinite(omega):
+            return x, -12
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
+
+
 def implicit_diffusion_solve(
     grid: Grid,
     a_s: np.ndarray,
@@ -258,7 +330,8 @@ def implicit_diffusion_solve(
     Component-wise for vector right-hand sides.  The Krylov iteration is
     preconditioned by the exact flat-geometry modal solve, so it converges
     in a handful of steps whenever the smoothed geometry is close to the
-    identity.  Non-convergence raises :class:`DiffusionSolveError`.
+    identity.  Non-convergence, including a non-finite residual, raises
+    :class:`DiffusionSolveError`.
     """
     if rhs.ndim == 4:
         return np.stack([
@@ -268,7 +341,6 @@ def implicit_diffusion_solve(
 
     n1, n2, nz = grid.spec.shape
     nint = nz - 2
-    size = n1 * n2 * nint
 
     def embed(x_int: np.ndarray) -> np.ndarray:
         full = np.zeros((n1, n2, nz))
@@ -286,22 +358,20 @@ def implicit_diffusion_solve(
         return precond(r_flat.reshape(n1, n2, nint)).ravel()
 
     b_flat = rhs[..., 1:-1].ravel()
-    bnorm = np.linalg.norm(b_flat)
+    bnorm = _norm(b_flat)
     if bnorm == 0.0:
         return np.zeros((n1, n2, nz))
 
-    A = LinearOperator((size, size), matvec=matvec)
-    M = LinearOperator((size, size), matvec=psolve)
     iters = 0
 
     def count(_):
         nonlocal iters
         iters += 1
 
-    x_flat, info = bicgstab(A, b_flat, rtol=tol, atol=0.0, maxiter=max_iter,
-                            M=M, callback=count)
-    residual = np.linalg.norm(matvec(x_flat) - b_flat) / bnorm
-    if info != 0 or residual > 10.0 * tol:
+    x_flat, info = bicgstab(matvec, b_flat, rtol=tol, maxiter=max_iter,
+                            M=psolve, callback=count)
+    residual = _norm(matvec(x_flat) - b_flat) / bnorm
+    if info != 0 or not residual <= 10.0 * tol:
         raise DiffusionSolveError(iterations=iters, residual=residual, tol=tol)
     return embed(x_flat.reshape(n1, n2, nint))
 

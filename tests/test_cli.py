@@ -2,13 +2,17 @@
 
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lfmhd
 from lfmhd import cli
-from lfmhd.checkpoint import MAGIC
+from lfmhd.checkpoint import MAGIC, write_trajectory
+from lfmhd.linear_step import trivial_trajectory
 from lfmhd.picard import NonContractionError
 
 BASE = """
@@ -283,6 +287,31 @@ def test_missing_checkpoint_exit_code(tmp_path, capsys):
     assert cli.main(["energy-report", str(missing)]) == cli.EXIT_CHECKPOINT
     err = capsys.readouterr().err
     assert "checkpoint error" in err and "nonexistent.ckpt" in err
+
+
+@pytest.mark.parametrize("nodes,order", [(1, 2), (2, 2), (1, 1)])
+def test_energy_report_refuses_short_trajectory(tmp_path, capsys, grid_small, eos,
+                                                nodes, order):
+    rho0 = np.full(grid_small.shape, eos.rho(0.0))
+    traj = trivial_trajectory(grid_small, eos, rho0, 0.1, 0.0125, nodes - 1)
+    path = tmp_path / "short.ckpt"
+    write_trajectory(path, traj)
+    rep = tmp_path / "rep"
+    code = cli.main(["energy-report", str(path), "--out", str(rep), "--order", str(order)])
+    assert code == cli.EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:")
+    assert f"{nodes} nodes" in err and f"order-{order}" in err
+    assert not rep.exists()
+
+
+def test_cli_imports_no_scipy():
+    src = str(Path(lfmhd.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import lfmhd.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_non_ascii_field_name_exit_code(tmp_path, capsys):

@@ -1,10 +1,18 @@
 """Frozen coefficients, CFL gate, implicit diffusion, linearized advance."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lfmhd
+from lfmhd import linear_step
+
 from lfmhd.fields import perturbed_map, wall_vanishing_scalar
-from lfmhd.geometry import build_geometry
+from lfmhd.geometry import build_geometry, cov_laplacian
 from lfmhd.grid import Grid, GridSpec
 from lfmhd.linear_step import (
     CflError,
@@ -135,6 +143,92 @@ def test_implicit_diffusion_perturbed_geometry_converges(grid16, rng):
     # iteration budget too small -> named failure
     with pytest.raises(DiffusionSolveError):
         implicit_diffusion_solve(grid16, cache.a_s, rhs, 0.01, max_iter=1)
+
+
+def test_nan_rhs_stops_the_krylov_loop_at_once(grid16, rng, monkeypatch):
+    eta = perturbed_map(grid16, rng, eps=0.05)
+    cache = build_geometry(grid16, eta, KAPPA)
+    rhs = wall_vanishing_scalar(grid16, rng, band=2)
+    rhs[3, 3, 3] = np.nan
+    matvecs = []
+
+    def counting(*args):
+        matvecs.append(None)
+        return cov_laplacian(*args)
+
+    monkeypatch.setattr(linear_step, "cov_laplacian", counting)
+    with pytest.raises(DiffusionSolveError, match="residual is non-finite") as err:
+        implicit_diffusion_solve(grid16, cache.a_s, rhs, 0.01)
+    assert err.value.iterations <= 1
+    # two per iteration, plus the final residual check
+    assert len(matvecs) <= 3
+
+
+def test_bicgstab_matches_scipy(grid16, rng, monkeypatch):
+    sla = pytest.importorskip("scipy.sparse.linalg")
+    eta = perturbed_map(grid16, rng, eps=0.05)
+    a_s = build_geometry(grid16, eta, KAPPA).a_s
+    rhs = wall_vanishing_scalar(grid16, rng, band=2)
+    # the operator, preconditioner and right-hand side of a real solve
+    system = {}
+    own = linear_step.bicgstab
+
+    def capture(matvec, b, **kwargs):
+        system.update(matvec=matvec, b=b, M=kwargs["M"])
+        return own(matvec, b, **kwargs)
+
+    monkeypatch.setattr(linear_step, "bicgstab", capture)
+    implicit_diffusion_solve(grid16, a_s, rhs, 0.01)
+    matvec, b, psolve = system["matvec"], system["b"], system["M"]
+    size = b.size
+    iters = {"own": 0, "scipy": 0}
+
+    def counter(name):
+        def count(_):
+            iters[name] += 1
+        return count
+
+    x, info = own(matvec, b, rtol=1e-9, maxiter=500, M=psolve, callback=counter("own"))
+    ref, ref_info = sla.bicgstab(
+        sla.LinearOperator((size, size), matvec=matvec, dtype=float), b,
+        rtol=1e-9, atol=0.0, maxiter=500,
+        M=sla.LinearOperator((size, size), matvec=psolve, dtype=float),
+        callback=counter("scipy"),
+    )
+    assert info == ref_info == 0
+    assert iters["own"] == iters["scipy"] > 1
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from lfmhd.fields import perturbed_map, wall_vanishing_scalar
+from lfmhd.geometry import build_geometry
+from lfmhd.grid import Grid, GridSpec
+from lfmhd.linear_step import implicit_diffusion_solve
+grid = Grid(GridSpec(32, 32, 32))
+rng = np.random.default_rng(7)
+a_s = build_geometry(grid, perturbed_map(grid, rng, eps=0.05), 0.1).a_s
+rhs = wall_vanishing_scalar(grid, rng, band=3)
+print(hashlib.sha256(implicit_diffusion_solve(grid, a_s, rhs, 0.01).tobytes()).hexdigest())
+"""
+
+
+def test_diffusion_solve_independent_of_blas_threads():
+    # 32^3 vectors are above OpenBLAS's threading threshold; 16^3 ones are not
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if cores < 2:
+        pytest.skip("needs two cores to run two BLAS threads")
+    src = str(Path(lfmhd.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def test_diffusion_unconditionally_stable_per_step(grid16, eos):
