@@ -12,7 +12,8 @@ Layout, all integers little-endian u32 unless noted:
 Every payload is one scalar lattice; vectors are stored component-wise
 (``v1``..``v3``), trajectory snapshots under ``snapNNN.`` prefixes, and
 scalar metadata (time, smoothing scale, step, diffusivity, dealias
-fraction) as constant lattices so the format stays uniform.
+fraction) as constant lattices so the format stays uniform.  A field with
+a NaN or an infinity is refused on read.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ def read_fields(path: str | Path) -> tuple[tuple[int, int, int], dict[str, np.nd
             raise CheckpointError(f"{path}: field name at byte {offset} is not ASCII") from None
         offset += name_len
         fields[name] = _from_wire(raw[offset:offset + payload], (n1, n2, n3))
+        if not np.isfinite(fields[name]).all():
+            raise CheckpointError(f"{path}: field {name!r} holds non-finite values")
         offset += payload
     return (n1, n2, n3), fields
 

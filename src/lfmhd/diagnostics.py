@@ -71,6 +71,17 @@ def time_derivative(stack: np.ndarray, dt: float, order: int) -> np.ndarray:
     raise ValueError(f"time derivative order must be 0, 1 or 2, got {order}")
 
 
+def _time_energies(grid: Grid, stack: np.ndarray, dt: float, order: int) -> np.ndarray:
+    """Row k, column j: the squared H^k norm at node j of the (order - k)-th
+    time difference of a (nodes, ...) stack; shape (order + 1, nodes)."""
+    out = np.empty((order + 1, stack.shape[0]))
+    for k in range(order + 1):
+        dts = time_derivative(stack, dt, order - k)
+        for j in range(stack.shape[0]):
+            out[k, j] = grid.norm(dts[j], k) ** 2
+    return out
+
+
 # ----------------------------------------------------------------------
 # norms of flow maps (identity handled through the displacement)
 
@@ -119,11 +130,8 @@ def difference_energy(t1: Trajectory, t2: Trajectory, order: int = 2) -> np.ndar
     n = len(t1)
     total = np.zeros(n)
     for name in ("v", "b", "q"):
-        diff = t1.stack(name) - t2.stack(name)
-        for k in range(order + 1):
-            dts = time_derivative(diff, dt, order - k)
-            for j in range(n):
-                total[j] += grid.norm(dts[j], k) ** 2
+        for row in _time_energies(grid, t1.stack(name) - t2.stack(name), dt, order):
+            total += row
     deta = t1.stack("eta") - t2.stack("eta")
     for j in range(n):
         total[j] += grid.norm(deta[j], order) ** 2
@@ -208,11 +216,7 @@ def energy_functionals(traj: Trajectory, order: int = 2) -> EnergyReport:
     cols: dict[str, np.ndarray] = {name: np.zeros(n) for name in ENERGY_COLUMNS}
     cols["t"] = traj.times
 
-    stacks = {name: traj.stack(name) for name in ("v", "b", "q")}
-    dstacks = {
-        (name, k): time_derivative(stacks[name], dt, order - k)
-        for name in stacks for k in range(order + 1)
-    }
+    Ek = {name: _time_energies(grid, traj.stack(name), dt, order) for name in ("v", "b", "q")}
 
     geo = traj.geometry
     for j, s in enumerate(traj.states):
@@ -231,28 +235,23 @@ def energy_functionals(traj: Trajectory, order: int = 2) -> EnergyReport:
                 bdy += grid.norm(T, 0, where="boundary") ** 2
         cols["E_boundary"][j] = bdy
 
-        for name, col in (("v", "E_v"), ("b", "E_b"), ("q", "E_q")):
-            cols[col][j] = sum(
-                grid.norm(dstacks[(name, k)][j], k) ** 2 for k in range(order + 1)
-            )
         cols["taylor_margin"][j], cols["small_geometry"][j], cols["div_b"][j] = (
             _constraints(s, geo.a_s[j], geo.J_s[j])
         )
 
+    for name in ("v", "b", "q"):
+        cols["E_" + name] = sum(Ek[name])
     cols["E_total"] = (
         cols["E_eta4"] + cols["E_boundary"] + cols["E_v"] + cols["E_b"] + cols["E_q"]
     )
 
     # running and pointwise parts of the heat/wave companions
-    hb_run = np.array([grid.norm(dstacks[("b", 0)][j], 0) ** 2 for j in range(n)])
+    hb_run = Ek["b"][0]
     cols["H_run"] = np.concatenate(
         [[0.0], np.cumsum(0.5 * dt * (hb_run[1:] + hb_run[:-1]))]
     )
-    cols["H_b"] = np.array([grid.norm(dstacks[("b", 1)][j], 1) ** 2 for j in range(n)])
-    cols["W_q"] = np.array([
-        grid.norm(dstacks[("q", 0)][j], 0) ** 2 + grid.norm(dstacks[("q", 1)][j], 1) ** 2
-        for j in range(n)
-    ])
+    cols["H_b"] = Ek["b"][1]
+    cols["W_q"] = Ek["q"][0] + Ek["q"][1]
 
     E, D, residual = physical_energy_balance(traj)
     cols["E_phys"] = E

@@ -24,15 +24,15 @@ import numpy as np
 from .grid import Grid
 from .smoothing import mollify
 
-# Jacobians at or below this value are refused as degenerate
+# Jacobians at or below this value, or NaN, are refused as degenerate
 DET_FLOOR = 1e-6
 
 
 class DegenerateMapError(RuntimeError):
-    """Flow map Jacobian at or below the determinant floor.
+    """Flow map Jacobian at or below the determinant floor, or NaN.
 
-    Carries the offending lattice index, reference coordinates and the
-    Jacobian value there.
+    Carries the offending lattice index (for NaN, the first one), its
+    reference coordinates and the Jacobian value there.
     """
 
     def __init__(self, value: float, index: tuple[int, int, int], coords: tuple[float, float, float]):
@@ -76,7 +76,7 @@ def _invert_pointwise(deta: np.ndarray, grid: Grid):
             A[mu, alpha] = deta[a1, m1] * deta[a2, m2] - deta[a1, m2] * deta[a2, m1]
     J = deta[0, 0] * A[0, 0] + deta[0, 1] * A[1, 0] + deta[0, 2] * A[2, 0]
     jmin = float(J.min())
-    if jmin <= DET_FLOOR:
+    if not jmin > DET_FLOOR:  # NaN fails too; argmin finds the first NaN
         index = np.unravel_index(int(np.argmin(J)), J.shape)
         coords = (float(grid.y1[index[0]]), float(grid.y2[index[1]]), float(grid.y3[index[2]]))
         raise DegenerateMapError(jmin, tuple(int(i) for i in index), coords)
@@ -88,7 +88,7 @@ def build_geometry(grid: Grid, eta: np.ndarray, kappa: float) -> GeometryCache:
 
     The smoothed map applies the squared tangential mollifier to the
     displacement.  Raises :class:`DegenerateMapError` if either Jacobian
-    drops to ``DET_FLOOR``.
+    drops to ``DET_FLOOR`` or is NaN.
     """
     J, A, a = _invert_pointwise(deformation_gradient(grid, eta), grid)
     eta_s = grid.identity_map + mollify(grid, grid.displacement(eta), kappa, power=2)

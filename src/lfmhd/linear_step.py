@@ -8,17 +8,18 @@ The advance integrates, over a shared time lattice, the system
     d_t b - lap_a* b = (b* . grad_a*) v - b* div_a* v
     q = 0 and b = 0 on both walls,
 
-where starred quantities come from a previous iterate, are stored at the
-integrator nodes, and are linearly interpolated in time.  (eta, v, q) use
-an explicit midpoint rule with b lagged at the step start; b then takes a
-backward-Euler diffusion step whose transport source is evaluated at the
-new velocity.  Wall conditions are imposed strongly after every stage,
-and the Dirichlet rows of the implicit solve are eliminated.
+where starred quantities come from a previous iterate on the same time
+lattice: step n reads them at node n, at the mean of nodes n and n + 1,
+and at node n + 1.  (eta, v, q) use an explicit midpoint rule with b
+lagged at the step start; b then takes a backward-Euler diffusion step
+whose transport source is evaluated at the new velocity.  Wall
+conditions are imposed strongly after every stage, and the Dirichlet rows
+of the implicit solve are eliminated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -131,7 +132,7 @@ def trivial_trajectory(
 
 @dataclass
 class FrozenSample:
-    """Ring coefficients interpolated to one time."""
+    """Ring coefficients at one node or one step midpoint."""
 
     psi: np.ndarray
     a_s: np.ndarray
@@ -142,23 +143,23 @@ class FrozenSample:
 
 @dataclass
 class FrozenCoefficients:
-    """Ring quantities of a previous iterate at the integrator nodes.
+    """Ring quantities of a previous iterate at the nodes of its lattice.
 
     Stores, per node: the smoothed-geometry inverse and Jacobian, the
     correction field psi, the frozen magnetic field, and the acoustic
-    weight r = Js R'(q) / rho0.  ``at`` interpolates linearly.
+    weight r = Js R'(q) / rho0.  ``node`` reads one node and ``midpoint``
+    the mean of two neighbours.
     """
 
     grid: Grid
-    eos: EquationOfState
     kappa: float
-    times: np.ndarray
+    dt: float
     psi: np.ndarray    # (nodes, 3, ...)
     a_s: np.ndarray    # (nodes, 3, 3, ...)
     J_s: np.ndarray
     b: np.ndarray
     r: np.ndarray
-    rho0: np.ndarray = field(repr=False, default=None)
+    rho0: np.ndarray
 
     @classmethod
     def freeze(cls, traj: Trajectory) -> "FrozenCoefficients":
@@ -170,31 +171,19 @@ class FrozenCoefficients:
                 f"frozen acoustic weight r must be positive, min = {r.min():.3e}"
             )
         return cls(
-            grid=traj.grid, eos=traj.eos, kappa=traj.kappa, times=traj.times,
+            grid=traj.grid, kappa=traj.kappa, dt=traj.dt,
             psi=geo.psi, a_s=geo.a_s, J_s=geo.J_s, b=traj.stack("b"), r=r, rho0=rho0,
         )
 
-    def at(self, t: float) -> FrozenSample:
-        times = self.times
-        t0, t1 = times[0], times[-1]
-        if t < t0 - 1e-12 or t > t1 + 1e-12:
-            raise ValueError(
-                f"frozen coefficients cover [{t0}, {t1}], requested t = {t}"
-            )
-        t = min(max(t, t0), t1)
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        j = min(max(j, 0), len(times) - 2)
-        w = (t - times[j]) / (times[j + 1] - times[j])
-        def lerp(arr):
-            if w == 0.0:
-                return arr[j]
-            if w == 1.0:
-                return arr[j + 1]
-            return (1.0 - w) * arr[j] + w * arr[j + 1]
-        return FrozenSample(
-            psi=lerp(self.psi), a_s=lerp(self.a_s), J_s=lerp(self.J_s),
-            b=lerp(self.b), r=lerp(self.r),
-        )
+    def node(self, j: int) -> FrozenSample:
+        return FrozenSample(psi=self.psi[j], a_s=self.a_s[j], J_s=self.J_s[j],
+                            b=self.b[j], r=self.r[j])
+
+    def midpoint(self, j: int) -> FrozenSample:
+        def mean(arr):
+            return 0.5 * arr[j] + 0.5 * arr[j + 1]
+        return FrozenSample(psi=mean(self.psi), a_s=mean(self.a_s), J_s=mean(self.J_s),
+                            b=mean(self.b), r=mean(self.r))
 
     def cfl_bound(self, cfl_safety: float) -> float:
         speed = np.sqrt(self.r * self.J_s / self.rho0[None])
@@ -380,12 +369,9 @@ def implicit_diffusion_solve(
 # the advance
 
 
-def _enforce_walls(q: np.ndarray, b: np.ndarray | None = None) -> None:
+def _enforce_walls(q: np.ndarray) -> None:
     q[..., 0] = 0.0
     q[..., -1] = 0.0
-    if b is not None:
-        b[..., 0] = 0.0
-        b[..., -1] = 0.0
 
 
 def _explicit_rates(grid, smp: FrozenSample, v, q, b_lag, half_b2, rho0):
@@ -410,9 +396,10 @@ def advance_linearized(
 ) -> Trajectory:
     """Integrate the frozen-coefficient system from ``init`` over [0, T].
 
-    Requires T to be an integer multiple of dt and dt to satisfy the
-    acoustic CFL bound evaluated over all frozen samples; violations
-    raise ValueError and :class:`CflError` respectively.
+    Requires T to be an integer multiple of dt, dt to satisfy the acoustic
+    CFL bound evaluated over all frozen nodes, and the frozen coefficients
+    to lie on the same lattice: step dt and at least T / dt + 1 nodes.
+    A CFL violation raises :class:`CflError`, every other one ValueError.
     """
     nsteps = int(round(T / dt))
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
@@ -420,9 +407,12 @@ def advance_linearized(
     bound = frozen.cfl_bound(cfl_safety)
     if dt > bound:
         raise CflError(dt, bound, cfl_safety, grid.h3)
-    if frozen.times[-1] < T - 1e-12:
+    if frozen.dt != dt:
+        raise ValueError(f"frozen coefficients are on step {frozen.dt}, the advance on {dt}")
+    nodes = len(frozen.J_s)
+    if nodes < nsteps + 1:
         raise ValueError(
-            f"frozen coefficients cover [0, {frozen.times[-1]}], need [0, {T}]"
+            f"frozen coefficients hold {nodes} nodes, {nsteps} steps need {nsteps + 1}"
         )
 
     rho0 = init.rho0
@@ -433,28 +423,26 @@ def advance_linearized(
         b_lag = state.b
         half_b2 = 0.5 * np.sum(b_lag * b_lag, axis=0)
 
-        s0 = frozen.at(t)
+        s0 = frozen.node(n)
         k1 = _explicit_rates(grid, s0, state.v, state.q, b_lag, half_b2, rho0)
-        eta_m = state.eta + 0.5 * dt * k1[0]
         v_m = state.v + 0.5 * dt * k1[1]
         q_m = state.q + 0.5 * dt * k1[2]
         _enforce_walls(q_m)
 
-        sm = frozen.at(t + 0.5 * dt)
+        sm = frozen.midpoint(n)
         k2 = _explicit_rates(grid, sm, v_m, q_m, b_lag, half_b2, rho0)
         eta_n = state.eta + dt * k2[0]
         v_n = state.v + dt * k2[1]
         q_n = state.q + dt * k2[2]
         _enforce_walls(q_n)
 
-        s1 = frozen.at(t + dt)
+        s1 = frozen.node(n + 1)
         div_v = cov_div(grid, s1.a_s, v_n)
         transport = np.einsum(
             "a...,al...->l...", s1.b, cov_grad_vector(grid, s1.a_s, v_n)
         ) - s1.b * div_v
         rhs_b = b_lag + dt * transport
         b_n = implicit_diffusion_solve(grid, s1.a_s, rhs_b, dt, tol=diffusion_tol)
-        _enforce_walls(q_n, b_n)
 
         state = FlowState(
             grid=grid, eos=init.eos, t=t + dt,

@@ -239,7 +239,7 @@ def _random_frozen(grid, eos, rng, nodes, dt):
         q[j] = 0.1 * fields.random_scalar(grid, rng, band=1, n3_modes=1)
         r[j] = cache.J_s * np.asarray(eos.rho_p(q[j])) / rho0
     return FrozenCoefficients(
-        grid=grid, eos=eos, kappa=0.1, times=dt * np.arange(n),
+        grid=grid, kappa=0.1, dt=dt,
         psi=psi, a_s=a_s, J_s=J_s, b=np.zeros((n, 3) + shape), r=r,
         rho0=rho0,
     )

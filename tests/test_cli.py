@@ -305,6 +305,19 @@ def test_energy_report_refuses_short_trajectory(tmp_path, capsys, grid_small, eo
     assert not rep.exists()
 
 
+def test_energy_report_refuses_non_finite_field(tmp_path, capsys, grid_small, eos):
+    rho0 = np.full(grid_small.shape, eos.rho(0.0))
+    traj = trivial_trajectory(grid_small, eos, rho0, 0.1, 0.0125, 2)
+    traj.states[1].eta[0][2, 3, 4] = np.nan
+    path = tmp_path / "nan.ckpt"
+    write_trajectory(path, traj)
+    rep = tmp_path / "rep"
+    assert cli.main(["energy-report", str(path), "--out", str(rep)]) == cli.EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and "'snap001.eta1'" in err
+    assert not rep.exists()
+
+
 def test_cli_imports_no_scipy():
     src = str(Path(lfmhd.__file__).resolve().parents[1])
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import lfmhd.cli; "

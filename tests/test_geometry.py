@@ -65,6 +65,18 @@ def test_degenerate_map_rejected(grid16):
     assert err.value.index is not None
 
 
+def test_nan_map_rejected_at_first_nan(grid16):
+    g = grid16
+    eta = g.identity_map.copy()
+    eta[2][3, 5, 7] = np.nan
+    # J is NaN wherever an entry of the deformation gradient is
+    bad = np.isnan(deformation_gradient(g, eta)).any(axis=(0, 1))
+    with pytest.raises(DegenerateMapError) as err:
+        build_geometry(g, eta, KAPPA)
+    assert np.isnan(err.value.value) and "nan" in str(err.value)
+    assert err.value.index == np.unravel_index(np.argmax(bad), bad.shape)
+
+
 def test_cov_ops_reduce_to_flat_at_identity(grid16, rng):
     g = grid16
     cache = build_geometry(g, g.identity_map, KAPPA)

@@ -45,16 +45,22 @@ def test_trivial_trajectory_is_static(grid16, eos):
         assert np.abs(s.eta - grid16.identity_map).max() == 0.0
 
 
-def test_frozen_coefficients_interpolate(grid16, eos):
+def test_frozen_coefficients_interpolate(grid16, eos, rng):
     traj = trivial_trajectory(grid16, eos, np.full(grid16.shape, 1.0), KAPPA, DT, 4)
+    field = rng.standard_normal((3,) + grid16.shape)
+    for j, s in enumerate(traj.states):
+        s.b = j * field
     frozen = FrozenCoefficients.freeze(traj)
-    s = frozen.at(1.5 * DT)
-    assert np.abs(s.J_s - 1.0).max() < 1e-13
-    assert np.abs(s.psi).max() == 0.0
-    assert np.abs(s.r - 1.0).max() < 1e-12
-    # clamping at the ends instead of extrapolating
-    end = frozen.at(4 * DT + 1e-13)
-    assert np.abs(end.J_s - 1.0).max() < 1e-13
+    assert frozen.dt == DT
+    node = frozen.node(2)
+    assert np.shares_memory(node.b, frozen.b)
+    assert np.array_equal(node.b, 2 * field)
+    mid = frozen.midpoint(1)
+    assert np.array_equal(mid.b, 0.5 * field + 0.5 * (2 * field))
+    for s in (node, mid):
+        assert np.abs(s.J_s - 1.0).max() < 1e-13
+        assert np.abs(s.psi).max() == 0.0
+        assert np.abs(s.r - 1.0).max() < 1e-12
 
 
 def test_cfl_bound_and_error(grid16, eos):
@@ -76,6 +82,15 @@ def test_advance_requires_coverage(grid16, eos):
     with pytest.raises(ValueError):
         # frozen ring only covers [0, 2 dt], asking for twice that
         advance_linearized(grid16, frozen, st, DT, 8 * DT)
+
+
+def test_advance_requires_the_frozen_step(grid16, eos):
+    st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
+    traj = trivial_trajectory(grid16, eos, st.rho0, KAPPA, DT, 4)
+    frozen = FrozenCoefficients.freeze(traj)
+    # enough nodes and inside the CFL bound, but on a different lattice
+    with pytest.raises(ValueError, match="step"):
+        advance_linearized(grid16, frozen, st, 0.5 * DT, 2 * DT)
 
 
 def test_zero_data_stays_zero(grid16, eos):
