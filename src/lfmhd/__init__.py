@@ -19,6 +19,7 @@ from .diagnostics import (
     map_norm,
     nonlinear_residuals,
     physical_energy_balance,
+    residual_audit,
     time_derivative,
     wave_equation_residual,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "nonlinear_residuals",
     "physical_energy_balance",
     "piola_residual",
+    "residual_audit",
     "solve_nonlinear_kappa",
     "taylor_sign_margin",
     "time_derivative",

@@ -29,8 +29,7 @@ from .diagnostics import (
     constraint_residuals,
     energy_functionals,
     lemma_suite,
-    nonlinear_residuals,
-    wave_equation_residual,
+    residual_audit,
 )
 from .geometry import DegenerateMapError
 from .grid import Grid, GridSpec
@@ -119,8 +118,7 @@ def _write_iteration_csv(out: Path, log: IterationLog, order: int) -> None:
 
 def _write_residuals_csv(out: Path, traj: Trajectory, cfg: RunConfig, stride: int,
                          energy: EnergyReport) -> None:
-    res = nonlinear_residuals(traj)
-    wave = wave_equation_residual(traj)
+    res = residual_audit(traj)
     cons = constraint_residuals(traj, c0=cfg.physics.c0, epsilon=cfg.physics.epsilon,
                                 energy=energy)
     header = ["t", "res_eta", "res_v", "res_q", "res_b", "wave_residual",
@@ -130,7 +128,7 @@ def _write_residuals_csv(out: Path, traj: Trajectory, cfg: RunConfig, stride: in
         c = cons[j]
         rows.append([
             traj.times[j], res["eta"][j], res["v"][j], res["q"][j], res["b"][j],
-            wave[j], c["div_b"], c["taylor_margin"], c["small_geometry"],
+            res["wave"][j], c["div_b"], c["taylor_margin"], c["small_geometry"],
             c["taylor_ok"], c["small_ok"],
         ])
     _write_csv(

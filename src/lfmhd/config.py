@@ -186,6 +186,10 @@ def _validate(cfg: RunConfig, source: str) -> None:
     _require(math.isfinite(steps) and round(steps) >= 1
              and abs(round(steps) * s.dt - s.T) <= 1e-9 * max(1.0, s.T), source,
              f"scheme.T = {s.T} must be a positive integer multiple of scheme.dt = {s.dt}")
+    # the wave residual and the order-2 energies read three nodes
+    _require(round(steps) >= 2, source,
+             f"scheme.T = {s.T} at scheme.dt = {s.dt} gives {round(steps) + 1} nodes; "
+             "at least 3 are needed (T >= 2 dt)")
     _require(0.0 < s.cfl_safety <= 1.0, source,
              f"scheme.cfl_safety must lie in (0, 1], got {s.cfl_safety}")
     _require(s.picard_tol > 0.0, source, "scheme.picard_tol must be positive")

@@ -3,7 +3,8 @@
 Everything here is read-only over trajectories: each function reads the
 smoothed geometry and correction field from ``Trajectory.geometry``,
 the same per-node arrays the solver froze, so the diagnostics cannot
-drift out of sync with the solver state.
+drift out of sync with the solver state.  ``residual_audit`` checks
+every evolution equation in one pass over the nodes.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from .geometry import (
     GeometryCache,
     build_geometry,
     cov_div,
+    cov_div_from_gradient,
     cov_grad,
     cov_grad_vector,
+    cov_grad_vector_from_gradient,
     cov_laplacian,
     curl_from_gradient,
     deformation_gradient,
@@ -34,51 +37,55 @@ from .state import FlowState, taylor_sign_margin
 # time differences on snapshot stacks
 
 
-def time_derivative(stack: np.ndarray, dt: float, order: int) -> np.ndarray:
-    """Discrete d/dt of a (nodes, ...) stack, second order where possible.
+def time_difference(row, n: int, j: int, dt: float, order: int) -> np.ndarray:
+    """Row j of the discrete d/dt of an n-node sequence whose node k is row(k).
 
-    Centered differences inside, one-sided at the ends; with exactly
-    order + 1 nodes the end rows fall back to the interior stencil.
+    Second order where possible: centered inside, one-sided at the ends;
+    with exactly order + 1 nodes the end rows fall back to the interior
+    stencil.  Reads at most four nodes, so no whole-sequence stack is needed.
     """
     if order == 0:
-        return stack
-    n = stack.shape[0]
+        return row(j)
     if n < order + 1:
         raise ValueError(
             f"insufficient history: order-{order} time derivative needs at least "
             f"{order + 1} snapshots, got {n}"
         )
-    out = np.empty_like(stack)
     if order == 1:
         if n == 2:
-            d = (stack[1] - stack[0]) / dt
-            out[0] = d
-            out[1] = d
-            return out
-        out[1:-1] = (stack[2:] - stack[:-2]) / (2.0 * dt)
-        out[0] = (-3.0 * stack[0] + 4.0 * stack[1] - stack[2]) / (2.0 * dt)
-        out[-1] = (3.0 * stack[-1] - 4.0 * stack[-2] + stack[-3]) / (2.0 * dt)
-        return out
-    if order == 2:
-        out[1:-1] = (stack[2:] - 2.0 * stack[1:-1] + stack[:-2]) / (dt * dt)
-        if n >= 4:
-            out[0] = (2.0 * stack[0] - 5.0 * stack[1] + 4.0 * stack[2] - stack[3]) / (dt * dt)
-            out[-1] = (2.0 * stack[-1] - 5.0 * stack[-2] + 4.0 * stack[-3] - stack[-4]) / (dt * dt)
-        else:
-            out[0] = out[1]
-            out[-1] = out[1]
-        return out
-    raise ValueError(f"time derivative order must be 0, 1 or 2, got {order}")
+            return (row(1) - row(0)) / dt
+        if j == 0:
+            return (-3.0 * row(0) + 4.0 * row(1) - row(2)) / (2.0 * dt)
+        if j == n - 1:
+            return (3.0 * row(j) - 4.0 * row(j - 1) + row(j - 2)) / (2.0 * dt)
+        return (row(j + 1) - row(j - 1)) / (2.0 * dt)
+    if order != 2:
+        raise ValueError(f"time derivative order must be 0, 1 or 2, got {order}")
+    if n < 4:
+        j = 1
+    elif j == 0:
+        return (2.0 * row(0) - 5.0 * row(1) + 4.0 * row(2) - row(3)) / (dt * dt)
+    elif j == n - 1:
+        return (2.0 * row(j) - 5.0 * row(j - 1) + 4.0 * row(j - 2) - row(j - 3)) / (dt * dt)
+    return (row(j + 1) - 2.0 * row(j) + row(j - 1)) / (dt * dt)
+
+
+def time_derivative(stack: np.ndarray, dt: float, order: int) -> np.ndarray:
+    """Discrete d/dt of a (nodes, ...) stack, row by row from ``time_difference``."""
+    if order == 0:
+        return stack
+    n = len(stack)
+    return np.stack([time_difference(stack.__getitem__, n, j, dt, order) for j in range(n)])
 
 
 def _time_energies(grid: Grid, stack: np.ndarray, dt: float, order: int) -> np.ndarray:
     """Row k, column j: the squared H^k norm at node j of the (order - k)-th
     time difference of a (nodes, ...) stack; shape (order + 1, nodes)."""
-    out = np.empty((order + 1, stack.shape[0]))
+    n = stack.shape[0]
+    out = np.empty((order + 1, n))
     for k in range(order + 1):
-        dts = time_derivative(stack, dt, order - k)
-        for j in range(stack.shape[0]):
-            out[k, j] = grid.norm(dts[j], k) ** 2
+        for j in range(n):
+            out[k, j] = grid.norm(time_difference(stack.__getitem__, n, j, dt, order - k), k) ** 2
     return out
 
 
@@ -318,39 +325,80 @@ def divergence_monitor(
     return div, div > envelope
 
 
-def nonlinear_residuals(traj: Trajectory) -> dict[str, np.ndarray]:
-    """Residuals of the smoothed nonlinear system along its own trajectory.
+# ----------------------------------------------------------------------
+# residual audit: the smoothed system and the pressure-head wave equation
+
+
+def residual_audit(traj: Trajectory) -> dict[str, np.ndarray]:
+    """L2 defects per node of the smoothed nonlinear system (``eta``, ``v``,
+    ``q``, ``b``) and of the second-order pressure-head equation (``wave``).
 
     Each equation is re-evaluated with the trajectory's own geometry and
-    correction field, with time derivatives from the snapshot stack; on a
-    converged fixed point all four arrays sit at scheme accuracy.
+    correction field, in one pass: per node, the gradient tables of v and
+    b are taken once and every covariant derivative is contracted from
+    them, and time derivatives come from the neighbouring nodes.  The
+    wave equation is the time derivative of the continuity relation with
+    the momentum equation substituted.  On a converged fixed point every
+    defect is scheme error (time and wall stencils, dealiasing).
     """
     grid, eos, dt, geo = traj.grid, traj.eos, traj.dt, traj.geometry
-    rho0 = traj.states[0].rho0
+    states = traj.states
+    rho0 = states[0].rho0
     n = len(traj)
 
-    stacks = {name: traj.stack(name) for name in ("eta", "v", "b", "q")}
-    dts = {name: time_derivative(stacks[name], dt, 1) for name in stacks}
+    def field(name):
+        return lambda k: getattr(states[k], name)
 
-    out = {name: np.empty(n) for name in ("eta", "v", "q", "b")}
-    for j, s in enumerate(traj.states):
-        a, J_s = geo.a_s[j], geo.J_s[j]
-        out["eta"][j] = grid.low_norm(dts["eta"][j] - s.v - geo.psi[j])
+    def weight(k):
+        # the acoustic weight r = Js R'(q) / rho0
+        return geo.J_s[k] * np.asarray(eos.rho_p(states[k].q)) / rho0
 
-        Gb = cov_grad_vector(grid, a, s.b)
-        lorentz = np.einsum("a...,al...->l...", s.b, Gb)
-        r_v = (rho0 / J_s)[None] * dts["v"][j] - lorentz + cov_grad(grid, a, s.Q)
+    def d_dt(row, j, order=1):
+        return time_difference(row, n, j, dt, order)
+
+    out = {name: np.empty(n) for name in ("eta", "v", "q", "b", "wave")}
+    for j, s in enumerate(states):
+        a, J_s, b = geo.a_s[j], geo.J_s[j], s.b
+        gv, gb = grid.gradient(s.v), grid.gradient(b)
+        Gv, div_v = cov_grad_vector_from_gradient(grid, a, gv), cov_div_from_gradient(grid, a, gv)
+        Gb, div_b = cov_grad_vector_from_gradient(grid, a, gb), cov_div_from_gradient(grid, a, gb)
+        grad_Q = cov_grad(grid, a, s.Q)
+        # column l of Gb is the covariant gradient of b_l
+        lap_b = np.stack([cov_div(grid, a, Gb[:, l]) for l in range(3)])
+        lorentz = np.einsum("a...,al...->l...", b, Gb)
+        r = weight(j)
+        dq = d_dt(field("q"), j)
+
+        out["eta"][j] = grid.low_norm(d_dt(field("eta"), j) - s.v - geo.psi[j])
+        r_v = (rho0 / J_s)[None] * d_dt(field("v"), j) - lorentz + grad_Q
         out["v"][j] = grid.low_norm(r_v)
+        out["q"][j] = grid.low_norm(r * dq + div_v)
+        transport = np.einsum("a...,al...->l...", b, Gv) - b * div_v
+        out["b"][j] = grid.low_norm(d_dt(field("b"), j) - lap_b - transport)
 
-        div_v = cov_div(grid, a, s.v)
-        r_coeff = J_s * np.asarray(eos.rho_p(s.q)) / rho0
-        out["q"][j] = grid.low_norm(r_coeff * dts["q"][j] + div_v)
-
-        Gv = cov_grad_vector(grid, a, s.v)
-        transport = np.einsum("a...,al...->l...", s.b, Gv) - s.b * div_v
-        r_b = dts["b"][j] - cov_laplacian(grid, a, s.b) - transport
-        out["b"][j] = grid.low_norm(r_b)
+        Jr = J_s / rho0
+        lhs = r * d_dt(field("q"), j, 2) - Jr * cov_laplacian(grid, a, s.q)
+        rhs = Jr * np.einsum("l...,l...->...", b, lap_b)
+        w0 = Jr * (
+            np.sum(Gb * Gb, axis=(0, 1))
+            - np.einsum("al...,la...->...", Gb, Gb)
+            - np.einsum("a...,a...->...", b, cov_grad(grid, a, div_b))
+        )
+        w0 -= d_dt(weight, j) * dq
+        w0 -= np.einsum("ma...,ma...->...", d_dt(geo.a_s.__getitem__, j), gv)
+        w0 -= np.einsum("l...,l...->...", lorentz - grad_Q, cov_grad(grid, a, Jr))
+        out["wave"][j] = grid.low_norm(lhs - rhs - w0)
     return out
+
+
+def nonlinear_residuals(traj: Trajectory) -> dict[str, np.ndarray]:
+    """The four first-order defects of ``residual_audit``."""
+    return {name: res for name, res in residual_audit(traj).items() if name != "wave"}
+
+
+def wave_equation_residual(traj: Trajectory) -> np.ndarray:
+    """The second-order pressure-head defect of ``residual_audit``."""
+    return residual_audit(traj)["wave"]
 
 
 # ----------------------------------------------------------------------
@@ -416,60 +464,6 @@ def alinhac_residual(cache: GeometryCache, f: np.ndarray) -> float:
     num = np.sqrt(sum(grid.low_norm(defect[alpha]) ** 2 for alpha in range(3)))
     den = np.sqrt(sum(grid.low_norm(lhs[alpha]) ** 2 for alpha in range(3)))
     return float(num / den) if den > 0 else float(num)
-
-
-# ----------------------------------------------------------------------
-# second-order wave audit for the pressure head
-
-
-def wave_equation_residual(traj: Trajectory) -> np.ndarray:
-    """Defect of the second-order pressure-head equation along a run.
-
-    The equation is the exact time derivative of the continuity relation
-    with the momentum equation substituted, so on a converged trajectory
-    the defect is pure scheme error (time stencils, wall stencils,
-    dealiasing).  Returns the L2 defect per node.
-    """
-    grid, eos, dt = traj.grid, traj.eos, traj.dt
-    rho0 = traj.states[0].rho0
-    n = len(traj)
-
-    q_st = traj.stack("q")
-    v_st = traj.stack("v")
-    a_st = traj.geometry.a_s
-    J_st = traj.geometry.J_s
-    r_st = J_st * np.asarray(eos.rho_p(q_st)) / rho0[None]
-
-    dq = time_derivative(q_st, dt, 1)
-    d2q = time_derivative(q_st, dt, 2)
-    dr = time_derivative(r_st, dt, 1)
-    da = time_derivative(a_st, dt, 1)
-
-    res = np.empty(n)
-    for j, s in enumerate(traj.states):
-        a = a_st[j]
-        Jr = J_st[j] / rho0
-        b = s.b
-        lhs = r_st[j] * d2q[j] - Jr * cov_laplacian(grid, a, q_st[j])
-
-        lap_b = cov_laplacian(grid, a, b)
-        Gb = cov_grad_vector(grid, a, b)
-        div_b = cov_div(grid, a, b)
-        rhs = Jr * np.einsum("l...,l...->...", b, lap_b)
-        w0 = Jr * (
-            np.sum(Gb * Gb, axis=(0, 1))
-            - np.einsum("al...,la...->...", Gb, Gb)
-            - np.einsum("a...,a...->...", b, cov_grad(grid, a, div_b))
-        )
-        w0 -= dr[j] * dq[j]
-        w0 -= np.einsum("ma...,ma...->...", da[j], grid.gradient(v_st[j]))
-        lorentz = np.einsum("a...,al...->l...", b, Gb)
-        grad_Q = cov_grad(grid, a, s.Q)
-        grad_Jr = cov_grad(grid, a, Jr)
-        w0 -= np.einsum("l...,l...->...", lorentz - grad_Q, grad_Jr)
-
-        res[j] = grid.low_norm(lhs - rhs - w0)
-    return res
 
 
 # ----------------------------------------------------------------------

@@ -111,12 +111,22 @@ def cov_grad(grid: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def cov_grad_vector(grid: Grid, a: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Covariant gradient of a vector field; out[alpha, lam] = grad^alpha X_lam."""
-    return grid.dealias(np.einsum("ma...,ml...->al...", a, grid.gradient(X)))
+    return cov_grad_vector_from_gradient(grid, a, grid.gradient(X))
+
+
+def cov_grad_vector_from_gradient(grid: Grid, a: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``cov_grad_vector`` from a gradient table G[mu, lam] = d_mu X_lam."""
+    return grid.dealias(np.einsum("ma...,ml...->al...", a, G))
 
 
 def cov_div(grid: Grid, a: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Covariant divergence a^{mu alpha} d_mu X_alpha."""
-    return grid.dealias(np.einsum("ma...,ma...->...", a, grid.gradient(X)))
+    return cov_div_from_gradient(grid, a, grid.gradient(X))
+
+
+def cov_div_from_gradient(grid: Grid, a: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``cov_div`` from a gradient table G[mu, alpha] = d_mu X_alpha."""
+    return grid.dealias(np.einsum("ma...,ma...->...", a, G))
 
 
 def cov_curl(grid: Grid, a: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .correction import correction_field
-from .geometry import build_geometry, cov_div, cov_grad, cov_grad_vector, cov_laplacian
+from .geometry import (build_geometry, cov_div, cov_div_from_gradient, cov_grad,
+                       cov_grad_vector_from_gradient, cov_laplacian)
 from .grid import Grid
 from .state import EquationOfState, FlowState
 
@@ -71,7 +72,8 @@ class Trajectory:
 
     The states are treated as immutable: ``geometry`` is computed from
     them once, on first read, and shared by the solver and every
-    diagnostic.
+    diagnostic.  ``start_geometry``, when given, is node 0's
+    ``(a_s, J_s, psi)`` at the trajectory's kappa and is not rebuilt.
     """
 
     grid: Grid
@@ -79,6 +81,7 @@ class Trajectory:
     kappa: float
     dt: float
     states: list[FlowState]
+    start_geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def times(self) -> np.ndarray:
@@ -105,6 +108,10 @@ class Trajectory:
         J_s = np.empty((n,) + shape)
         psi = np.empty((n, 3) + shape)
         for j, s in enumerate(self.states):
+            if j == 0 and self.start_geometry is not None:
+                a_s[0], J_s[0], psi[0] = self.start_geometry
+                self.start_geometry = None  # copied; the memo holds node 0 now
+                continue
             cache = build_geometry(grid, s.eta, kappa)
             a_s[j] = cache.a_s
             J_s[j] = cache.J_s
@@ -116,7 +123,8 @@ def trivial_trajectory(
     grid: Grid, eos: EquationOfState, rho0: np.ndarray,
     kappa: float, dt: float, nsteps: int,
 ) -> Trajectory:
-    """Identity map, zero velocity/field/head at every node."""
+    """Identity map, zero velocity/field/head at every node; its geometry
+    memo holds the exact constants a_s = I, J_s = 1, psi = 0."""
     shape = grid.spec.shape
     states = [
         FlowState(
@@ -127,7 +135,14 @@ def trivial_trajectory(
         )
         for j in range(nsteps + 1)
     ]
-    return Trajectory(grid=grid, eos=eos, kappa=kappa, dt=dt, states=states)
+    traj = Trajectory(grid=grid, eos=eos, kappa=kappa, dt=dt, states=states)
+    n = nsteps + 1
+    traj.geometry = SmoothedGeometry(
+        a_s=np.broadcast_to(np.eye(3)[:, :, None, None, None], (n, 3, 3) + shape),
+        J_s=np.broadcast_to(1.0, (n,) + shape),
+        psi=np.broadcast_to(0.0, (n, 3) + shape),
+    )
+    return traj
 
 
 @dataclass
@@ -166,9 +181,11 @@ class FrozenCoefficients:
         geo = traj.geometry
         rho0 = traj.states[0].rho0
         r = geo.J_s * traj.eos.rho_p(traj.stack("q")) / rho0
-        if r.min() <= 0.0:
+        if not r.min() > 0.0:  # NaN fails too
+            j = next(j for j in range(len(r)) if not r[j].min() > 0.0)
             raise ValueError(
-                f"frozen acoustic weight r must be positive, min = {r.min():.3e}"
+                f"frozen acoustic weight r must be positive: node {j} "
+                f"(t = {traj.states[j].t:.6g}) has min {r[j].min():.3e}"
             )
         return cls(
             grid=traj.grid, kappa=traj.kappa, dt=traj.dt,
@@ -374,15 +391,42 @@ def _enforce_walls(q: np.ndarray) -> None:
     q[..., -1] = 0.0
 
 
-def _explicit_rates(grid, smp: FrozenSample, v, q, b_lag, half_b2, rho0):
+def _explicit_rates(grid, smp: FrozenSample, v, q, grad_b_lag, half_b2, rho0):
     Q = q + half_b2
     lorentz = np.einsum(
-        "a...,al...->l...", smp.b, cov_grad_vector(grid, smp.a_s, b_lag)
+        "a...,al...->l...", smp.b, cov_grad_vector_from_gradient(grid, smp.a_s, grad_b_lag)
     )
     dv = (smp.J_s / rho0)[None] * (lorentz - cov_grad(grid, smp.a_s, Q))
     dq = -cov_div(grid, smp.a_s, v) / smp.r
     deta = v + smp.psi
     return deta, dv, dq
+
+
+def _explicit_midpoint(grid, frozen: FrozenCoefficients, n: int, state: FlowState, dt, rho0):
+    """eta, v and q at the end of step n by the explicit midpoint rule, b
+    lagged at the step start; one gradient table of b serves both stages."""
+    b_lag = state.b
+    half_b2 = 0.5 * np.sum(b_lag * b_lag, axis=0)
+    grad_b_lag = grid.gradient(b_lag)
+    k1 = _explicit_rates(grid, frozen.node(n), state.v, state.q, grad_b_lag, half_b2, rho0)
+    v_m = state.v + 0.5 * dt * k1[1]
+    q_m = state.q + 0.5 * dt * k1[2]
+    _enforce_walls(q_m)
+    k2 = _explicit_rates(grid, frozen.midpoint(n), v_m, q_m, grad_b_lag, half_b2, rho0)
+    q_n = state.q + dt * k2[2]
+    _enforce_walls(q_n)
+    return state.eta + dt * k2[0], state.v + dt * k2[1], q_n
+
+
+def _induction_rhs(grid, smp: FrozenSample, v, b_lag, dt):
+    """Right-hand side of the backward-Euler b step: b_lag plus dt times the
+    transport at velocity v; one gradient table of v serves both terms."""
+    grad_v = grid.gradient(v)
+    div_v = cov_div_from_gradient(grid, smp.a_s, grad_v)
+    transport = np.einsum(
+        "a...,al...->l...", smp.b, cov_grad_vector_from_gradient(grid, smp.a_s, grad_v)
+    ) - smp.b * div_v
+    return b_lag + dt * transport
 
 
 def advance_linearized(
@@ -393,6 +437,7 @@ def advance_linearized(
     T: float,
     cfl_safety: float = 0.4,
     diffusion_tol: float = 1e-9,
+    init_geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Trajectory:
     """Integrate the frozen-coefficient system from ``init`` over [0, T].
 
@@ -400,12 +445,14 @@ def advance_linearized(
     CFL bound evaluated over all frozen nodes, and the frozen coefficients
     to lie on the same lattice: step dt and at least T / dt + 1 nodes.
     A CFL violation raises :class:`CflError`, every other one ValueError.
+    ``init_geometry``, ``init``'s ``(a_s, J_s, psi)`` at the frozen kappa,
+    becomes the returned trajectory's ``start_geometry``.
     """
     nsteps = int(round(T / dt))
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T = {T} is not a positive integer multiple of dt = {dt}")
     bound = frozen.cfl_bound(cfl_safety)
-    if dt > bound:
+    if not dt <= bound:  # a NaN bound fails too
         raise CflError(dt, bound, cfl_safety, grid.h3)
     if frozen.dt != dt:
         raise ValueError(f"frozen coefficients are on step {frozen.dt}, the advance on {dt}")
@@ -419,35 +466,15 @@ def advance_linearized(
     state = init.copy()
     states = [state]
     for n in range(nsteps):
-        t = n * dt
-        b_lag = state.b
-        half_b2 = 0.5 * np.sum(b_lag * b_lag, axis=0)
-
-        s0 = frozen.node(n)
-        k1 = _explicit_rates(grid, s0, state.v, state.q, b_lag, half_b2, rho0)
-        v_m = state.v + 0.5 * dt * k1[1]
-        q_m = state.q + 0.5 * dt * k1[2]
-        _enforce_walls(q_m)
-
-        sm = frozen.midpoint(n)
-        k2 = _explicit_rates(grid, sm, v_m, q_m, b_lag, half_b2, rho0)
-        eta_n = state.eta + dt * k2[0]
-        v_n = state.v + dt * k2[1]
-        q_n = state.q + dt * k2[2]
-        _enforce_walls(q_n)
-
+        eta_n, v_n, q_n = _explicit_midpoint(grid, frozen, n, state, dt, rho0)
         s1 = frozen.node(n + 1)
-        div_v = cov_div(grid, s1.a_s, v_n)
-        transport = np.einsum(
-            "a...,al...->l...", s1.b, cov_grad_vector(grid, s1.a_s, v_n)
-        ) - s1.b * div_v
-        rhs_b = b_lag + dt * transport
+        rhs_b = _induction_rhs(grid, s1, v_n, state.b, dt)
         b_n = implicit_diffusion_solve(grid, s1.a_s, rhs_b, dt, tol=diffusion_tol)
-
         state = FlowState(
-            grid=grid, eos=init.eos, t=t + dt,
+            grid=grid, eos=init.eos, t=n * dt + dt,
             eta=eta_n, v=v_n, b=b_n, q=q_n, rho0=rho0,
         )
         states.append(state)
 
-    return Trajectory(grid=grid, eos=init.eos, kappa=frozen.kappa, dt=dt, states=states)
+    return Trajectory(grid=grid, eos=init.eos, kappa=frozen.kappa, dt=dt, states=states,
+                      start_geometry=init_geometry)

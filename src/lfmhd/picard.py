@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .correction import correction_field
 from .diagnostics import difference_energy
 from .geometry import build_geometry
 from .grid import Grid
@@ -95,7 +96,8 @@ def solve_nonlinear_kappa(
     fills the trajectory's ``geometry``.
     """
     # one geometry of the initial map: the compatibility check reads its
-    # unsmoothed inverse, the Taylor check its smoothed one
+    # unsmoothed inverse, the Taylor check its smoothed one, and every
+    # iterate's node 0 (always ``init``) its smoothed one and psi
     cache = build_geometry(grid, init.eta, kappa)
     report = check_compatibility(init, order=0, cache=cache)
     if report.max_residual() > COMPAT_TOL:
@@ -109,6 +111,7 @@ def solve_nonlinear_kappa(
                 f"Rayleigh-Taylor sign condition violated at t = 0: margin {margin:.3e}"
             )
 
+    start = (cache.a_s, cache.J_s, correction_field(grid, init.eta, init.v, cache, kappa))
     nsteps = int(round(T / dt))
     traj_prev = trivial_trajectory(grid, init.eos, init.rho0, kappa, dt, nsteps)
     logbook = IterationLog(tol=tol)
@@ -119,7 +122,7 @@ def solve_nonlinear_kappa(
         frozen = FrozenCoefficients.freeze(traj_prev)
         traj = advance_linearized(
             grid, frozen, init, dt, T,
-            cfl_safety=cfl_safety, diffusion_tol=diffusion_tol,
+            cfl_safety=cfl_safety, diffusion_tol=diffusion_tol, init_geometry=start,
         )
         d_n = float(np.max(difference_energy(traj, traj_prev, truncation_order)))
         logbook.d_history.append(d_n)

@@ -207,6 +207,16 @@ def test_kappa_sweep_single_value_list_exit_code(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+def test_fewer_than_three_nodes_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, out, extra=SMALL + "scheme.dt = 0.0125\nscheme.T = 0.0125\n")
+    assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "scheme.T = 0.0125" in err and "scheme.dt = 0.0125" in err and "2 nodes" in err
+    assert not out.exists()
+
+
 def test_T_not_multiple_of_dt_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, tmp_path / "out", extra="scheme.T = 0.03\n")
     assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
@@ -229,6 +239,22 @@ def test_run_computes_each_constraint_once(tmp_path, monkeypatch):
     assert cli.main(["run", write_cfg(tmp_path, out, extra=SMALL)]) == 0
     _, _, rows = read_csv(out / "energy.csv")
     assert len(calls) == len(rows) == 3
+
+
+def test_run_audits_residuals_in_one_pass(tmp_path, monkeypatch):
+    real = cli.residual_audit
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "residual_audit", counting)
+    out = tmp_path / "out"
+    assert cli.main(["run", write_cfg(tmp_path, out, extra=SMALL)]) == 0
+    assert len(calls) == 1
+    _, header, rows = read_csv(out / "residuals.csv")
+    assert len(rows) == 3 and all(row[header.index("wave_residual")] for row in rows)
 
 
 def test_check_lemmas_writes_table(tmp_path, capsys):

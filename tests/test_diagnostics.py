@@ -17,8 +17,10 @@ from lfmhd.diagnostics import (
     lemma_suite,
     map_norm,
     nonlinear_residuals,
+    residual_audit,
     physical_energy_balance,
     time_derivative,
+    time_difference,
     wave_equation_residual,
 )
 from lfmhd.geometry import build_geometry
@@ -71,6 +73,42 @@ def test_time_derivative_short_history_rejected():
         time_derivative(stack, 0.1, 2)
     with pytest.raises(ValueError, match="order"):
         time_derivative(np.zeros((6, 3)), 0.1, 3)
+
+
+def _stacked_stencil(stack, dt, order):
+    # the whole-stack form of the stencil, kept here as an independent
+    # reference for the node-by-node form
+    out = np.empty_like(stack)
+    if order == 1:
+        if len(stack) == 2:
+            out[:] = (stack[1] - stack[0]) / dt
+            return out
+        out[1:-1] = (stack[2:] - stack[:-2]) / (2.0 * dt)
+        out[0] = (-3.0 * stack[0] + 4.0 * stack[1] - stack[2]) / (2.0 * dt)
+        out[-1] = (3.0 * stack[-1] - 4.0 * stack[-2] + stack[-3]) / (2.0 * dt)
+        return out
+    out[1:-1] = (stack[2:] - 2.0 * stack[1:-1] + stack[:-2]) / (dt * dt)
+    if len(stack) >= 4:
+        out[0] = (2.0 * stack[0] - 5.0 * stack[1] + 4.0 * stack[2] - stack[3]) / (dt * dt)
+        out[-1] = (2.0 * stack[-1] - 5.0 * stack[-2] + 4.0 * stack[-3] - stack[-4]) / (dt * dt)
+    else:
+        out[0] = out[-1] = out[1]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("order", [1, 2])
+def test_time_difference_matches_stacked_stencil_bitwise(n, order, rng):
+    stack = rng.standard_normal((n, 3, 5))
+    dt = 0.0125
+    if n < order + 1:
+        with pytest.raises(ValueError, match="insufficient history"):
+            time_difference(stack.__getitem__, n, 0, dt, order)
+        return
+    ref = _stacked_stencil(stack, dt, order)
+    np.testing.assert_array_equal(time_derivative(stack, dt, order), ref)
+    for j in range(n):
+        np.testing.assert_array_equal(time_difference(stack.__getitem__, n, j, dt, order), ref[j])
 
 
 def test_map_norm_identity_pins(grid16):
@@ -302,6 +340,27 @@ def test_wave_residual_scheme_sized_and_noise_sensitive(quiescent_run):
         s.q = s.q + pert
     noisy = wave_equation_residual(bad)
     assert noisy.max() > 10.0 * res.max()
+
+
+def test_residual_audit_takes_one_gradient_of_b_and_v_per_node(magnetic_run, monkeypatch):
+    states = magnetic_run.states
+    real = Grid.gradient
+    seen = []
+
+    def recording(self, f):
+        seen.extend((j, name) for j, s in enumerate(states)
+                    for name in ("b", "v") if f is getattr(s, name))
+        return real(self, f)
+
+    monkeypatch.setattr(Grid, "gradient", recording)
+    audit = residual_audit(magnetic_run)
+    assert sorted(seen) == [(j, name) for j in range(len(states)) for name in ("b", "v")]
+    monkeypatch.setattr(Grid, "gradient", real)
+    res = nonlinear_residuals(magnetic_run)
+    assert set(audit) == set(res) | {"wave"}
+    for name in res:
+        np.testing.assert_array_equal(res[name], audit[name])
+    np.testing.assert_array_equal(wave_equation_residual(magnetic_run), audit["wave"])
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,34 @@ def test_trivial_trajectory_is_static(grid16, eos):
         assert np.abs(s.eta - grid16.identity_map).max() == 0.0
 
 
+def test_trivial_geometry_constants_match_a_build(grid16, eos):
+    traj = trivial_trajectory(grid16, eos, np.full(grid16.shape, 1.0), KAPPA, DT, 2)
+    cache = build_geometry(grid16, grid16.identity_map, KAPPA)
+    v = np.zeros((3,) + grid16.shape)
+    psi = linear_step.correction_field(grid16, grid16.identity_map, v, cache, KAPPA)
+    geo = traj.geometry
+    for j in range(3):
+        np.testing.assert_array_equal(geo.a_s[j], cache.a_s)
+        np.testing.assert_array_equal(geo.J_s[j], cache.J_s)
+        np.testing.assert_array_equal(geo.psi[j], psi)
+
+
+def test_nan_head_refused_at_freeze(grid_small, eos):
+    traj = trivial_trajectory(grid_small, eos, np.full(grid_small.shape, 1.0), KAPPA, DT, 3)
+    traj.states[1].q[2, 3, 4] = np.nan
+    with pytest.raises(ValueError, match=r"acoustic weight r must be positive: node 1 "):
+        FrozenCoefficients.freeze(traj)
+
+
+def test_nan_cfl_bound_refused_before_the_advance(grid_small, eos):
+    st = _zero_state(grid_small, eos)
+    frozen = FrozenCoefficients.freeze(
+        trivial_trajectory(grid_small, eos, st.rho0, KAPPA, DT, 3))
+    frozen.r[1, 2, 3, 4] = np.nan
+    with pytest.raises(CflError, match="nan"):
+        advance_linearized(grid_small, frozen, st, DT, 3 * DT)
+
+
 def test_frozen_coefficients_interpolate(grid16, eos, rng):
     traj = trivial_trajectory(grid16, eos, np.full(grid16.shape, 1.0), KAPPA, DT, 4)
     field = rng.standard_normal((3,) + grid16.shape)
