@@ -36,6 +36,7 @@ from .geometry import (
 )
 from .grid import FieldShapeError, Grid, GridSpec
 from .linear_step import (
+    BreakdownError,
     CflError,
     DiffusionSolveError,
     FrozenCoefficients,
@@ -66,6 +67,7 @@ from .state import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BreakdownError",
     "CflError",
     "CompatibilityReport",
     "DegenerateMapError",

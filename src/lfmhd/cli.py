@@ -33,7 +33,7 @@ from .diagnostics import (
 )
 from .geometry import DegenerateMapError
 from .grid import Grid, GridSpec
-from .linear_step import CflError, DiffusionSolveError, Trajectory
+from .linear_step import BreakdownError, CflError, DiffusionSolveError, Trajectory
 from .picard import IterationLog, NonContractionError, kappa_sweep, solve_nonlinear_kappa
 from .state import EquationOfState, InitialDataError, make_initial_data
 
@@ -44,6 +44,7 @@ EXIT_DEGENERATE = 5
 EXIT_CHECKPOINT = 6
 EXIT_NOT_CONVERGED = 7  # Picard hit max_iter; only iteration.csv is written
 EXIT_DIFFUSION = 8
+EXIT_BREAKDOWN = 9
 
 _UNITS_NOTE = "units: dimensionless reference-slab quantities"
 
@@ -117,8 +118,7 @@ def _write_iteration_csv(out: Path, log: IterationLog, order: int) -> None:
 
 
 def _write_residuals_csv(out: Path, traj: Trajectory, cfg: RunConfig, stride: int,
-                         energy: EnergyReport) -> None:
-    res = residual_audit(traj)
+                         energy: EnergyReport, res: dict[str, np.ndarray]) -> None:
     cons = constraint_residuals(traj, c0=cfg.physics.c0, epsilon=cfg.physics.epsilon,
                                 energy=energy)
     header = ["t", "res_eta", "res_v", "res_q", "res_b", "wave_residual",
@@ -181,9 +181,11 @@ def _cmd_run(cfg: RunConfig) -> int:
     _write_iteration_csv(out, log, order)
     if not log.converged:
         return _not_converged(log)
-    report = energy_functionals(traj, order=order)
+    # one covariant gradient of b per node serves residuals.csv and D_diss
+    audit = residual_audit(traj)
+    report = energy_functionals(traj, order=order, dissipation=audit["D_diss"])
     _write_energy_csv(out, report, stride)
-    _write_residuals_csv(out, traj, cfg, stride, report)
+    _write_residuals_csv(out, traj, cfg, stride, report, audit)
     if cfg.diagnostics.lemma_suite:
         _write_lemmas_csv(out, grid, cfg)
     if cfg.outputs.checkpoint:
@@ -362,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except DiffusionSolveError as exc:
         print(f"diffusion solve stalled: {exc}", file=sys.stderr)
         return EXIT_DIFFUSION
+    except BreakdownError as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_BREAKDOWN
     except Exception as exc:  # pragma: no cover - catch-all contract
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -37,6 +37,16 @@ from .state import FlowState, taylor_sign_margin
 # time differences on snapshot stacks
 
 
+def _require_history(n: int, order: int) -> None:
+    if n < order + 1:
+        raise ValueError(
+            f"insufficient history: order-{order} time derivative needs at least "
+            f"{order + 1} snapshots, got {n}"
+        )
+    if order not in (0, 1, 2):
+        raise ValueError(f"time derivative order must be 0, 1 or 2, got {order}")
+
+
 def time_difference(row, n: int, j: int, dt: float, order: int) -> np.ndarray:
     """Row j of the discrete d/dt of an n-node sequence whose node k is row(k).
 
@@ -46,11 +56,7 @@ def time_difference(row, n: int, j: int, dt: float, order: int) -> np.ndarray:
     """
     if order == 0:
         return row(j)
-    if n < order + 1:
-        raise ValueError(
-            f"insufficient history: order-{order} time derivative needs at least "
-            f"{order + 1} snapshots, got {n}"
-        )
+    _require_history(n, order)
     if order == 1:
         if n == 2:
             return (row(1) - row(0)) / dt
@@ -59,8 +65,6 @@ def time_difference(row, n: int, j: int, dt: float, order: int) -> np.ndarray:
         if j == n - 1:
             return (3.0 * row(j) - 4.0 * row(j - 1) + row(j - 2)) / (2.0 * dt)
         return (row(j + 1) - row(j - 1)) / (2.0 * dt)
-    if order != 2:
-        raise ValueError(f"time derivative order must be 0, 1 or 2, got {order}")
     if n < 4:
         j = 1
     elif j == 0:
@@ -80,9 +84,14 @@ def time_derivative(stack: np.ndarray, dt: float, order: int) -> np.ndarray:
 
 def _time_energies(grid: Grid, stack: np.ndarray, dt: float, order: int) -> np.ndarray:
     """Row k, column j: the squared H^k norm at node j of the (order - k)-th
-    time difference of a (nodes, ...) stack; shape (order + 1, nodes)."""
+    time difference of a (nodes, ...) stack; shape (order + 1, nodes).  An
+    identically zero stack, such as b in a field-free run, gives the exact
+    zero table without a transform."""
     n = stack.shape[0]
-    out = np.empty((order + 1, n))
+    _require_history(n, order)
+    out = np.zeros((order + 1, n))
+    if not np.any(stack):
+        return out
     for k in range(order + 1):
         for j in range(n):
             out[k, j] = grid.norm(time_difference(stack.__getitem__, n, j, dt, order - k), k) ** 2
@@ -171,25 +180,39 @@ class EnergyReport:
             yield {name: float(self.columns[name][j]) for name in ENERGY_COLUMNS}
 
 
-def physical_energy_balance(traj: Trajectory):
+def _dissipation(grid: Grid, eos, J_s: np.ndarray, Gb2: np.ndarray) -> float:
+    """Resistive dissipation of one node from |grad_a b|^2, the summed
+    squares of its covariant gradient of b."""
+    return eos.diffusivity * grid.integrate(J_s * Gb2)
+
+
+def physical_energy_balance(traj: Trajectory, dissipation: np.ndarray | None = None):
     """Physical energy, viscous-resistive dissipation, and the step residuals.
 
     Returns (E, D, residual) arrays over the nodes, with residual[j] the
     defect of E(t_j) - E(t_{j-1}) + trapezoid of D over the step; an
-    exact balance makes it zero.
+    exact balance makes it zero.  ``dissipation``, when given, is D as
+    ``residual_audit(traj)["D_diss"]`` computed it on the same trajectory,
+    one value per node, and is not computed again.
     """
     grid, eos, geo = traj.grid, traj.eos, traj.geometry
     n = len(traj)
+    if dissipation is not None and np.shape(dissipation) != (n,):
+        raise ValueError(
+            f"dissipation must hold one value per node, shape ({n},), "
+            f"got shape {np.shape(dissipation)}"
+        )
     E = np.empty(n)
-    D = np.empty(n)
+    D = np.empty(n) if dissipation is None else dissipation
     for j, s in enumerate(traj.states):
         J_s = geo.J_s[j]
         kinetic = 0.5 * grid.integrate(s.rho0 * np.sum(s.v * s.v, axis=0))
         magnetic = 0.5 * grid.integrate(J_s * np.sum(s.b * s.b, axis=0))
         internal = grid.integrate(s.rho0 * np.asarray(eos.q_potential(eos.rho(s.q))))
         E[j] = kinetic + magnetic + internal
-        Gb = cov_grad_vector(grid, geo.a_s[j], s.b)
-        D[j] = eos.diffusivity * grid.integrate(J_s * np.sum(Gb * Gb, axis=(0, 1)))
+        if dissipation is None:
+            Gb = cov_grad_vector(grid, geo.a_s[j], s.b)
+            D[j] = _dissipation(grid, eos, J_s, np.sum(Gb * Gb, axis=(0, 1)))
     residual = np.zeros(n)
     residual[1:] = np.diff(E) + 0.5 * traj.dt * (D[1:] + D[:-1])
     return E, D, residual
@@ -210,12 +233,14 @@ def _constraints(s: FlowState, a_s: np.ndarray, J_s: np.ndarray) -> tuple[float,
     )
 
 
-def energy_functionals(traj: Trajectory, order: int = 2) -> EnergyReport:
+def energy_functionals(traj: Trajectory, order: int = 2,
+                       dissipation: np.ndarray | None = None) -> EnergyReport:
     """Tabulate the truncated energy scale along a trajectory.
 
     ``order`` is the highest time-derivative order entering the interior
     sums (the full scale would run to order 4; the desk-scale default
-    stops at 2 and the report header says so).
+    stops at 2 and the report header says so).  ``dissipation`` goes to
+    :func:`physical_energy_balance`.
     """
     grid, dt, kappa = traj.grid, traj.dt, traj.kappa
     n = len(traj)
@@ -260,7 +285,7 @@ def energy_functionals(traj: Trajectory, order: int = 2) -> EnergyReport:
     cols["H_b"] = Ek["b"][1]
     cols["W_q"] = Ek["q"][0] + Ek["q"][1]
 
-    E, D, residual = physical_energy_balance(traj)
+    E, D, residual = physical_energy_balance(traj, dissipation)
     cols["E_phys"] = E
     cols["D_diss"] = D
     cols["balance_residual"] = residual
@@ -331,7 +356,9 @@ def divergence_monitor(
 
 def residual_audit(traj: Trajectory) -> dict[str, np.ndarray]:
     """L2 defects per node of the smoothed nonlinear system (``eta``, ``v``,
-    ``q``, ``b``) and of the second-order pressure-head equation (``wave``).
+    ``q``, ``b``) and of the second-order pressure-head equation (``wave``),
+    and the energy balance's ``D_diss``, contracted from the same covariant
+    gradient of b.
 
     Each equation is re-evaluated with the trajectory's own geometry and
     correction field, in one pass: per node, the gradient tables of v and
@@ -356,7 +383,7 @@ def residual_audit(traj: Trajectory) -> dict[str, np.ndarray]:
     def d_dt(row, j, order=1):
         return time_difference(row, n, j, dt, order)
 
-    out = {name: np.empty(n) for name in ("eta", "v", "q", "b", "wave")}
+    out = {name: np.empty(n) for name in ("eta", "v", "q", "b", "wave", "D_diss")}
     for j, s in enumerate(states):
         a, J_s, b = geo.a_s[j], geo.J_s[j], s.b
         gv, gb = grid.gradient(s.v), grid.gradient(b)
@@ -377,10 +404,11 @@ def residual_audit(traj: Trajectory) -> dict[str, np.ndarray]:
         out["b"][j] = grid.low_norm(d_dt(field("b"), j) - lap_b - transport)
 
         Jr = J_s / rho0
+        Gb2 = np.sum(Gb * Gb, axis=(0, 1))
         lhs = r * d_dt(field("q"), j, 2) - Jr * cov_laplacian(grid, a, s.q)
         rhs = Jr * np.einsum("l...,l...->...", b, lap_b)
         w0 = Jr * (
-            np.sum(Gb * Gb, axis=(0, 1))
+            Gb2
             - np.einsum("al...,la...->...", Gb, Gb)
             - np.einsum("a...,a...->...", b, cov_grad(grid, a, div_b))
         )
@@ -388,12 +416,14 @@ def residual_audit(traj: Trajectory) -> dict[str, np.ndarray]:
         w0 -= np.einsum("ma...,ma...->...", d_dt(geo.a_s.__getitem__, j), gv)
         w0 -= np.einsum("l...,l...->...", lorentz - grad_Q, cov_grad(grid, a, Jr))
         out["wave"][j] = grid.low_norm(lhs - rhs - w0)
+        out["D_diss"][j] = _dissipation(grid, eos, J_s, Gb2)
     return out
 
 
 def nonlinear_residuals(traj: Trajectory) -> dict[str, np.ndarray]:
     """The four first-order defects of ``residual_audit``."""
-    return {name: res for name, res in residual_audit(traj).items() if name != "wave"}
+    audit = residual_audit(traj)
+    return {name: audit[name] for name in ("eta", "v", "q", "b")}
 
 
 def wave_equation_residual(traj: Trajectory) -> np.ndarray:

@@ -20,7 +20,7 @@ of the implicit solve are eliminated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -42,6 +42,10 @@ class CflError(RuntimeError):
             f"dt <= cfl_safety * h3 * min sqrt(r Js / rho0) = "
             f"{cfl_safety} * {h3:.6e} * {bound / (cfl_safety * h3):.6e} = {bound:.6e}"
         )
+
+
+class BreakdownError(ValueError):
+    """A frozen coefficient or an advanced field is not finite or out of range."""
 
 
 class DiffusionSolveError(RuntimeError):
@@ -183,7 +187,7 @@ class FrozenCoefficients:
         r = geo.J_s * traj.eos.rho_p(traj.stack("q")) / rho0
         if not r.min() > 0.0:  # NaN fails too
             j = next(j for j in range(len(r)) if not r[j].min() > 0.0)
-            raise ValueError(
+            raise BreakdownError(
                 f"frozen acoustic weight r must be positive: node {j} "
                 f"(t = {traj.states[j].t:.6g}) has min {r[j].min():.3e}"
             )
@@ -392,10 +396,16 @@ def _enforce_walls(q: np.ndarray) -> None:
 
 
 def _explicit_rates(grid, smp: FrozenSample, v, q, grad_b_lag, half_b2, rho0):
+    """Stage rates of eta, v and q; ``grad_b_lag()`` returns the gradient
+    table of the lagged b and is called only when the sample's b* is not
+    identically zero, since the Lorentz force vanishes with b*."""
     Q = q + half_b2
-    lorentz = np.einsum(
-        "a...,al...->l...", smp.b, cov_grad_vector_from_gradient(grid, smp.a_s, grad_b_lag)
-    )
+    lorentz = 0.0
+    if np.any(smp.b):
+        lorentz = np.einsum(
+            "a...,al...->l...", smp.b,
+            cov_grad_vector_from_gradient(grid, smp.a_s, grad_b_lag()),
+        )
     dv = (smp.J_s / rho0)[None] * (lorentz - cov_grad(grid, smp.a_s, Q))
     dq = -cov_div(grid, smp.a_s, v) / smp.r
     deta = v + smp.psi
@@ -404,10 +414,11 @@ def _explicit_rates(grid, smp: FrozenSample, v, q, grad_b_lag, half_b2, rho0):
 
 def _explicit_midpoint(grid, frozen: FrozenCoefficients, n: int, state: FlowState, dt, rho0):
     """eta, v and q at the end of step n by the explicit midpoint rule, b
-    lagged at the step start; one gradient table of b serves both stages."""
+    lagged at the step start; one gradient table of b serves both stages,
+    and none is taken when b* vanishes at both."""
     b_lag = state.b
     half_b2 = 0.5 * np.sum(b_lag * b_lag, axis=0)
-    grad_b_lag = grid.gradient(b_lag)
+    grad_b_lag = cache(lambda: grid.gradient(b_lag))
     k1 = _explicit_rates(grid, frozen.node(n), state.v, state.q, grad_b_lag, half_b2, rho0)
     v_m = state.v + 0.5 * dt * k1[1]
     q_m = state.q + 0.5 * dt * k1[2]
@@ -420,13 +431,22 @@ def _explicit_midpoint(grid, frozen: FrozenCoefficients, n: int, state: FlowStat
 
 def _induction_rhs(grid, smp: FrozenSample, v, b_lag, dt):
     """Right-hand side of the backward-Euler b step: b_lag plus dt times the
-    transport at velocity v; one gradient table of v serves both terms."""
+    transport at velocity v; one gradient table of v serves both terms.
+    The transport vanishes with b*, and then b_lag itself is returned."""
+    if not np.any(smp.b):
+        return b_lag
     grad_v = grid.gradient(v)
     div_v = cov_div_from_gradient(grid, smp.a_s, grad_v)
     transport = np.einsum(
         "a...,al...->l...", smp.b, cov_grad_vector_from_gradient(grid, smp.a_s, grad_v)
     ) - smp.b * div_v
     return b_lag + dt * transport
+
+
+def _require_finite(j: int, t: float, **fields: np.ndarray) -> None:
+    for name, value in fields.items():
+        if not np.isfinite(value).all():
+            raise BreakdownError(f"{name} is not finite at node {j} (t = {t:.6g})")
 
 
 def advance_linearized(
@@ -445,6 +465,10 @@ def advance_linearized(
     CFL bound evaluated over all frozen nodes, and the frozen coefficients
     to lie on the same lattice: step dt and at least T / dt + 1 nodes.
     A CFL violation raises :class:`CflError`, every other one ValueError.
+    A step that leaves v, q or eta non-finite raises
+    :class:`BreakdownError` naming the first such field, in that order,
+    and the node; a non-finite b cannot come out of the diffusion solve,
+    whose residual check raises :class:`DiffusionSolveError` instead.
     ``init_geometry``, ``init``'s ``(a_s, J_s, psi)`` at the frozen kappa,
     becomes the returned trajectory's ``start_geometry``.
     """
@@ -466,12 +490,16 @@ def advance_linearized(
     state = init.copy()
     states = [state]
     for n in range(nsteps):
+        t = n * dt + dt
         eta_n, v_n, q_n = _explicit_midpoint(grid, frozen, n, state, dt, rho0)
+        # before the b solve, which a non-finite velocity would stall; v and q
+        # first, since eta_n is built from the midpoint velocity
+        _require_finite(n + 1, t, v=v_n, q=q_n, eta=eta_n)
         s1 = frozen.node(n + 1)
         rhs_b = _induction_rhs(grid, s1, v_n, state.b, dt)
         b_n = implicit_diffusion_solve(grid, s1.a_s, rhs_b, dt, tol=diffusion_tol)
         state = FlowState(
-            grid=grid, eos=init.eos, t=n * dt + dt,
+            grid=grid, eos=init.eos, t=t,
             eta=eta_n, v=v_n, b=b_n, q=q_n, rho0=rho0,
         )
         states.append(state)

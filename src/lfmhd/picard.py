@@ -20,7 +20,8 @@ from .correction import correction_field
 from .diagnostics import difference_energy
 from .geometry import build_geometry
 from .grid import Grid
-from .linear_step import FrozenCoefficients, Trajectory, advance_linearized, trivial_trajectory
+from .linear_step import (BreakdownError, FrozenCoefficients, Trajectory, advance_linearized,
+                          trivial_trajectory)
 from .state import FlowState, InitialDataError, check_compatibility, taylor_sign_margin
 
 log = logging.getLogger(__name__)
@@ -90,7 +91,8 @@ def solve_nonlinear_kappa(
     Stops when the sup-in-time difference energy d_n between consecutive
     iterates (order ``truncation_order``) falls below tol * (1 + d_1),
     checked from the second iterate on.  Three consecutive increases of
-    d_n raise :class:`NonContractionError`.  A converged trajectory is
+    d_n raise :class:`NonContractionError`, and a non-finite d_n raises
+    :class:`BreakdownError` naming the iterate.  A converged trajectory is
     re-frozen and re-advanced once and the residual stored in the log, so
     the fixed point is certified self-consistent; the re-freeze also
     fills the trajectory's ``geometry``.
@@ -125,6 +127,9 @@ def solve_nonlinear_kappa(
             cfl_safety=cfl_safety, diffusion_tol=diffusion_tol, init_geometry=start,
         )
         d_n = float(np.max(difference_energy(traj, traj_prev, truncation_order)))
+        if not np.isfinite(d_n):  # it would fail every comparison below
+            raise BreakdownError(
+                f"picard iterate {n}: difference energy d_{n} = {d_n} is not finite")
         logbook.d_history.append(d_n)
         logbook.wall_seconds.append(time.perf_counter() - tic)
         log.info("picard iterate %d: d = %.6e", n, d_n)
@@ -141,6 +146,9 @@ def solve_nonlinear_kappa(
         logbook.stop_reason = f"max_iter = {max_iter} reached"
 
     if logbook.converged:
+        # the previous iterate and its coefficients are not read again;
+        # releasing them before the self-check lowers the run's peak memory
+        traj_prev = frozen = None
         frozen = FrozenCoefficients.freeze(traj)
         traj_check = advance_linearized(
             grid, frozen, init, dt, T,

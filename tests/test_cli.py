@@ -382,3 +382,19 @@ def test_diffusion_stall_exit_code(tmp_path, capsys):
     assert cli.main(["run", cfg]) == cli.EXIT_DIFFUSION
     err = capsys.readouterr().err
     assert err.startswith("diffusion solve stalled:") and "target 1.0e-30" in err
+
+
+def test_numerical_breakdown_exit_code(tmp_path, capsys, monkeypatch):
+    real = cli.make_initial_data
+
+    def nan_velocity(*args, **kwargs):
+        init = real(*args, **kwargs)
+        init.v[1, 2, 3, 4] = np.nan
+        return init
+
+    monkeypatch.setattr(cli, "make_initial_data", nan_velocity)
+    out = tmp_path / "out"
+    assert cli.main(["run", write_cfg(tmp_path, out, extra=SMALL)]) == cli.EXIT_BREAKDOWN
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown:") and "not finite at node 1" in err
+    assert not (out / "energy.csv").exists()

@@ -9,6 +9,7 @@ import pytest
 from lfmhd import fields, geometry
 from lfmhd.diagnostics import (
     ENERGY_COLUMNS,
+    _time_energies,
     alinhac_residual,
     constraint_residuals,
     difference_energy,
@@ -109,6 +110,18 @@ def test_time_difference_matches_stacked_stencil_bitwise(n, order, rng):
     np.testing.assert_array_equal(time_derivative(stack, dt, order), ref)
     for j in range(n):
         np.testing.assert_array_equal(time_difference(stack.__getitem__, n, j, dt, order), ref[j])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_zero_stack_time_energies_equal_the_computed_table_bitwise(grid16, order):
+    n, dt = 4, 0.0125
+    stack = np.zeros((n, 3) + grid16.shape)
+    computed = np.array([
+        [grid16.norm(time_difference(stack.__getitem__, n, j, dt, order - k), k) ** 2
+         for j in range(n)]
+        for k in range(order + 1)
+    ])
+    assert _time_energies(grid16, stack, dt, order).tobytes() == computed.tobytes()
 
 
 def test_map_norm_identity_pins(grid16):
@@ -357,10 +370,29 @@ def test_residual_audit_takes_one_gradient_of_b_and_v_per_node(magnetic_run, mon
     assert sorted(seen) == [(j, name) for j in range(len(states)) for name in ("b", "v")]
     monkeypatch.setattr(Grid, "gradient", real)
     res = nonlinear_residuals(magnetic_run)
-    assert set(audit) == set(res) | {"wave"}
+    assert set(audit) == set(res) | {"wave", "D_diss"}
     for name in res:
         np.testing.assert_array_equal(res[name], audit[name])
     np.testing.assert_array_equal(wave_equation_residual(magnetic_run), audit["wave"])
+
+
+def test_audit_dissipation_is_the_energy_balance_column(magnetic_run):
+    audit = residual_audit(magnetic_run)
+    _, D, _ = physical_energy_balance(magnetic_run)
+    np.testing.assert_array_equal(audit["D_diss"], D)
+    assert D.max() > 0.0
+    shared = energy_functionals(magnetic_run, dissipation=audit["D_diss"]).columns
+    for name, col in energy_functionals(magnetic_run).columns.items():
+        np.testing.assert_array_equal(shared[name], col, err_msg=name)
+
+
+def test_dissipation_of_the_wrong_shape_refused(magnetic_run):
+    n = len(magnetic_run)
+    for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1)), np.float64(0.0)):
+        with pytest.raises(ValueError, match=rf"one value per node, shape \({n},\)"):
+            physical_energy_balance(magnetic_run, dissipation=bad)
+    with pytest.raises(ValueError, match="one value per node"):
+        energy_functionals(magnetic_run, dissipation=np.zeros(n + 1))
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,11 @@ import lfmhd
 from lfmhd import linear_step
 
 from lfmhd.fields import perturbed_map, wall_vanishing_scalar
-from lfmhd.geometry import build_geometry, cov_laplacian
+from lfmhd.geometry import (build_geometry, cov_div, cov_div_from_gradient, cov_grad,
+                            cov_grad_vector_from_gradient, cov_laplacian)
 from lfmhd.grid import Grid, GridSpec
 from lfmhd.linear_step import (
+    BreakdownError,
     CflError,
     DiffusionSolveError,
     FrozenCoefficients,
@@ -62,6 +64,22 @@ def test_nan_head_refused_at_freeze(grid_small, eos):
     traj.states[1].q[2, 3, 4] = np.nan
     with pytest.raises(ValueError, match=r"acoustic weight r must be positive: node 1 "):
         FrozenCoefficients.freeze(traj)
+
+
+def test_frozen_weight_refusal_is_a_breakdown(grid_small, eos):
+    traj = trivial_trajectory(grid_small, eos, np.full(grid_small.shape, 1.0), KAPPA, DT, 3)
+    traj.states[2].q[1, 1, 1] = np.nan
+    with pytest.raises(BreakdownError, match="node 2 "):
+        FrozenCoefficients.freeze(traj)
+
+
+def test_non_finite_step_raises_breakdown_naming_the_node(grid_small, eos):
+    st = make_initial_data(grid_small, "quiescent", amplitude=0.1, seed=3)
+    frozen = FrozenCoefficients.freeze(
+        trivial_trajectory(grid_small, eos, st.rho0, KAPPA, DT, 3))
+    st.v[0, 2, 3, 4] = np.nan
+    with pytest.raises(BreakdownError, match=r"^v is not finite at node 1 \(t = 0.0125\)$"):
+        advance_linearized(grid_small, frozen, st, DT, 3 * DT)
 
 
 def test_nan_cfl_bound_refused_before_the_advance(grid_small, eos):
@@ -302,3 +320,95 @@ def test_step_count_must_divide_horizon(grid16, eos):
     frozen = FrozenCoefficients.freeze(traj)
     with pytest.raises(ValueError):
         advance_linearized(grid16, frozen, st, DT, 2.7 * DT)
+
+
+# ----------------------------------------------------------------------
+# a vanishing frozen field: the magnetic terms are exact zeros
+
+
+def _reference_advance(grid, frozen, init, dt, nsteps):
+    """The advance with the general rate formulas, which compute the
+    Lorentz force and the induction transport whatever the frozen b."""
+    rho0 = init.rho0
+
+    def rates(smp, v, q, grad_b, half_b2):
+        lorentz = np.einsum("a...,al...->l...", smp.b,
+                            cov_grad_vector_from_gradient(grid, smp.a_s, grad_b))
+        dv = (smp.J_s / rho0)[None] * (lorentz - cov_grad(grid, smp.a_s, q + half_b2))
+        return v + smp.psi, dv, -cov_div(grid, smp.a_s, v) / smp.r
+
+    def walls(q):
+        q[..., 0] = 0.0
+        q[..., -1] = 0.0
+        return q
+
+    state = init.copy()
+    states = [state]
+    for n in range(nsteps):
+        b = state.b
+        half_b2 = 0.5 * np.sum(b * b, axis=0)
+        grad_b = grid.gradient(b)
+        k1 = rates(frozen.node(n), state.v, state.q, grad_b, half_b2)
+        v_m = state.v + 0.5 * dt * k1[1]
+        q_m = walls(state.q + 0.5 * dt * k1[2])
+        k2 = rates(frozen.midpoint(n), v_m, q_m, grad_b, half_b2)
+        v_n = state.v + dt * k2[1]
+        s1 = frozen.node(n + 1)
+        grad_v = grid.gradient(v_n)
+        transport = np.einsum(
+            "a...,al...->l...", s1.b, cov_grad_vector_from_gradient(grid, s1.a_s, grad_v)
+        ) - s1.b * cov_div_from_gradient(grid, s1.a_s, grad_v)
+        state = FlowState(
+            grid=grid, eos=init.eos, t=n * dt + dt, eta=state.eta + dt * k2[0], v=v_n,
+            b=implicit_diffusion_solve(grid, s1.a_s, b + dt * transport, dt),
+            q=walls(state.q + dt * k2[2]), rho0=rho0,
+        )
+        states.append(state)
+    return states
+
+
+def _frozen_field_vanishing_at(grid, eos, init, nodes):
+    """Coefficients frozen from a magnetic advance, with b* zeroed at ``nodes``."""
+    first = advance_linearized(
+        grid, FrozenCoefficients.freeze(trivial_trajectory(grid, eos, init.rho0, KAPPA, DT, 4)),
+        init, DT, 4 * DT)
+    for j in nodes:
+        first.states[j].b = np.zeros_like(init.b)
+    return FrozenCoefficients.freeze(first)
+
+
+@pytest.mark.parametrize("nodes", [(0, 2, 3), (0, 1, 2, 3, 4)], ids=["mixed", "field-free"])
+def test_vanishing_frozen_field_matches_the_general_formulas_bitwise(grid16, eos, nodes):
+    # mixed: stage 1 of step 0 and both stages of step 2 see b* = 0, the
+    # b steps into nodes 2 and 3 too; field-free: every stage and b step
+    init = make_initial_data(grid16, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
+    frozen = _frozen_field_vanishing_at(grid16, eos, init, nodes)
+    assert [bool(np.any(b)) for b in frozen.b] == [j not in nodes for j in range(5)]
+    out = advance_linearized(grid16, frozen, init, DT, 4 * DT)
+    ref = _reference_advance(grid16, frozen, init, DT, 4)
+    for j, (s, r) in enumerate(zip(out.states, ref)):
+        for name in ("eta", "v", "q", "b"):
+            assert getattr(s, name).tobytes() == getattr(r, name).tobytes(), (j, name)
+
+
+def test_vanishing_frozen_field_takes_no_magnetic_derivative(grid_small, eos, monkeypatch):
+    init = make_initial_data(grid_small, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
+    frozen = FrozenCoefficients.freeze(
+        trivial_trajectory(grid_small, eos, init.rho0, KAPPA, DT, 4))
+    contractions, gradients = [], []
+    real_contraction, real_gradient = linear_step.cov_grad_vector_from_gradient, Grid.gradient
+
+    def contraction(*args):
+        contractions.append(None)
+        return real_contraction(*args)
+
+    def gradient(self, f):
+        gradients.append(f)
+        return real_gradient(self, f)
+
+    monkeypatch.setattr(linear_step, "cov_grad_vector_from_gradient", contraction)
+    monkeypatch.setattr(Grid, "gradient", gradient)
+    out = advance_linearized(grid_small, frozen, init, DT, 4 * DT)
+    assert contractions == []
+    assert gradients and not any(f is s.b for f in gradients for s in out.states)
+    assert np.any(out.final.b)  # b diffuses; only the transport is skipped

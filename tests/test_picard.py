@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from lfmhd import picard
 from lfmhd.diagnostics import difference_energy
+from lfmhd.linear_step import BreakdownError
 from lfmhd.picard import (
     NonContractionError,
     kappa_sweep,
@@ -32,6 +34,23 @@ def test_zero_data_converges_immediately(grid16, eos):
     assert log.iterations == 2
     assert log.d_history[-1] == 0.0
     assert np.abs(traj.final.v).max() == 0.0
+
+
+def test_non_finite_difference_energy_raises_breakdown(grid_small, monkeypatch):
+    # a NaN d_n fails every comparison, so without the gate the
+    # non-contraction monitor would not see it and the loop would run on
+    st = make_initial_data(grid_small, "quiescent", amplitude=0.1, seed=3)
+    calls = []
+
+    def nan_from_the_second(t1, t2, order=2):
+        calls.append(None)
+        d = difference_energy(t1, t2, order)
+        return d if len(calls) < 2 else np.full_like(d, np.nan)
+
+    monkeypatch.setattr(picard, "difference_energy", nan_from_the_second)
+    with pytest.raises(BreakdownError, match=r"^picard iterate 2: difference energy d_2 = nan"):
+        solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+    assert len(calls) == 2
 
 
 def test_quiescent_contracts_fast(grid16):
