@@ -50,17 +50,19 @@ def write_fields(path: str | Path, dims: tuple[int, int, int],
                  fields: dict[str, np.ndarray]) -> None:
     n1, n2, n3 = dims
     shape = (n1, n2, n3 + 1)
-    blob = [MAGIC, struct.pack("<IIIII", VERSION, n1, n2, n3, len(fields))]
+    entries = []
     for name, field in fields.items():
         if field.shape != shape:
             raise CheckpointError(
                 f"field {name!r} has shape {field.shape}, lattice wants {shape}"
             )
-        encoded = name.encode("ascii")
-        blob.append(struct.pack("<I", len(encoded)))
-        blob.append(encoded)
-        blob.append(_to_wire(field))
-    Path(path).write_bytes(b"".join(blob))
+        entries.append((name.encode("ascii"), field))
+    # one field at a time, so no copy of the whole file is held
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<IIIII", VERSION, n1, n2, n3, len(entries)))
+        for encoded, field in entries:
+            fh.write(struct.pack("<I", len(encoded)) + encoded)
+            fh.write(_to_wire(field))
 
 
 def read_fields(path: str | Path) -> tuple[tuple[int, int, int], dict[str, np.ndarray]]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +46,30 @@ EXIT_CHECKPOINT = 6
 EXIT_NOT_CONVERGED = 7  # Picard hit max_iter; only iteration.csv is written
 EXIT_DIFFUSION = 8
 EXIT_BREAKDOWN = 9
+EXIT_OUTPUT = 10
 
 _UNITS_NOTE = "units: dimensionless reference-slab quantities"
+
+
+class OutputError(Exception):
+    """The output directory or an artifact in it cannot be created or written."""
+
+
+@contextmanager
+def _writing(path: Path):
+    """Turn an ``OSError`` while creating or writing ``path`` into an
+    :class:`OutputError` that names the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _output_directory(directory) -> Path:
+    out = Path(directory)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _fmt(value) -> str:
@@ -65,7 +88,8 @@ def _write_csv(path: Path, comment: str, header: list[str], rows) -> None:
     lines = [f"# {comment}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with _writing(path):
+        path.write_text("\n".join(lines) + "\n")
 
 
 def _print_table(title: str, pairs: list[tuple[str, str]]) -> None:
@@ -173,8 +197,7 @@ def _not_converged(log: IterationLog) -> int:
 
 
 def _cmd_run(cfg: RunConfig) -> int:
-    out = Path(cfg.outputs.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_directory(cfg.outputs.directory)
     grid, eos, init, traj, log = _solve_from_config(cfg)
     order = cfg.diagnostics.max_time_order
     stride = cfg.outputs.snapshot_stride
@@ -189,8 +212,10 @@ def _cmd_run(cfg: RunConfig) -> int:
     if cfg.diagnostics.lemma_suite:
         _write_lemmas_csv(out, grid, cfg)
     if cfg.outputs.checkpoint:
-        write_trajectory(out / "trajectory.ckpt", traj)
-        write_state(out / "final_state.ckpt", traj.final)
+        with _writing(out / "trajectory.ckpt"):
+            write_trajectory(out / "trajectory.ckpt", traj)
+        with _writing(out / "final_state.ckpt"):
+            write_state(out / "final_state.ckpt", traj.final)
     _print_table(f"run: {cfg.data.preset} preset, kappa = {cfg.scheme.kappa}", [
         ("nodes", str(len(traj))),
         ("picard iterates", str(log.iterations)),
@@ -206,8 +231,7 @@ def _cmd_run(cfg: RunConfig) -> int:
 
 
 def _cmd_picard_trace(cfg: RunConfig) -> int:
-    out = Path(cfg.outputs.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_directory(cfg.outputs.directory)
     _, _, _, traj, log = _solve_from_config(cfg)
     _write_iteration_csv(out, log, cfg.diagnostics.max_time_order)
     print(f"picard-trace: {cfg.data.preset} preset, kappa = {cfg.scheme.kappa}, "
@@ -224,8 +248,7 @@ def _cmd_picard_trace(cfg: RunConfig) -> int:
 def _cmd_kappa_sweep(cfg: RunConfig) -> int:
     if len(cfg.scheme.kappa_list) < 2:
         raise ConfigError("kappa-sweep needs scheme.kappa_list with at least two values")
-    out = Path(cfg.outputs.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_directory(cfg.outputs.directory)
     grid, eos, init = _build_problem(cfg)
     s = cfg.scheme
     traj, report = kappa_sweep(
@@ -254,7 +277,8 @@ def _cmd_kappa_sweep(cfg: RunConfig) -> int:
     energy = energy_functionals(traj, order=cfg.diagnostics.max_time_order)
     _write_energy_csv(out, energy, cfg.outputs.snapshot_stride)
     if cfg.outputs.checkpoint:
-        write_trajectory(out / "trajectory.ckpt", traj)
+        with _writing(out / "trajectory.ckpt"):
+            write_trajectory(out / "trajectory.ckpt", traj)
     deltas = [row["delta_to_prev"] for row in report.rows()
               if not np.isnan(row["delta_to_prev"])]
     decreasing = all(a > b for a, b in zip(deltas, deltas[1:]))
@@ -270,8 +294,7 @@ def _cmd_kappa_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_check_lemmas(cfg: RunConfig) -> int:
-    out = Path(cfg.outputs.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_directory(cfg.outputs.directory)
     grid = Grid(GridSpec(cfg.grid.n1, cfg.grid.n2, cfg.grid.n3,
                          dealias_fraction=cfg.grid.dealias_fraction))
     report = _write_lemmas_csv(out, grid, cfg)
@@ -290,8 +313,7 @@ def _cmd_energy_report(path: str, out_dir: str, order: int) -> int:
             f"{path}: {len(traj)} nodes; an order-{order} time derivative "
             f"needs at least {order + 1}"
         )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_directory(out_dir)
     report = energy_functionals(traj, order=order)
     _write_energy_csv(out, report, 1)
     _print_table(f"energy-report: {path}", [
@@ -367,6 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     except BreakdownError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except Exception as exc:  # pragma: no cover - catch-all contract
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

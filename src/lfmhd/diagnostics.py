@@ -401,11 +401,12 @@ def residual_audit(traj: Trajectory) -> dict[str, np.ndarray]:
         out["v"][j] = grid.low_norm(r_v)
         out["q"][j] = grid.low_norm(r * dq + div_v)
         transport = np.einsum("a...,al...->l...", b, Gv) - b * div_v
-        out["b"][j] = grid.low_norm(d_dt(field("b"), j) - lap_b - transport)
+        out["b"][j] = grid.low_norm(d_dt(field("b"), j) - eos.diffusivity * lap_b - transport)
 
         Jr = J_s / rho0
         Gb2 = np.sum(Gb * Gb, axis=(0, 1))
         lhs = r * d_dt(field("q"), j, 2) - Jr * cov_laplacian(grid, a, s.q)
+        # from lap(|b|^2 / 2) in Q, not from the induction equation: no diffusivity
         rhs = Jr * np.einsum("l...,l...->...", b, lap_b)
         w0 = Jr * (
             Gb2

@@ -77,9 +77,10 @@ def _wavenumbers(n: int) -> np.ndarray:
 class Grid:
     """Cached operators for one :class:`GridSpec`.
 
-    Holds wavenumber tables, cached half-spectrum symbols, quadrature
-    weights and the coordinate lattice, and implements derivatives,
-    tangential inversion and the Sobolev norms used by the diagnostics.
+    Holds wavenumber tables, cached half-spectrum symbols and axis
+    matrices, quadrature weights and the coordinate lattice, and
+    implements derivatives, tangential inversion and the Sobolev norms
+    used by the diagnostics.
     """
 
     def __init__(self, spec: GridSpec):
@@ -133,13 +134,16 @@ class Grid:
     # ------------------------------------------------------------------
     # the spectral kernel
     #
-    # Every tangential transform goes through rfft2/irfft2 on the half
-    # spectrum, shape (n1, n2 // 2 + 1).  Symbols carry a trailing y3 axis
-    # of length 1 (plane-wise multipliers) or n3 + 1 (normal profiles) and
-    # are cached on the grid under a key.
+    # A multiplier that is a product of two one-dimensional factors acts
+    # along each tangential axis as the real matrix Re(F^-1 diag(m) F),
+    # cached under a key and applied with matmul; on these lattices that is
+    # cheaper than a transform round trip.  Symbols that couple k1 and k2
+    # or carry a y3 profile go through rfft2/irfft2 on the half spectrum,
+    # shape (n1, n2 // 2 + 1), with a trailing y3 axis of length 1
+    # (plane-wise multipliers) or n3 + 1 (normal profiles).
 
     def cached_symbol(self, key, build) -> np.ndarray:
-        """The half-spectrum symbol stored under ``key``; ``build()`` makes it once."""
+        """The symbol or axis matrix stored under ``key``; ``build()`` makes it once."""
         sym = self._symbols.get(key)
         if sym is None:
             sym = self._symbols[key] = build()
@@ -151,8 +155,9 @@ class Grid:
         return self._k1h**2 + self._k2h**2
 
     def _derivative_symbol(self, p1: int, p2: int) -> np.ndarray:
-        """(i k1)^p1 (i k2)^p2; any positive power zeroes that Nyquist line,
-        so mixed derivatives agree exactly with composed single ones."""
+        """(i k1)^p1 (i k2)^p2 on the half spectrum, for the Sobolev weights;
+        any positive power zeroes that Nyquist line, as the derivative
+        matrices do."""
         def build():
             m1 = (1j * self._k1h) ** p1
             m2 = (1j * self._k2h) ** p2
@@ -162,6 +167,32 @@ class Grid:
                 m2[:, -1] = 0.0
             return m1 * m2
         return self.cached_symbol(("derivative", p1, p2), build)
+
+    def apply_factor(self, f: np.ndarray, axis: int, key, factor) -> np.ndarray:
+        """Multiply ``f`` by the one-dimensional multiplier ``factor(k)`` along
+        tangential axis 1 or 2, in the interior or the boundary layout.
+
+        ``factor`` maps the axis's wavenumbers to a multiplier that is real
+        in physical space (m(-k) = conj m(k)); its matrix is built once and
+        cached under ``(axis, key)``.  When m(0) = 0 the first line along
+        the axis is subtracted first, so a field constant along the axis
+        maps to exactly 0.0.
+        """
+        def build():
+            k = self.k1 if axis == 1 else self.k2
+            m = factor(k)
+            n = len(k)
+            # circulant: column l is the response to a unit impulse at l
+            c = np.fft.ifft(m).real
+            return c[np.subtract.outer(np.arange(n), np.arange(n)) % n], m[0] == 0.0
+        M, annihilates_constants = self.cached_symbol(("factor", axis, key), build)
+        pos = axis - 4 if self.field_kind(f) == "interior" else axis - 3
+        if annihilates_constants:
+            f = f - np.take(f, [0], axis=pos)
+        shape = f.shape
+        if pos == -1:
+            return (f.reshape(-1, shape[-1]) @ M.T).reshape(shape)
+        return (M @ f.reshape(shape[:pos] + (shape[pos], -1))).reshape(shape)
 
     def _spectrum(self, f: np.ndarray) -> np.ndarray:
         """Tangential half spectrum; boundary fields gain a length-1 y3 axis."""
@@ -194,10 +225,19 @@ class Grid:
     # ------------------------------------------------------------------
     # public operators
 
+    def _derivative_along(self, f: np.ndarray, axis: int, power: int) -> np.ndarray:
+        """d_axis^power along tangential axis 1 or 2; the Nyquist line is
+        zeroed, so mixed derivatives agree with composed single ones."""
+        def factor(k):
+            m = (1j * k) ** power
+            m[len(k) // 2] = 0.0
+            return m
+        return self.apply_factor(f, axis, ("derivative", power), factor)
+
     def derivative(self, f: np.ndarray, axis: int) -> np.ndarray:
         """Partial derivative along axis 1, 2 (spectral) or 3 (FD)."""
         if axis in (1, 2):
-            return self.apply_symbol(f, self._derivative_symbol(int(axis == 1), int(axis == 2)))
+            return self._derivative_along(f, axis, 1)
         if axis == 3:
             return self._fd3(f)
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
@@ -205,28 +245,30 @@ class Grid:
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """All three partials of an interior field, derivative axis first.
 
-        ``out[mu]`` is d f / d y_(mu+1); both tangential partials come from
-        one forward transform.
+        ``out[mu]`` is d f / d y_(mu+1).
         """
         out = np.empty((3,) + f.shape)
         out[2] = self._fd3(f)  # refuses anything but an interior field
-        sym = self.cached_symbol("gradient", lambda: np.stack(
-            [self._derivative_symbol(1, 0), self._derivative_symbol(0, 1)]))
-        # the stacked symbol's axis goes in front of f's component axes
-        sym = sym.reshape((2,) + (1,) * (f.ndim - 3) + sym.shape[1:])
-        out[:2] = self.apply_symbol(f[None], sym)
+        out[0] = self._derivative_along(f, 1, 1)
+        out[1] = self._derivative_along(f, 2, 1)
         return out
 
     def derivative_multi(self, f: np.ndarray, p1: int, p2: int, p3: int) -> np.ndarray:
         """Mixed derivative d1^p1 d2^p2 d3^p3 by composition."""
-        g = self.apply_symbol(f, self._derivative_symbol(p1, p2)) if (p1 or p2) else f
+        g = self._derivative_along(f, 1, p1) if p1 else f
+        if p2:
+            g = self._derivative_along(g, 2, p2)
         for _ in range(p3):
             g = self._fd3(g)
         return g
 
     def tangential_laplacian(self, f: np.ndarray) -> np.ndarray:
-        """Flat tangential Laplacian d11 + d22 via the -|xi|^2 multiplier."""
-        return self.apply_symbol(f, self.cached_symbol("laplacian", lambda: -self.ksq))
+        """Flat tangential Laplacian d11 + d22, the factor -k^2 along each
+        axis with the Nyquist line kept."""
+        def factor(k):
+            return -k * k
+        return (self.apply_factor(f, 1, "laplacian", factor)
+                + self.apply_factor(f, 2, "laplacian", factor))
 
     def project_nonzero(self, f: np.ndarray) -> np.ndarray:
         """Remove the tangential mean on every y3 plane (or boundary plane)."""
@@ -241,16 +283,16 @@ class Grid:
         return self.apply_symbol(g, self.cached_symbol("inverse_laplacian", build))
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
-        """Truncate the tangential spectrum to the dealias fraction."""
-        if self.spec.dealias_fraction >= 1.0:
+        """Truncate the tangential spectrum to the dealias fraction, one axis
+        after the other."""
+        frac = self.spec.dealias_fraction
+        if frac >= 1.0:
             return f
-        def build():
-            n1, n2, frac = self.spec.n1, self.spec.n2, self.spec.dealias_fraction
-            idx1 = np.abs(np.fft.fftfreq(n1, d=1.0 / n1))[:, None, None]
-            idx2 = np.arange(n2 // 2 + 1)[None, :, None]
-            return ((idx1 <= np.floor(frac * n1 / 2.0))
-                    & (idx2 <= np.floor(frac * n2 / 2.0))).astype(float)
-        return self.apply_symbol(f, self.cached_symbol("dealias", build))
+
+        def mask(k):
+            n = len(k)
+            return (np.abs(np.rint(k / (2.0 * np.pi))) <= np.floor(frac * n / 2.0)).astype(float)
+        return self.apply_factor(self.apply_factor(f, 1, "dealias", mask), 2, "dealias", mask)
 
     # ------------------------------------------------------------------
     # quadrature and norms

@@ -5,10 +5,11 @@ The advance integrates, over a shared time lattice, the system
     d_t eta = v + psi*
     rho0 / Js* d_t v = (b* . grad_a*) b - grad_a* Q,   Q = q + |b|^2 / 2
     r* d_t q = -div_a* v,                              r* = Js* R'(q*) / rho0
-    d_t b - lap_a* b = (b* . grad_a*) v - b* div_a* v
+    d_t b - lam lap_a* b = (b* . grad_a*) v - b* div_a* v
     q = 0 and b = 0 on both walls,
 
-where starred quantities come from a previous iterate on the same time
+where lam is the magnetic diffusivity of the equation of state and
+starred quantities come from a previous iterate on the same time
 lattice: step n reads them at node n, at the mean of nodes n and n + 1,
 and at node n + 1.  (eta, v, q) use an explicit midpoint rule with b
 lagged at the step start; b then takes a backward-Euler diffusion step
@@ -337,10 +338,11 @@ def implicit_diffusion_solve(
 ) -> np.ndarray:
     """Solve (I - dt lap_a) x = rhs with x = 0 on both walls.
 
-    Component-wise for vector right-hand sides.  The Krylov iteration is
-    preconditioned by the exact flat-geometry modal solve, so it converges
-    in a handful of steps whenever the smoothed geometry is close to the
-    identity.  Non-convergence, including a non-finite residual, raises
+    A resistive step passes ``dt`` as the time step times the magnetic
+    diffusivity.  Component-wise for vector right-hand sides.  The Krylov
+    iteration is preconditioned by the exact flat-geometry modal solve, so
+    it converges in a handful of steps whenever the smoothed geometry is
+    close to the identity.  Non-convergence, including a non-finite residual, raises
     :class:`DiffusionSolveError`.
     """
     if rhs.ndim == 4:
@@ -497,7 +499,8 @@ def advance_linearized(
         _require_finite(n + 1, t, v=v_n, q=q_n, eta=eta_n)
         s1 = frozen.node(n + 1)
         rhs_b = _induction_rhs(grid, s1, v_n, state.b, dt)
-        b_n = implicit_diffusion_solve(grid, s1.a_s, rhs_b, dt, tol=diffusion_tol)
+        b_n = implicit_diffusion_solve(grid, s1.a_s, rhs_b, dt * init.eos.diffusivity,
+                                       tol=diffusion_tol)
         state = FlowState(
             grid=grid, eos=init.eos, t=t,
             eta=eta_n, v=v_n, b=b_n, q=q_n, rho0=rho0,

@@ -114,6 +114,7 @@ def solve_nonlinear_kappa(
             )
 
     start = (cache.a_s, cache.J_s, correction_field(grid, init.eta, init.v, cache, kappa))
+    del cache  # only ``start`` is read from here on; the rest of the cache is released
     nsteps = int(round(T / dt))
     traj_prev = trivial_trajectory(grid, init.eos, init.rho0, kappa, dt, nsteps)
     logbook = IterationLog(tol=tol)

@@ -7,7 +7,9 @@ variables through the Gaussian multiplier
 
 so it is self-adjoint on every plane, contracts every tangential Sobolev
 norm, and the squared operator used for the smoothed flow map is just the
-multiplier squared applied in one pass.  kappa = 0 is the identity.
+multiplier squared applied in one pass.  The multiplier is the product of
+exp(-kappa^2 k^2 / 2) along each tangential axis and is applied one axis
+after the other.  kappa = 0 is the identity.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ def mollify(grid: Grid, f: np.ndarray, kappa: float, power: int = 1) -> np.ndarr
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     if kappa == 0.0:
         return f.copy()
-    symbol = grid.cached_symbol(
-        ("gaussian", kappa, power),
-        lambda: np.exp(-0.5 * power * kappa * kappa * grid.ksq),
-    )
-    return grid.apply_symbol(f, symbol)
+    def factor(k):
+        return np.exp(-0.5 * power * kappa * kappa * k * k)
+    key = ("gaussian", kappa, power)
+    return grid.apply_factor(grid.apply_factor(f, 1, key, factor), 2, key, factor)
 
 
 def commutator(grid: Grid, f: np.ndarray, g: np.ndarray, kappa: float) -> np.ndarray:

@@ -147,7 +147,7 @@ def check_compatibility(
         lap_b = cov_laplacian(grid, cache.a, state.b)
         Gv = cov_grad_vector(grid, cache.a, state.v)
         transport = np.einsum("a...,al...->l...", state.b, Gv) - state.b * div_v
-        trace = grid.boundary_slices(lap_b + transport)
+        trace = grid.boundary_slices(state.eos.diffusivity * lap_b + transport)
         report.heat_trace_sup = float(np.abs(trace).max())
     return report
 

@@ -25,6 +25,7 @@ from lfmhd.linear_step import (
     Trajectory,
     advance_linearized,
     implicit_diffusion_solve,
+    trivial_trajectory,
 )
 from lfmhd.picard import NonContractionError
 from lfmhd.smoothing import commutator, mollify
@@ -337,6 +338,43 @@ def test_criterion_06_energy_dissipation(grid16, eos):
     envelope = BALANCE_C1 * kappa + BALANCE_C2 * dt + BALANCE_C3 * g32.h3 ** 2
     peak = float(np.abs(res32).max())
     assert peak <= envelope, f"balance residual {peak:.3e} outside envelope {envelope:.3e}"
+
+
+def _advanced_heat_trajectory(grid, eos, dt, nsteps, seed=3):
+    # the field of a b* = 0 advance sees neither v nor q: each step is the
+    # backward-Euler diffusion of the last b; v and q are dropped, so the
+    # balance reads magnetic energy against resistive dissipation alone
+    rng = np.random.default_rng(seed)
+    b = fields.random_vector(grid, rng, band=2, n3_modes=2)
+    b[..., 0] = 0.0
+    b[..., -1] = 0.0
+    shape = grid.shape
+    rho0 = np.ones(shape)
+    init = FlowState(grid=grid, eos=eos, t=0.0, eta=grid.identity_map.copy(),
+                     v=np.zeros((3,) + shape), b=b, q=np.zeros(shape), rho0=rho0)
+    frozen = FrozenCoefficients.freeze(trivial_trajectory(grid, eos, rho0, 0.0, dt, nsteps))
+    out = advance_linearized(grid, frozen, init, dt, nsteps * dt, diffusion_tol=1e-12)
+    states = [FlowState(grid=grid, eos=eos, t=s.t, eta=grid.identity_map.copy(),
+                        v=np.zeros((3,) + shape), b=s.b, q=np.zeros(shape), rho0=rho0)
+              for s in out.states]
+    return Trajectory(grid=grid, eos=eos, kappa=0.0, dt=dt, states=states)
+
+
+@pytest.mark.parametrize("diffusivity", [0.25, 4.0])
+def test_criterion_06_halving_at_other_diffusivities(grid16, diffusivity):
+    # the advance diffuses at dt * lambda, so the balance residual against
+    # D = lambda |grad b|^2 halves with dt whatever lambda is
+    eos = lfmhd.EquationOfState(diffusivity=diffusivity)
+    rels = []
+    for dt in (0.02, 0.01, 0.005):
+        heat = _advanced_heat_trajectory(grid16, eos, dt, int(round(0.08 / dt)))
+        _, D, res = physical_energy_balance(heat)
+        rels.append(np.abs(res[1:]).max() / D.max())
+    ratios = [a / b for a, b in zip(rels, rels[1:])]
+    assert all(1.6 <= r <= 2.6 for r in ratios), (
+        f"diffusion balance residual should halve with dt at lambda = {diffusivity}: "
+        f"{rels} -> {ratios}"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -398,3 +398,45 @@ def test_numerical_breakdown_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("numerical breakdown:") and "not finite at node 1" in err
     assert not (out / "energy.csv").exists()
+
+
+# ----------------------------------------------------------------------
+# unwritable outputs
+
+
+def _blocked(tmp_path):
+    # a directory path below a regular file cannot be created
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    return blocker / "x"
+
+
+@pytest.mark.parametrize("command", ["run", "picard-trace", "kappa-sweep", "check-lemmas"])
+def test_output_directory_below_a_file_exit_code(tmp_path, capsys, command):
+    out = _blocked(tmp_path)
+    cfg = write_cfg(tmp_path, out, extra=SMALL + "scheme.kappa_list = 0.2 0.1\n")
+    assert cli.main([command, cfg]) == cli.EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and str(out) in err
+
+
+def test_energy_report_output_below_a_file_exit_code(tmp_path, capsys, grid_small, eos):
+    rho0 = np.full(grid_small.shape, eos.rho(0.0))
+    path = tmp_path / "triv.ckpt"
+    write_trajectory(path, trivial_trajectory(grid_small, eos, rho0, 0.1, 0.0125, 2))
+    out = _blocked(tmp_path)
+    assert cli.main(["energy-report", str(path), "--out", str(out)]) == cli.EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and str(out) in err
+
+
+@pytest.mark.parametrize("artifact", ["iteration.csv", "energy.csv", "trajectory.ckpt",
+                                      "final_state.ckpt"])
+def test_unwritable_artifact_exit_code(tmp_path, capsys, artifact):
+    # a directory where the artifact goes: the write itself fails
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    cfg = write_cfg(tmp_path, out, extra=SMALL + "outputs.checkpoint = on\n")
+    assert cli.main(["run", cfg]) == cli.EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and str(out / artifact) in err

@@ -28,7 +28,7 @@ from lfmhd.geometry import build_geometry
 from lfmhd.grid import Grid, GridSpec
 from lfmhd.linear_step import Trajectory, implicit_diffusion_solve, trivial_trajectory
 from lfmhd.picard import max_correction_norm, solve_nonlinear_kappa
-from lfmhd.state import FlowState, make_initial_data
+from lfmhd.state import EquationOfState, FlowState, make_initial_data
 
 # the squared Sobolev-4 norm of the reference positions on the 16^3 lattice
 ID4_SQ = 3.9394531249999996
@@ -374,6 +374,21 @@ def test_residual_audit_takes_one_gradient_of_b_and_v_per_node(magnetic_run, mon
     for name in res:
         np.testing.assert_array_equal(res[name], audit[name])
     np.testing.assert_array_equal(wave_equation_residual(magnetic_run), audit["wave"])
+
+
+def test_induction_residual_reads_the_diffusivity(grid16, magnetic_run):
+    # a run at lambda = 0.25 audited at its own lambda stays within the
+    # lambda = 1 run's b defect; audited at lambda = 1 it misses 0.75 lap_b
+    # and is more than ten times larger at every node
+    eos = EquationOfState(diffusivity=0.25)
+    init = make_initial_data(grid16, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
+    traj, log = solve_nonlinear_kappa(grid16, init, kappa=0.1, T=0.1, dt=0.01)
+    assert log.converged
+    res_b = nonlinear_residuals(traj)["b"]
+    assert res_b.max() <= nonlinear_residuals(magnetic_run)["b"].max()
+    misread = Trajectory(grid=grid16, eos=magnetic_run.eos, kappa=traj.kappa, dt=traj.dt,
+                         states=traj.states)
+    assert np.all(nonlinear_residuals(misread)["b"] > 10.0 * res_b)
 
 
 def test_audit_dissipation_is_the_energy_balance_column(magnetic_run):

@@ -268,16 +268,22 @@ from lfmhd.fields import perturbed_map, wall_vanishing_scalar
 from lfmhd.geometry import build_geometry
 from lfmhd.grid import Grid, GridSpec
 from lfmhd.linear_step import implicit_diffusion_solve
+from lfmhd.smoothing import mollify
 grid = Grid(GridSpec(32, 32, 32))
 rng = np.random.default_rng(7)
 a_s = build_geometry(grid, perturbed_map(grid, rng, eps=0.05), 0.1).a_s
 rhs = wall_vanishing_scalar(grid, rng, band=3)
-print(hashlib.sha256(implicit_diffusion_solve(grid, a_s, rhs, 0.01).tobytes()).hexdigest())
+f = rng.standard_normal((3,) + grid.shape)
+outs = (implicit_diffusion_solve(grid, a_s, rhs, 0.01), grid.dealias(f), mollify(grid, f, 0.1, 2),
+        grid.tangential_laplacian(f), grid.derivative_multi(f, 1, 2, 1))
+print(" ".join(hashlib.sha256(x.tobytes()).hexdigest() for x in outs))
 """
 
 
 def test_diffusion_solve_independent_of_blas_threads():
-    # 32^3 vectors are above OpenBLAS's threading threshold; 16^3 ones are not
+    # 32^3 vectors are above OpenBLAS's threading threshold; 16^3 ones are
+    # not.  The tangential operators run as matrix products along each axis,
+    # so they are hashed too.
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if cores < 2:
         pytest.skip("needs two cores to run two BLAS threads")
@@ -290,6 +296,21 @@ def test_diffusion_solve_independent_of_blas_threads():
                              capture_output=True, text=True, timeout=300, check=True)
         digests.add(out.stdout.strip())
     assert len(digests) == 1, digests
+
+
+def test_step_diffuses_at_the_diffusivity(grid16):
+    # with b* = 0 the step's field is the backward-Euler diffusion of the
+    # initial b at dt * lambda
+    steps = {}
+    for lam in (1.0, 0.25):
+        eos = lfmhd.EquationOfState(diffusivity=lam)
+        st = make_initial_data(grid16, "magnetic-tube", amplitude=0.3, seed=3, eos=eos)
+        frozen = FrozenCoefficients.freeze(trivial_trajectory(grid16, eos, st.rho0, KAPPA, DT, 1))
+        b1 = advance_linearized(grid16, frozen, st, DT, DT).final.b
+        np.testing.assert_array_equal(
+            b1, implicit_diffusion_solve(grid16, frozen.a_s[1], st.b, DT * lam))
+        steps[lam] = b1
+    assert np.abs(steps[0.25] - steps[1.0]).max() > 1e-3 * np.abs(steps[1.0]).max()
 
 
 def test_diffusion_unconditionally_stable_per_step(grid16, eos):

@@ -1,9 +1,12 @@
-"""The real-FFT spectral kernel against full complex-FFT references.
+"""The spectral kernel against full complex-FFT references.
 
-Every tangential operator runs through ``Grid.apply_symbol`` on the half
-spectrum, and interior Sobolev norms are summed by Parseval.  The
-references below are the direct forms: full ``fft2``/``ifft2`` round
-trips per multiplier and the multi-index composition sum per norm.
+Separable tangential operators (derivatives, the tangential Laplacian,
+dealiasing and the mollifier) run as one cached real matrix per axis
+through ``Grid.apply_factor``; symbols that couple k1 and k2 or carry a
+y3 profile run through ``Grid.apply_symbol`` on the half spectrum, and
+interior Sobolev norms are summed by Parseval.  The references below are
+the direct forms: full ``fft2``/``ifft2`` round trips per multiplier and
+the multi-index composition sum per norm.
 """
 
 import re
@@ -140,7 +143,7 @@ def test_boundary_norm_matches_full_spectrum(grid):
 
 
 # ----------------------------------------------------------------------
-# apply_symbol, one symbol kind at a time
+# the tangential operators, one multiplier kind at a time
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -171,6 +174,30 @@ def test_plane_symbols_match_full_fft(grid, layout):
     idx2 = np.abs(np.fft.fftfreq(n2, d=1.0 / n2))
     mask = (idx1[:, None] <= np.floor(frac * n1 / 2.0)) & (idx2[None, :] <= np.floor(frac * n2 / 2.0))
     assert _close(grid.dealias(f), _full_apply(grid, f, mask), 1e-12)
+
+
+@pytest.mark.parametrize("grid", (Grid(GridSpec(16, 16, 16)), GRIDS[1]))
+@pytest.mark.parametrize("layout", ["interior", "boundary"])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_constant_along_an_axis_has_exactly_zero_derivative_along_it(grid, layout, axis):
+    # the derivative matrices act on the field minus its first line along
+    # the axis, so a constant line maps to 0.0 exactly, as the FFT gives
+    rng = np.random.default_rng(21)
+    tangential = (2, grid.spec.n1, grid.spec.n2) if layout == "boundary" else grid.shape
+    shape = (3,) + tangential
+    pos = axis - 4 if layout == "interior" else axis - 3
+    f = np.broadcast_to(np.take(rng.standard_normal(shape), [0], axis=pos), shape).copy()
+    assert np.all(grid.derivative(f, axis) == 0.0)
+    for power in (1, 2, 3):
+        p1, p2 = (power, 0) if axis == 1 else (0, power)
+        assert np.all(grid.derivative_multi(f, p1, p2, 0) == 0.0)
+        if layout == "interior":
+            assert np.all(grid.derivative_multi(f, p1, p2, 1) == 0.0)
+    if axis == 1:
+        # the constant axis goes first, so the mixed derivative is exact too
+        assert np.all(grid.derivative_multi(f, 1, 1, 0) == 0.0)
+    if layout == "interior":
+        assert np.all(grid.gradient(f)[axis - 1] == 0.0)
 
 
 @pytest.mark.parametrize("grid", GRIDS)
