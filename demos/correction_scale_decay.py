@@ -23,7 +23,7 @@ from lfmhd.geometry import build_geometry
 
 def psi_norm(grid, eta, v, kappa):
     cache = build_geometry(grid, eta, kappa)
-    psi = correction_field(grid, eta, v, cache, kappa)
+    psi = correction_field(grid, eta, v, cache.a_s, kappa)
     return grid.low_norm(psi)
 
 

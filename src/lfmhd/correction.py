@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import GeometryCache
 from .grid import Grid
 from .smoothing import mollify
 
@@ -33,14 +32,15 @@ def correction_boundary_data(
     grid: Grid,
     eta: np.ndarray,
     v: np.ndarray,
-    cache: GeometryCache,
+    a_s: np.ndarray,
     kappa: float,
 ) -> np.ndarray:
-    """Wall datum for psi, one mean-free scalar per component and wall."""
+    """Wall datum for psi, one mean-free scalar per component and wall;
+    ``a_s`` is the smoothed inverse a~ of eta."""
     disp = grid.displacement(eta)
     disp_w = grid.boundary_slices(disp)          # (3, 2, n1, n2)
     v_w = grid.boundary_slices(v)
-    a_w = grid.boundary_slices(cache.a_s)        # (3, 3, 2, n1, n2)
+    a_w = grid.boundary_slices(a_s)              # (3, 3, 2, n1, n2)
 
     lap_eta = grid.tangential_laplacian(disp_w)
     lap_eta_s = grid.tangential_laplacian(mollify(grid, disp_w, kappa, power=2))
@@ -96,9 +96,10 @@ def correction_field(
     grid: Grid,
     eta: np.ndarray,
     v: np.ndarray,
-    cache: GeometryCache,
+    a_s: np.ndarray,
     kappa: float,
 ) -> np.ndarray:
-    """The harmonic correction field psi for one (eta, v) pair."""
-    g = correction_boundary_data(grid, eta, v, cache, kappa)
+    """The harmonic correction field psi for one (eta, v) pair; ``a_s`` is
+    the smoothed inverse a~ of eta."""
+    g = correction_boundary_data(grid, eta, v, a_s, kappa)
     return harmonic_extension(grid, g)

@@ -84,17 +84,24 @@ def time_derivative(stack: np.ndarray, dt: float, order: int) -> np.ndarray:
 
 def _time_energies(grid: Grid, stack: np.ndarray, dt: float, order: int) -> np.ndarray:
     """Row k, column j: the squared H^k norm at node j of the (order - k)-th
-    time difference of a (nodes, ...) stack; shape (order + 1, nodes).  An
-    identically zero stack, such as b in a field-free run, gives the exact
-    zero table without a transform."""
+    time difference of a (nodes, ...) stack; shape (order + 1, nodes).
+
+    Each node is transformed once: the time differences are formed from
+    the nodes' normal spectra (``Grid.normal_spectra``), since both the
+    time stencil and the y3 stencil are linear.  An identically zero
+    stack, such as b in a field-free run, gives the exact zero table
+    without a transform."""
     n = stack.shape[0]
     _require_history(n, order)
     out = np.zeros((order + 1, n))
     if not np.any(stack):
         return out
+    spectra = [grid.normal_spectra(f, order) for f in stack]
     for k in range(order + 1):
+        def row(m):
+            return spectra[m][: k + 1]
         for j in range(n):
-            out[k, j] = grid.norm(time_difference(stack.__getitem__, n, j, dt, order - k), k) ** 2
+            out[k, j] = grid.sobolev_sq(time_difference(row, n, j, dt, order - k), k)
     return out
 
 
@@ -211,8 +218,10 @@ def physical_energy_balance(traj: Trajectory, dissipation: np.ndarray | None = N
         internal = grid.integrate(s.rho0 * np.asarray(eos.q_potential(eos.rho(s.q))))
         E[j] = kinetic + magnetic + internal
         if dissipation is None:
-            Gb = cov_grad_vector(grid, geo.a_s[j], s.b)
-            D[j] = _dissipation(grid, eos, J_s, np.sum(Gb * Gb, axis=(0, 1)))
+            D[j] = 0.0  # exactly, at a field-free node
+            if np.any(s.b):
+                Gb = cov_grad_vector(grid, geo.a_s[j], s.b)
+                D[j] = _dissipation(grid, eos, J_s, np.sum(Gb * Gb, axis=(0, 1)))
     residual = np.zeros(n)
     residual[1:] = np.diff(E) + 0.5 * traj.dt * (D[1:] + D[:-1])
     return E, D, residual
@@ -386,13 +395,28 @@ def residual_audit(traj: Trajectory) -> dict[str, np.ndarray]:
     out = {name: np.empty(n) for name in ("eta", "v", "q", "b", "wave", "D_diss")}
     for j, s in enumerate(states):
         a, J_s, b = geo.a_s[j], geo.J_s[j], s.b
-        gv, gb = grid.gradient(s.v), grid.gradient(b)
+        Jr = J_s / rho0
+        gv = grid.gradient(s.v)
         Gv, div_v = cov_grad_vector_from_gradient(grid, a, gv), cov_div_from_gradient(grid, a, gv)
-        Gb, div_b = cov_grad_vector_from_gradient(grid, a, gb), cov_div_from_gradient(grid, a, gb)
         grad_Q = cov_grad(grid, a, s.Q)
-        # column l of Gb is the covariant gradient of b_l
-        lap_b = np.stack([cov_div(grid, a, Gb[:, l]) for l in range(3)])
-        lorentz = np.einsum("a...,al...->l...", b, Gb)
+        # every magnetic term is exactly zero at a field-free node
+        lap_b = lorentz = transport = rhs = w0 = D_diss = 0.0
+        if np.any(b):
+            gb = grid.gradient(b)
+            Gb, div_b = cov_grad_vector_from_gradient(grid, a, gb), cov_div_from_gradient(grid, a, gb)
+            # column l of Gb is the covariant gradient of b_l
+            lap_b = np.stack([cov_div(grid, a, Gb[:, l]) for l in range(3)])
+            lorentz = np.einsum("a...,al...->l...", b, Gb)
+            transport = np.einsum("a...,al...->l...", b, Gv) - b * div_v
+            Gb2 = np.sum(Gb * Gb, axis=(0, 1))
+            # from lap(|b|^2 / 2) in Q, not from the induction equation: no diffusivity
+            rhs = Jr * np.einsum("l...,l...->...", b, lap_b)
+            w0 = Jr * (
+                Gb2
+                - np.einsum("al...,la...->...", Gb, Gb)
+                - np.einsum("a...,a...->...", b, cov_grad(grid, a, div_b))
+            )
+            D_diss = _dissipation(grid, eos, J_s, Gb2)
         r = weight(j)
         dq = d_dt(field("q"), j)
 
@@ -400,24 +424,14 @@ def residual_audit(traj: Trajectory) -> dict[str, np.ndarray]:
         r_v = (rho0 / J_s)[None] * d_dt(field("v"), j) - lorentz + grad_Q
         out["v"][j] = grid.low_norm(r_v)
         out["q"][j] = grid.low_norm(r * dq + div_v)
-        transport = np.einsum("a...,al...->l...", b, Gv) - b * div_v
         out["b"][j] = grid.low_norm(d_dt(field("b"), j) - eos.diffusivity * lap_b - transport)
 
-        Jr = J_s / rho0
-        Gb2 = np.sum(Gb * Gb, axis=(0, 1))
         lhs = r * d_dt(field("q"), j, 2) - Jr * cov_laplacian(grid, a, s.q)
-        # from lap(|b|^2 / 2) in Q, not from the induction equation: no diffusivity
-        rhs = Jr * np.einsum("l...,l...->...", b, lap_b)
-        w0 = Jr * (
-            Gb2
-            - np.einsum("al...,la...->...", Gb, Gb)
-            - np.einsum("a...,a...->...", b, cov_grad(grid, a, div_b))
-        )
-        w0 -= d_dt(weight, j) * dq
+        w0 = w0 - d_dt(weight, j) * dq
         w0 -= np.einsum("ma...,ma...->...", d_dt(geo.a_s.__getitem__, j), gv)
         w0 -= np.einsum("l...,l...->...", lorentz - grad_Q, cov_grad(grid, a, Jr))
         out["wave"][j] = grid.low_norm(lhs - rhs - w0)
-        out["D_diss"][j] = _dissipation(grid, eos, J_s, Gb2)
+        out["D_diss"][j] = D_diss
     return out
 
 

@@ -215,8 +215,15 @@ class Grid:
         """Second-order d/dy3: central inside, one-sided at the walls."""
         if self.field_kind(f) != "interior":
             raise FieldShapeError("axis-3 derivative needs an interior field")
+        return self._stencil3(f)
+
+    def _stencil3(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The y3 stencil of ``_fd3`` along the last axis, for a field or its
+        tangential half spectrum: it acts on y3 only, so it commutes with
+        the tangential transform."""
         h = self.h3
-        out = np.empty_like(f)
+        if out is None:
+            out = np.empty_like(f)
         out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
         out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
         out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h)
@@ -330,13 +337,37 @@ class Grid:
             return sum(kk1**p1 * kk2**p2 for p1 in range(r + 1) for p2 in range(r + 1 - p1))
         return self._parseval_weight(("interior", r), build)[..., 0]
 
+    def normal_spectra(self, f: np.ndarray, s: int) -> np.ndarray:
+        """Half spectra of d3^p3 f for p3 = 0..s, stacked on a leading axis:
+        one transform of the interior field f, then the y3 stencil applied
+        to the spectrum s times."""
+        if self.field_kind(f) != "interior":
+            raise FieldShapeError("normal spectra need an interior field")
+        fh = self._spectrum(f)
+        out = np.empty((s + 1,) + fh.shape, dtype=fh.dtype)
+        out[0] = fh
+        for p3 in range(s):
+            self._stencil3(out[p3], out=out[p3 + 1])
+        return out
+
+    def sobolev_sq(self, spectra: np.ndarray, s: int) -> float:
+        """Squared interior H^s norm from ``normal_spectra(f, r)``, r >= s:
+        the squared L2 norms of all mixed derivatives of order <= s of f,
+        by Parseval on every y3 plane, each normal order p3 weighted by the
+        summed tangential symbol of order <= s - p3."""
+        total = 0.0
+        for p3 in range(s + 1):
+            gh = spectra[p3]
+            power = (gh.real**2 + gh.imag**2) @ self.w3
+            total += float(np.sum(power * self._sobolev_weight(s - p3)))
+        return total
+
     def norm(self, f: np.ndarray, s: float, where: str = "interior") -> float:
         """Sobolev norm of a field.
 
         Interior norms take integer s in 0..4 and sum squared L2 norms of
-        all mixed derivatives of order <= s, by Parseval on every y3 plane:
-        one transform per normal order p3 of d3^p3 f, weighted by the
-        summed tangential symbol of order <= s - p3.  Boundary norms take
+        all mixed derivatives of order <= s, by Parseval from one
+        tangential transform (:meth:`sobolev_sq`).  Boundary norms take
         half-integer s in 0..7/2 and use the tangential multiplier
         (1 + |xi|^2)^(s/2), summed over both planes.  Component axes are
         summed in quadrature.
@@ -347,16 +378,7 @@ class Grid:
             if self.field_kind(f) != "interior":
                 raise FieldShapeError("interior norm expects an interior field")
             s = int(s)
-            g = f
-            total = 0.0
-            for p3 in range(s):
-                fh = self._spectrum(g)
-                power = (fh.real**2 + fh.imag**2) @ self.w3
-                total += float(np.sum(power * self._sobolev_weight(s - p3)))
-                g = self._fd3(g)
-            # the top normal order carries no tangential derivative
-            total += self.integrate(g * g)
-            return float(np.sqrt(total))
+            return float(np.sqrt(self.sobolev_sq(self.normal_spectra(f, s), s)))
         if where == "boundary":
             two_s = 2.0 * s
             if two_s != int(two_s) or not 0 <= int(two_s) <= 7:

@@ -20,6 +20,7 @@ of the implicit solve are eliminated.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
@@ -64,11 +65,16 @@ class DiffusionSolveError(RuntimeError):
 
 @dataclass
 class SmoothedGeometry:
-    """Smoothed-map geometry and correction field at every node, stacked."""
+    """Smoothed-map geometry per node, stacked; the correction field psi is
+    built on its first read, since the energy tables never read it."""
 
     a_s: np.ndarray    # (nodes, 3, 3, ...)
     J_s: np.ndarray    # (nodes, ...)
-    psi: np.ndarray    # (nodes, 3, ...)
+    build_psi: Callable[[], np.ndarray]
+
+    @cached_property
+    def psi(self) -> np.ndarray:    # (nodes, 3, ...)
+        return self.build_psi()
 
 
 @dataclass
@@ -105,23 +111,32 @@ class Trajectory:
 
     @cached_property
     def geometry(self) -> SmoothedGeometry:
-        """Smoothed inverse, its Jacobian and psi per node, at the run's kappa."""
-        grid, kappa = self.grid, self.kappa
-        n = len(self.states)
+        """Smoothed inverse and its Jacobian per node, and psi on first read,
+        at the run's kappa."""
+        grid, kappa, states = self.grid, self.kappa, self.states
+        n = len(states)
         shape = grid.spec.shape
         a_s = np.empty((n, 3, 3) + shape)
         J_s = np.empty((n,) + shape)
-        psi = np.empty((n, 3) + shape)
-        for j, s in enumerate(self.states):
+        psi0 = None
+        for j, s in enumerate(states):
             if j == 0 and self.start_geometry is not None:
-                a_s[0], J_s[0], psi[0] = self.start_geometry
+                a_s[0], J_s[0], psi0 = self.start_geometry
                 self.start_geometry = None  # copied; the memo holds node 0 now
                 continue
             cache = build_geometry(grid, s.eta, kappa)
             a_s[j] = cache.a_s
             J_s[j] = cache.J_s
-            psi[j] = correction_field(grid, s.eta, s.v, cache, kappa)
-        return SmoothedGeometry(a_s=a_s, J_s=J_s, psi=psi)
+
+        def build_psi():
+            # reads the states list, not the trajectory, so the memo makes no cycle
+            psi = np.empty((n, 3) + shape)
+            for j, s in enumerate(states):
+                psi[j] = (psi0 if j == 0 and psi0 is not None
+                          else correction_field(grid, s.eta, s.v, a_s[j], kappa))
+            return psi
+
+        return SmoothedGeometry(a_s=a_s, J_s=J_s, build_psi=build_psi)
 
 
 def trivial_trajectory(
@@ -145,7 +160,7 @@ def trivial_trajectory(
     traj.geometry = SmoothedGeometry(
         a_s=np.broadcast_to(np.eye(3)[:, :, None, None, None], (n, 3, 3) + shape),
         J_s=np.broadcast_to(1.0, (n,) + shape),
-        psi=np.broadcast_to(0.0, (n, 3) + shape),
+        build_psi=lambda: np.broadcast_to(0.0, (n, 3) + shape),
     )
     return traj
 

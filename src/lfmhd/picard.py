@@ -113,7 +113,7 @@ def solve_nonlinear_kappa(
                 f"Rayleigh-Taylor sign condition violated at t = 0: margin {margin:.3e}"
             )
 
-    start = (cache.a_s, cache.J_s, correction_field(grid, init.eta, init.v, cache, kappa))
+    start = (cache.a_s, cache.J_s, correction_field(grid, init.eta, init.v, cache.a_s, kappa))
     del cache  # only ``start`` is read from here on; the rest of the cache is released
     nsteps = int(round(T / dt))
     traj_prev = trivial_trajectory(grid, init.eos, init.rho0, kappa, dt, nsteps)
@@ -127,10 +127,14 @@ def solve_nonlinear_kappa(
             grid, frozen, init, dt, T,
             cfl_safety=cfl_safety, diffusion_tol=diffusion_tol, init_geometry=start,
         )
+        # the next freeze builds its own coefficients; holding these through
+        # it would keep two iterates' geometry alive at once
+        frozen = None
         d_n = float(np.max(difference_energy(traj, traj_prev, truncation_order)))
         if not np.isfinite(d_n):  # it would fail every comparison below
             raise BreakdownError(
-                f"picard iterate {n}: difference energy d_{n} = {d_n} is not finite")
+                f"picard iterate {n}: difference energy d_{n} = {d_n} is not finite; "
+                f"its time differences scale as 1/dt^2, and scheme.dt = {dt:.6g}")
         logbook.d_history.append(d_n)
         logbook.wall_seconds.append(time.perf_counter() - tic)
         log.info("picard iterate %d: d = %.6e", n, d_n)
@@ -147,9 +151,9 @@ def solve_nonlinear_kappa(
         logbook.stop_reason = f"max_iter = {max_iter} reached"
 
     if logbook.converged:
-        # the previous iterate and its coefficients are not read again;
-        # releasing them before the self-check lowers the run's peak memory
-        traj_prev = frozen = None
+        # the previous iterate is not read again; releasing it before the
+        # self-check lowers the run's peak memory
+        traj_prev = None
         frozen = FrozenCoefficients.freeze(traj)
         traj_check = advance_linearized(
             grid, frozen, init, dt, T,

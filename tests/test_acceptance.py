@@ -140,12 +140,12 @@ def test_criterion_02_correction_term(grid16, quiescent_sweep):
     rng = np.random.default_rng(0)
     v = fields.random_vector(grid16, rng, band=2, n3_modes=2)
     flat = build_geometry(grid16, grid16.identity_map, 0.1)
-    psi = correction_field(grid16, grid16.identity_map, v, flat, 0.1)
+    psi = correction_field(grid16, grid16.identity_map, v, flat.a_s, 0.1)
     assert np.abs(psi).max() == 0.0  # identity map: datum vanishes exactly
 
     eta = fields.perturbed_map(grid16, rng, eps=0.05, band=1)
     cache = build_geometry(grid16, eta, 0.1)
-    psi = correction_field(grid16, eta, np.zeros_like(v), cache, 0.1)
+    psi = correction_field(grid16, eta, np.zeros_like(v), cache.a_s, 0.1)
     assert np.abs(psi).max() == 0.0  # zero velocity: datum vanishes exactly
 
     g = rng.standard_normal((2, 16, 16))

@@ -400,6 +400,19 @@ def test_numerical_breakdown_exit_code(tmp_path, capsys, monkeypatch):
     assert not (out / "energy.csv").exists()
 
 
+@pytest.mark.parametrize("dt", ["1e-300", "1e-160"])
+def test_non_finite_difference_energy_names_dt(tmp_path, capsys, dt):
+    # the time differences divide by dt^2, which overflows (1e-300) or
+    # underflows to a subnormal (1e-160)
+    extra = SMALL + f"data.preset = magnetic-tube\nscheme.dt = {dt}\nscheme.T = {2 * float(dt)}\n"
+    cfg = write_cfg(tmp_path, tmp_path / "out", extra=extra)
+    with np.errstate(all="ignore"):
+        assert cli.main(["run", cfg]) == cli.EXIT_BREAKDOWN
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: picard iterate 1: difference energy d_1 = ")
+    assert "is not finite" in err and "1/dt^2" in err and f"scheme.dt = {dt}" in err
+
+
 # ----------------------------------------------------------------------
 # unwritable outputs
 

@@ -25,8 +25,8 @@ def test_psi_vanishes_for_identity_map(grid16, rng):
     g = grid16
     cache = build_geometry(g, g.identity_map, KAPPA)
     v = random_vector(g, rng)
-    gdata = correction_boundary_data(g, g.identity_map, v, cache, KAPPA)
-    psi = correction_field(g, g.identity_map, v, cache, KAPPA)
+    gdata = correction_boundary_data(g, g.identity_map, v, cache.a_s, KAPPA)
+    psi = correction_field(g, g.identity_map, v, cache.a_s, KAPPA)
     assert np.abs(gdata).max() == 0.0
     assert np.abs(psi).max() == 0.0
 
@@ -35,7 +35,7 @@ def test_psi_vanishes_for_zero_velocity(grid16, rng):
     g = grid16
     eta = perturbed_map(g, rng, eps=0.05)
     cache = build_geometry(g, eta, KAPPA)
-    psi = correction_field(g, eta, np.zeros((3,) + g.shape), cache, KAPPA)
+    psi = correction_field(g, eta, np.zeros((3,) + g.shape), cache.a_s, KAPPA)
     assert np.abs(psi).max() == 0.0
 
 
@@ -44,7 +44,7 @@ def test_boundary_data_has_zero_tangential_mean(grid16, rng):
     eta = perturbed_map(g, rng, eps=0.05)
     cache = build_geometry(g, eta, KAPPA)
     v = random_vector(g, rng)
-    gdata = correction_boundary_data(g, eta, v, cache, KAPPA)
+    gdata = correction_boundary_data(g, eta, v, cache.a_s, KAPPA)
     means = np.abs(gdata.mean(axis=(-2, -1)))
     assert means.max() < 1e-13
 
@@ -162,7 +162,7 @@ def test_correction_vanishes_quadratically_in_small_kappa(grid16, rng):
     norms = []
     for kappa in (0.1, 0.05, 0.025, 0.0125):
         cache = build_geometry(g, eta, kappa)
-        psi = correction_field(g, eta, v, cache, kappa)
+        psi = correction_field(g, eta, v, cache.a_s, kappa)
         norms.append(g.low_norm(psi))
     assert all(a > b for a, b in zip(norms, norms[1:])), norms
     # quadratic tail: each halving cuts the norm by ~4, demand at least 2.5

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from lfmhd import fields, geometry
+from lfmhd import correction, fields, geometry
+from lfmhd.checkpoint import read_trajectory, write_trajectory
 from lfmhd.diagnostics import (
     ENERGY_COLUMNS,
     _time_energies,
@@ -26,7 +27,8 @@ from lfmhd.diagnostics import (
 )
 from lfmhd.geometry import build_geometry
 from lfmhd.grid import Grid, GridSpec
-from lfmhd.linear_step import Trajectory, implicit_diffusion_solve, trivial_trajectory
+from lfmhd.linear_step import (FrozenCoefficients, Trajectory, implicit_diffusion_solve,
+                               trivial_trajectory)
 from lfmhd.picard import max_correction_norm, solve_nonlinear_kappa
 from lfmhd.state import EquationOfState, FlowState, make_initial_data
 
@@ -122,6 +124,27 @@ def test_zero_stack_time_energies_equal_the_computed_table_bitwise(grid16, order
         for k in range(order + 1)
     ])
     assert _time_energies(grid16, stack, dt, order).tobytes() == computed.tobytes()
+
+
+@pytest.mark.parametrize("grid", [(16, 16, 16), (8, 12, 9)], ids=["grid16", "8x12x9"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_time_energies_match_the_norm_table(grid, n, order, rng):
+    # differences formed from each node's normal spectra equal the norms
+    # of the differences formed in physical space, short histories included
+    grid = Grid(GridSpec(*grid))
+    dt = 0.0125
+    stack = rng.standard_normal((n, 3) + grid.shape)
+    if n < order + 1:
+        with pytest.raises(ValueError, match="insufficient history"):
+            _time_energies(grid, stack, dt, order)
+        return
+    want = np.array([
+        [grid.norm(time_difference(stack.__getitem__, n, j, dt, order - k), k) ** 2
+         for j in range(n)]
+        for k in range(order + 1)
+    ])
+    np.testing.assert_allclose(_time_energies(grid, stack, dt, order), want, rtol=1e-12, atol=0.0)
 
 
 def test_map_norm_identity_pins(grid16):
@@ -376,6 +399,36 @@ def test_residual_audit_takes_one_gradient_of_b_and_v_per_node(magnetic_run, mon
     np.testing.assert_array_equal(wave_equation_residual(magnetic_run), audit["wave"])
 
 
+def test_field_free_audit_takes_one_gradient_per_node_for_v(quiescent_run, monkeypatch):
+    # b vanishes at every node, so of the state fields only v is differentiated
+    states = quiescent_run.states
+    assert not any(np.any(s.b) for s in states)
+    real = Grid.gradient
+    seen = []
+
+    def recording(self, f):
+        seen.extend((j, name) for j, s in enumerate(states)
+                    for name in ("b", "v") if f is getattr(s, name))
+        return real(self, f)
+
+    monkeypatch.setattr(Grid, "gradient", recording)
+    audit = residual_audit(quiescent_run)
+    assert seen == [(j, "v") for j in range(len(states))]
+    assert audit["D_diss"].tobytes() == np.zeros(len(states)).tobytes()
+
+
+def test_field_free_energy_balance_takes_no_covariant_gradient_of_b(quiescent_run,
+                                                                     monkeypatch):
+    from lfmhd import diagnostics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("covariant gradient of a vanishing b")
+
+    monkeypatch.setattr(diagnostics, "cov_grad_vector", refuse)
+    _, D, _ = physical_energy_balance(quiescent_run)
+    assert D.tobytes() == np.zeros(len(quiescent_run)).tobytes()
+
+
 def test_induction_residual_reads_the_diffusivity(grid16, magnetic_run):
     # a run at lambda = 0.25 audited at its own lambda stays within the
     # lambda = 1 run's b defect; audited at lambda = 1 it misses 0.75 lap_b
@@ -460,6 +513,50 @@ def test_fresh_trajectory_gives_identical_diagnostics(grid_small, eos):
     assert solved.keys() == rebuilt.keys()
     for name in solved:
         np.testing.assert_array_equal(rebuilt[name], solved[name], err_msg=name)
+
+
+def _count_correction_fields(monkeypatch):
+    real = correction.correction_field
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lfmhd") and getattr(module, "correction_field", None) is real:
+            monkeypatch.setattr(module, "correction_field", counting)
+    return calls
+
+
+def test_energy_table_of_a_read_checkpoint_builds_no_correction_field(
+        grid_small, eos, tmp_path, monkeypatch):
+    path = tmp_path / "trajectory.ckpt"
+    write_trajectory(path, _small_tube_run(grid_small, eos))
+    back = read_trajectory(path)
+    calls = _count_correction_fields(monkeypatch)
+    energy_functionals(back)
+    assert len(calls) == 0
+    back.geometry.psi  # the first read builds one per node
+    assert len(calls) == len(back)
+
+
+def test_frozen_and_audited_psi_is_the_per_node_correction_field(grid_small, eos):
+    solved = _small_tube_run(grid_small, eos)
+    fresh = Trajectory(grid=solved.grid, eos=solved.eos, kappa=solved.kappa, dt=solved.dt,
+                       states=solved.states)
+    for traj in (solved, fresh):
+        grid, geo, n = traj.grid, traj.geometry, len(traj)
+        want = [correction.correction_field(grid, s.eta, s.v, geo.a_s[j], traj.kappa)
+                for j, s in enumerate(traj.states)]
+        frozen = FrozenCoefficients.freeze(traj)
+        for j in range(n):
+            np.testing.assert_array_equal(frozen.psi[j], want[j])
+        eta = [s.eta for s in traj.states]
+        res_eta = [grid.low_norm(time_difference(eta.__getitem__, n, j, traj.dt, 1)
+                                 - s.v - want[j])
+                   for j, s in enumerate(traj.states)]
+        assert residual_audit(traj)["eta"].tobytes() == np.array(res_eta).tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_trivial_geometry_constants_match_a_build(grid16, eos):
     traj = trivial_trajectory(grid16, eos, np.full(grid16.shape, 1.0), KAPPA, DT, 2)
     cache = build_geometry(grid16, grid16.identity_map, KAPPA)
     v = np.zeros((3,) + grid16.shape)
-    psi = linear_step.correction_field(grid16, grid16.identity_map, v, cache, KAPPA)
+    psi = linear_step.correction_field(grid16, grid16.identity_map, v, cache.a_s, KAPPA)
     geo = traj.geometry
     for j in range(3):
         np.testing.assert_array_equal(geo.a_s[j], cache.a_s)

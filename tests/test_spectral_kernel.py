@@ -3,10 +3,12 @@
 Separable tangential operators (derivatives, the tangential Laplacian,
 dealiasing and the mollifier) run as one cached real matrix per axis
 through ``Grid.apply_factor``; symbols that couple k1 and k2 or carry a
-y3 profile run through ``Grid.apply_symbol`` on the half spectrum, and
-interior Sobolev norms are summed by Parseval.  The references below are
-the direct forms: full ``fft2``/``ifft2`` round trips per multiplier and
-the multi-index composition sum per norm.
+y3 profile run through ``Grid.apply_symbol`` on the half spectrum.
+Interior Sobolev norms take one tangential transform: the y3 stencil acts
+on the half spectrum once per normal order, and every order, the top one
+included, is summed by Parseval.  The references below are the direct
+forms: full ``fft2``/``ifft2`` round trips per multiplier and the
+multi-index composition sum, in physical space, per norm.
 """
 
 import re
