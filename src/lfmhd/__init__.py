@@ -20,7 +20,6 @@ from .diagnostics import (
     nonlinear_residuals,
     physical_energy_balance,
     residual_audit,
-    time_derivative,
     wave_equation_residual,
 )
 from .geometry import (
@@ -116,7 +115,6 @@ __all__ = [
     "residual_audit",
     "solve_nonlinear_kappa",
     "taylor_sign_margin",
-    "time_derivative",
     "trivial_trajectory",
     "wave_equation_residual",
 ]

@@ -27,14 +27,12 @@ from .diagnostics import (
     ENERGY_COLUMNS,
     EnergyReport,
     LemmaReport,
-    constraint_residuals,
     energy_functionals,
     lemma_suite,
-    residual_audit,
 )
 from .geometry import DegenerateMapError
 from .grid import Grid, GridSpec
-from .linear_step import BreakdownError, CflError, DiffusionSolveError, Trajectory
+from .linear_step import BreakdownError, CflError, DiffusionSolveError
 from .picard import IterationLog, NonContractionError, kappa_sweep, solve_nonlinear_kappa
 from .state import EquationOfState, InitialDataError, make_initial_data
 
@@ -141,17 +139,16 @@ def _write_iteration_csv(out: Path, log: IterationLog, order: int) -> None:
     )
 
 
-def _write_residuals_csv(out: Path, traj: Trajectory, cfg: RunConfig, stride: int,
-                         energy: EnergyReport, res: dict[str, np.ndarray]) -> None:
-    cons = constraint_residuals(traj, c0=cfg.physics.c0, epsilon=cfg.physics.epsilon,
-                                energy=energy)
+def _write_residuals_csv(out: Path, cfg: RunConfig, stride: int, report: EnergyReport) -> None:
+    cons = report.constraint_rows(c0=cfg.physics.c0, epsilon=cfg.physics.epsilon)
+    res = report.residuals
     header = ["t", "res_eta", "res_v", "res_q", "res_b", "wave_residual",
               "div_b", "taylor_margin", "small_geometry", "taylor_ok", "small_ok"]
     rows = []
-    for j in range(0, len(traj), stride):
+    for j in range(0, len(cons), stride):
         c = cons[j]
         rows.append([
-            traj.times[j], res["eta"][j], res["v"][j], res["q"][j], res["b"][j],
+            c["t"], res["eta"][j], res["v"][j], res["q"][j], res["b"][j],
             res["wave"][j], c["div_b"], c["taylor_margin"], c["small_geometry"],
             c["taylor_ok"], c["small_ok"],
         ])
@@ -204,11 +201,10 @@ def _cmd_run(cfg: RunConfig) -> int:
     _write_iteration_csv(out, log, order)
     if not log.converged:
         return _not_converged(log)
-    # one covariant gradient of b per node serves residuals.csv and D_diss
-    audit = residual_audit(traj)
-    report = energy_functionals(traj, order=order, dissipation=audit["D_diss"])
+    # one pass over the nodes fills both tables
+    report = energy_functionals(traj, order=order, residuals=True)
     _write_energy_csv(out, report, stride)
-    _write_residuals_csv(out, traj, cfg, stride, report, audit)
+    _write_residuals_csv(out, cfg, stride, report)
     if cfg.diagnostics.lemma_suite:
         _write_lemmas_csv(out, grid, cfg)
     if cfg.outputs.checkpoint:

@@ -3,8 +3,11 @@
 Everything here is read-only over trajectories: each function reads the
 smoothed geometry and correction field from ``Trajectory.geometry``,
 the same per-node arrays the solver froze, so the diagnostics cannot
-drift out of sync with the solver state.  ``residual_audit`` checks
-every evolution equation in one pass over the nodes.
+drift out of sync with the solver state.  ``energy_functionals`` is
+the one pass over the nodes: it takes each node's gradient tables of Q
+and b once and reads from them the energies, the constraints and, with
+``residuals=True``, the defects of every evolution equation.  The other
+trajectory diagnostics read its columns.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .geometry import (
     cov_div,
     cov_div_from_gradient,
     cov_grad,
-    cov_grad_vector,
     cov_grad_vector_from_gradient,
     cov_laplacian,
     curl_from_gradient,
@@ -30,7 +32,7 @@ from .geometry import (
 from .grid import Grid
 from .linear_step import Trajectory
 from .smoothing import mollify
-from .state import FlowState, taylor_sign_margin
+from .state import taylor_margin_from_gradient
 
 
 # ----------------------------------------------------------------------
@@ -72,14 +74,6 @@ def time_difference(row, n: int, j: int, dt: float, order: int) -> np.ndarray:
     elif j == n - 1:
         return (2.0 * row(j) - 5.0 * row(j - 1) + 4.0 * row(j - 2) - row(j - 3)) / (dt * dt)
     return (row(j + 1) - 2.0 * row(j) + row(j - 1)) / (dt * dt)
-
-
-def time_derivative(stack: np.ndarray, dt: float, order: int) -> np.ndarray:
-    """Discrete d/dt of a (nodes, ...) stack, row by row from ``time_difference``."""
-    if order == 0:
-        return stack
-    n = len(stack)
-    return np.stack([time_difference(stack.__getitem__, n, j, dt, order) for j in range(n)])
 
 
 def _time_energies(grid: Grid, stack: np.ndarray, dt: float, order: int) -> np.ndarray:
@@ -162,7 +156,7 @@ def difference_energy(t1: Trajectory, t2: Trajectory, order: int = 2) -> np.ndar
 
 
 # ----------------------------------------------------------------------
-# energy functionals
+# the per-node diagnostics pass
 
 
 ENERGY_COLUMNS = (
@@ -174,57 +168,30 @@ ENERGY_COLUMNS = (
 
 @dataclass
 class EnergyReport:
-    """Tabulated energy functionals along a trajectory."""
+    """Tabulated energy functionals along a trajectory, and the equation
+    defects when the pass computed them."""
 
     kappa: float
     dt: float
     truncation_order: int
     columns: dict[str, np.ndarray] = field(default_factory=dict)
+    residuals: dict[str, np.ndarray] = field(default_factory=dict)
 
     def rows(self):
         n = len(self.columns["t"])
         for j in range(n):
             yield {name: float(self.columns[name][j]) for name in ENERGY_COLUMNS}
 
-
-def _dissipation(grid: Grid, eos, J_s: np.ndarray, Gb2: np.ndarray) -> float:
-    """Resistive dissipation of one node from |grad_a b|^2, the summed
-    squares of its covariant gradient of b."""
-    return eos.diffusivity * grid.integrate(J_s * Gb2)
-
-
-def physical_energy_balance(traj: Trajectory, dissipation: np.ndarray | None = None):
-    """Physical energy, viscous-resistive dissipation, and the step residuals.
-
-    Returns (E, D, residual) arrays over the nodes, with residual[j] the
-    defect of E(t_j) - E(t_{j-1}) + trapezoid of D over the step; an
-    exact balance makes it zero.  ``dissipation``, when given, is D as
-    ``residual_audit(traj)["D_diss"]`` computed it on the same trajectory,
-    one value per node, and is not computed again.
-    """
-    grid, eos, geo = traj.grid, traj.eos, traj.geometry
-    n = len(traj)
-    if dissipation is not None and np.shape(dissipation) != (n,):
-        raise ValueError(
-            f"dissipation must hold one value per node, shape ({n},), "
-            f"got shape {np.shape(dissipation)}"
-        )
-    E = np.empty(n)
-    D = np.empty(n) if dissipation is None else dissipation
-    for j, s in enumerate(traj.states):
-        J_s = geo.J_s[j]
-        kinetic = 0.5 * grid.integrate(s.rho0 * np.sum(s.v * s.v, axis=0))
-        magnetic = 0.5 * grid.integrate(J_s * np.sum(s.b * s.b, axis=0))
-        internal = grid.integrate(s.rho0 * np.asarray(eos.q_potential(eos.rho(s.q))))
-        E[j] = kinetic + magnetic + internal
-        if dissipation is None:
-            D[j] = 0.0  # exactly, at a field-free node
-            if np.any(s.b):
-                Gb = cov_grad_vector(grid, geo.a_s[j], s.b)
-                D[j] = _dissipation(grid, eos, J_s, np.sum(Gb * Gb, axis=(0, 1)))
-    residual = np.zeros(n)
-    residual[1:] = np.diff(E) + 0.5 * traj.dt * (D[1:] + D[:-1])
-    return E, D, residual
+    def constraint_rows(self, c0: float | None = None, epsilon: float = 0.1) -> list[dict]:
+        """Per-node div b, Taylor margin and geometry gauge, with flags for a
+        margin below c0 / 2 and a gauge above epsilon (the run's thresholds)."""
+        c = self.columns
+        return [{"t": float(t), "div_b": float(div_b), "taylor_margin": float(margin),
+                 "small_geometry": float(small),
+                 "taylor_ok": bool(c0 is None or margin >= 0.5 * c0),
+                 "small_ok": bool(small <= epsilon)}
+                for t, div_b, margin, small
+                in zip(c["t"], c["div_b"], c["taylor_margin"], c["small_geometry"])]
 
 
 def small_geometry_norm(grid: Grid, a_s: np.ndarray, J_s: np.ndarray) -> float:
@@ -233,154 +200,102 @@ def small_geometry_norm(grid: Grid, a_s: np.ndarray, J_s: np.ndarray) -> float:
     return float(grid.norm(J_s - 1.0, 3) + grid.norm(delta, 3))
 
 
-def _constraints(s: FlowState, a_s: np.ndarray, J_s: np.ndarray) -> tuple[float, float, float]:
-    """Taylor margin, geometry gauge and ||div_a b|| of one node."""
-    return (
-        taylor_sign_margin(s, a_s),
-        small_geometry_norm(s.grid, a_s, J_s),
-        s.grid.low_norm(cov_div(s.grid, a_s, s.b)),
-    )
-
-
-def energy_functionals(traj: Trajectory, order: int = 2,
-                       dissipation: np.ndarray | None = None) -> EnergyReport:
-    """Tabulate the truncated energy scale along a trajectory.
+def energy_functionals(traj: Trajectory, order: int = 2, residuals: bool = False) -> EnergyReport:
+    """Tabulate the truncated energy scale, the physical energy balance and
+    the constraints along a trajectory, in one pass over its nodes.
 
     ``order`` is the highest time-derivative order entering the interior
     sums (the full scale would run to order 4; the desk-scale default
-    stops at 2 and the report header says so).  ``dissipation`` goes to
-    :func:`physical_energy_balance`.
+    stops at 2 and the report header says so).  With ``residuals`` the
+    pass also fills ``EnergyReport.residuals`` with the defects of the
+    evolution equations, contracted from the same per-node tables.
     """
     grid, dt, kappa = traj.grid, traj.dt, traj.kappa
     n = len(traj)
+    if residuals:
+        _require_history(n, 2)  # the wave equation reads three nodes
 
     cols: dict[str, np.ndarray] = {name: np.zeros(n) for name in ENERGY_COLUMNS}
     cols["t"] = traj.times
-
     Ek = {name: _time_energies(grid, traj.stack(name), dt, order) for name in ("v", "b", "q")}
-
-    geo = traj.geometry
-    for j, s in enumerate(traj.states):
-        cols["E_eta4"][j] = map_norm(grid, s.eta, 4) ** 2
-
-        # boundary term: fourth tangential derivatives of the once-mollified
-        # displacement, contracted with the third row of the smoothed inverse
-        disp_w = mollify(grid, grid.boundary_slices(grid.displacement(s.eta)), kappa)
-        aw = grid.boundary_slices(geo.a_s[j])
-        bdy = 0.0
-        lap_w = grid.tangential_laplacian(disp_w)
-        for i in range(2):
-            for k in range(2):
-                dij = grid.derivative(grid.derivative(lap_w, i + 1), k + 1)
-                T = np.einsum("a...,a...->...", aw[2], dij)
-                bdy += grid.norm(T, 0, where="boundary") ** 2
-        cols["E_boundary"][j] = bdy
-
-        cols["taylor_margin"][j], cols["small_geometry"][j], cols["div_b"][j] = (
-            _constraints(s, geo.a_s[j], geo.J_s[j])
-        )
+    audit = {name: np.empty(n) for name in ("eta", "v", "q", "b", "wave")} if residuals else {}
+    for j in range(n):
+        _node_pass(traj, j, cols, audit)
 
     for name in ("v", "b", "q"):
         cols["E_" + name] = sum(Ek[name])
-    cols["E_total"] = (
-        cols["E_eta4"] + cols["E_boundary"] + cols["E_v"] + cols["E_b"] + cols["E_q"]
-    )
+    cols["E_total"] = cols["E_eta4"] + cols["E_boundary"] + cols["E_v"] + cols["E_b"] + cols["E_q"]
 
     # running and pointwise parts of the heat/wave companions
     hb_run = Ek["b"][0]
-    cols["H_run"] = np.concatenate(
-        [[0.0], np.cumsum(0.5 * dt * (hb_run[1:] + hb_run[:-1]))]
-    )
-    cols["H_b"] = Ek["b"][1]
-    cols["W_q"] = Ek["q"][0] + Ek["q"][1]
-
-    E, D, residual = physical_energy_balance(traj, dissipation)
-    cols["E_phys"] = E
-    cols["D_diss"] = D
-    cols["balance_residual"] = residual
-
-    return EnergyReport(kappa=kappa, dt=dt, truncation_order=order, columns=cols)
-
-
-# ----------------------------------------------------------------------
-# constraint monitors
-
-
-def constraint_residuals(
-    traj: Trajectory,
-    c0: float | None = None,
-    epsilon: float = 0.1,
-    energy: EnergyReport | None = None,
-) -> list[dict]:
-    """Per-node constraint table: div b, Taylor margin, geometry gauge.
-
-    Flags mark a Taylor margin below c0 / 2 and a geometry gauge above
-    epsilon; both thresholds follow the run configuration.  Given the
-    trajectory's energy report, the three values are read from its
-    columns instead of being computed again.
-    """
-    if energy is None:
-        geo = traj.geometry
-        values = [_constraints(s, a_s, J_s)
-                  for s, a_s, J_s in zip(traj.states, geo.a_s, geo.J_s)]
+    cols["H_run"] = np.concatenate([[0.0], np.cumsum(0.5 * dt * (hb_run[1:] + hb_run[:-1]))])
+    if order == 0:  # no time derivative: both companions are undefined
+        cols["H_b"], cols["W_q"] = np.full(n, np.nan), np.full(n, np.nan)
     else:
-        values = zip(*(energy.columns[name]
-                       for name in ("taylor_margin", "small_geometry", "div_b")))
-    rows = []
-    for s, (margin, small, div_b) in zip(traj.states, values):
-        rows.append({
-            "t": s.t,
-            "div_b": div_b,
-            "taylor_margin": margin,
-            "small_geometry": small,
-            "taylor_ok": bool(c0 is None or margin >= 0.5 * c0),
-            "small_ok": bool(small <= epsilon),
-        })
-    return rows
+        cols["H_b"] = Ek["b"][1]
+        cols["W_q"] = Ek["q"][0] + Ek["q"][1]
+
+    # the defect of E(t_j) - E(t_{j-1}) + trapezoid of D over the step
+    D = cols["D_diss"]
+    cols["balance_residual"][1:] = np.diff(cols["E_phys"]) + 0.5 * dt * (D[1:] + D[:-1])
+
+    return EnergyReport(kappa=kappa, dt=dt, truncation_order=order, columns=cols, residuals=audit)
 
 
-def divergence_monitor(
-    traj: Trajectory,
-    drift_constant: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flag nodes whose div_a b exceeds the calibrated drift envelope.
+def _node_pass(traj: Trajectory, j: int, cols: dict, audit: dict) -> None:
+    """Fill node j of every column, and of ``audit`` when it has keys, from
+    one covariant gradient of Q and, where b is nonzero, one gradient table
+    of b.  The tables go when this returns, before the next node's come."""
+    grid, eos, geo = traj.grid, traj.eos, traj.geometry
+    s = traj.states[j]
+    a, J_s, b = geo.a_s[j], geo.J_s[j], s.b
 
-    The envelope is 1e-8 + drift_constant * t * (dt + h3^2); data
-    that starts divergence-free stays under it, while corrupted data
-    trips the flag immediately.
-    """
-    grid = traj.grid
-    h3 = grid.h3
-    div = np.array([
-        grid.low_norm(cov_div(grid, a_s, s.b))
-        for s, a_s in zip(traj.states, traj.geometry.a_s)
-    ])
-    envelope = 1e-8 + drift_constant * traj.times * (traj.dt + h3 * h3)
-    return div, div > envelope
+    cols["E_eta4"][j] = map_norm(grid, s.eta, 4) ** 2
+    # boundary term: fourth tangential derivatives of the once-mollified
+    # displacement, contracted with the third row of the smoothed inverse
+    disp_w = mollify(grid, grid.boundary_slices(grid.displacement(s.eta)), traj.kappa)
+    aw = grid.boundary_slices(a)
+    lap_w = grid.tangential_laplacian(disp_w)
+    for i in range(2):
+        for k in range(2):
+            dij = grid.derivative(grid.derivative(lap_w, i + 1), k + 1)
+            T = np.einsum("a...,a...->...", aw[2], dij)
+            cols["E_boundary"][j] += grid.norm(T, 0, where="boundary") ** 2
+
+    cols["small_geometry"][j] = small_geometry_norm(grid, a, J_s)
+    grad_Q = cov_grad(grid, a, s.Q)
+    cols["taylor_margin"][j] = taylor_margin_from_gradient(grad_Q)
+    kinetic = 0.5 * grid.integrate(s.rho0 * np.sum(s.v * s.v, axis=0))
+    magnetic = 0.5 * grid.integrate(J_s * np.sum(b * b, axis=0))
+    internal = grid.integrate(s.rho0 * np.asarray(eos.q_potential(eos.rho(s.q))))
+    cols["E_phys"][j] = kinetic + magnetic + internal
+    # every magnetic table is exactly zero at a field-free node, and so are
+    # its div_b and D_diss
+    b_tables = None
+    if np.any(b):
+        gb = grid.gradient(b)
+        Gb, div_b = cov_grad_vector_from_gradient(grid, a, gb), cov_div_from_gradient(grid, a, gb)
+        Gb2 = np.sum(Gb * Gb, axis=(0, 1))  # |grad_a b|^2
+        cols["div_b"][j] = grid.low_norm(div_b)
+        cols["D_diss"][j] = eos.diffusivity * grid.integrate(J_s * Gb2)
+        b_tables = (Gb, div_b, Gb2)
+    if audit:
+        for name, value in _defects(traj, j, grad_Q, b_tables).items():
+            audit[name][j] = value
 
 
-# ----------------------------------------------------------------------
-# residual audit: the smoothed system and the pressure-head wave equation
-
-
-def residual_audit(traj: Trajectory) -> dict[str, np.ndarray]:
-    """L2 defects per node of the smoothed nonlinear system (``eta``, ``v``,
-    ``q``, ``b``) and of the second-order pressure-head equation (``wave``),
-    and the energy balance's ``D_diss``, contracted from the same covariant
-    gradient of b.
-
-    Each equation is re-evaluated with the trajectory's own geometry and
-    correction field, in one pass: per node, the gradient tables of v and
-    b are taken once and every covariant derivative is contracted from
-    them, and time derivatives come from the neighbouring nodes.  The
-    wave equation is the time derivative of the continuity relation with
-    the momentum equation substituted.  On a converged fixed point every
-    defect is scheme error (time and wall stencils, dealiasing).
+def _defects(traj: Trajectory, j: int, grad_Q: np.ndarray, b_tables) -> dict[str, float]:
+    """L2 defects at node j of the smoothed nonlinear system (``eta``, ``v``,
+    ``q``, ``b``) and of the second-order pressure-head equation (``wave``,
+    the time derivative of continuity with momentum substituted), in the
+    trajectory's own geometry and correction field.  On a converged fixed
+    point every defect is scheme error (time and wall stencils, dealiasing).
     """
     grid, eos, dt, geo = traj.grid, traj.eos, traj.dt, traj.geometry
     states = traj.states
-    rho0 = states[0].rho0
-    n = len(traj)
+    s, rho0, n = states[j], states[0].rho0, len(states)
+    a, J_s, b = geo.a_s[j], geo.J_s[j], s.b
+    Jr = J_s / rho0
 
     def field(name):
         return lambda k: getattr(states[k], name)
@@ -389,50 +304,78 @@ def residual_audit(traj: Trajectory) -> dict[str, np.ndarray]:
         # the acoustic weight r = Js R'(q) / rho0
         return geo.J_s[k] * np.asarray(eos.rho_p(states[k].q)) / rho0
 
-    def d_dt(row, j, order=1):
+    def d_dt(row, order=1):
         return time_difference(row, n, j, dt, order)
 
-    out = {name: np.empty(n) for name in ("eta", "v", "q", "b", "wave", "D_diss")}
-    for j, s in enumerate(states):
-        a, J_s, b = geo.a_s[j], geo.J_s[j], s.b
-        Jr = J_s / rho0
-        gv = grid.gradient(s.v)
-        Gv, div_v = cov_grad_vector_from_gradient(grid, a, gv), cov_div_from_gradient(grid, a, gv)
-        grad_Q = cov_grad(grid, a, s.Q)
-        # every magnetic term is exactly zero at a field-free node
-        lap_b = lorentz = transport = rhs = w0 = D_diss = 0.0
-        if np.any(b):
-            gb = grid.gradient(b)
-            Gb, div_b = cov_grad_vector_from_gradient(grid, a, gb), cov_div_from_gradient(grid, a, gb)
-            # column l of Gb is the covariant gradient of b_l
-            lap_b = np.stack([cov_div(grid, a, Gb[:, l]) for l in range(3)])
-            lorentz = np.einsum("a...,al...->l...", b, Gb)
-            transport = np.einsum("a...,al...->l...", b, Gv) - b * div_v
-            Gb2 = np.sum(Gb * Gb, axis=(0, 1))
-            # from lap(|b|^2 / 2) in Q, not from the induction equation: no diffusivity
-            rhs = Jr * np.einsum("l...,l...->...", b, lap_b)
-            w0 = Jr * (
-                Gb2
-                - np.einsum("al...,la...->...", Gb, Gb)
-                - np.einsum("a...,a...->...", b, cov_grad(grid, a, div_b))
-            )
-            D_diss = _dissipation(grid, eos, J_s, Gb2)
-        r = weight(j)
-        dq = d_dt(field("q"), j)
+    gv = grid.gradient(s.v)
+    Gv, div_v = cov_grad_vector_from_gradient(grid, a, gv), cov_div_from_gradient(grid, a, gv)
+    lap_b = lorentz = transport = rhs = w0 = 0.0
+    if b_tables is not None:
+        Gb, div_b, Gb2 = b_tables
+        # column l of Gb is the covariant gradient of b_l
+        lap_b = np.stack([cov_div(grid, a, Gb[:, l]) for l in range(3)])
+        lorentz = np.einsum("a...,al...->l...", b, Gb)
+        transport = np.einsum("a...,al...->l...", b, Gv) - b * div_v
+        # from lap(|b|^2 / 2) in Q, not from the induction equation: no diffusivity
+        rhs = Jr * np.einsum("l...,l...->...", b, lap_b)
+        w0 = Jr * (
+            Gb2
+            - np.einsum("al...,la...->...", Gb, Gb)
+            - np.einsum("a...,a...->...", b, cov_grad(grid, a, div_b))
+        )
+    r = weight(j)
+    dq = d_dt(field("q"))
 
-        out["eta"][j] = grid.low_norm(d_dt(field("eta"), j) - s.v - geo.psi[j])
-        r_v = (rho0 / J_s)[None] * d_dt(field("v"), j) - lorentz + grad_Q
-        out["v"][j] = grid.low_norm(r_v)
-        out["q"][j] = grid.low_norm(r * dq + div_v)
-        out["b"][j] = grid.low_norm(d_dt(field("b"), j) - eos.diffusivity * lap_b - transport)
+    out = {"eta": grid.low_norm(d_dt(field("eta")) - s.v - geo.psi[j])}
+    r_v = (rho0 / J_s)[None] * d_dt(field("v")) - lorentz + grad_Q
+    out["v"] = grid.low_norm(r_v)
+    out["q"] = grid.low_norm(r * dq + div_v)
+    out["b"] = grid.low_norm(d_dt(field("b")) - eos.diffusivity * lap_b - transport)
 
-        lhs = r * d_dt(field("q"), j, 2) - Jr * cov_laplacian(grid, a, s.q)
-        w0 = w0 - d_dt(weight, j) * dq
-        w0 -= np.einsum("ma...,ma...->...", d_dt(geo.a_s.__getitem__, j), gv)
-        w0 -= np.einsum("l...,l...->...", lorentz - grad_Q, cov_grad(grid, a, Jr))
-        out["wave"][j] = grid.low_norm(lhs - rhs - w0)
-        out["D_diss"][j] = D_diss
+    lhs = r * d_dt(field("q"), 2) - Jr * cov_laplacian(grid, a, s.q)
+    w0 = w0 - d_dt(weight) * dq
+    w0 -= np.einsum("ma...,ma...->...", d_dt(geo.a_s.__getitem__), gv)
+    w0 -= np.einsum("l...,l...->...", lorentz - grad_Q, cov_grad(grid, a, Jr))
+    out["wave"] = grid.low_norm(lhs - rhs - w0)
     return out
+
+
+# ----------------------------------------------------------------------
+# readers of the pass
+
+
+def physical_energy_balance(traj: Trajectory):
+    """Physical energy, resistive dissipation and the step residuals: the
+    pass's (E_phys, D_diss, balance_residual) columns; an exact balance
+    makes the residual zero."""
+    c = energy_functionals(traj, order=0).columns
+    return c["E_phys"], c["D_diss"], c["balance_residual"]
+
+
+def constraint_residuals(traj: Trajectory, c0: float | None = None,
+                         epsilon: float = 0.1) -> list[dict]:
+    """Per-node constraint table of the pass: see ``EnergyReport.constraint_rows``."""
+    return energy_functionals(traj, order=0).constraint_rows(c0, epsilon)
+
+
+def divergence_monitor(traj: Trajectory, drift_constant: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flag nodes whose div_a b exceeds the calibrated drift envelope.
+
+    The envelope is 1e-8 + drift_constant * t * (dt + h3^2); data
+    that starts divergence-free stays under it, while corrupted data
+    trips the flag immediately.
+    """
+    h3 = traj.grid.h3
+    div = energy_functionals(traj, order=0).columns["div_b"]
+    envelope = 1e-8 + drift_constant * traj.times * (traj.dt + h3 * h3)
+    return div, div > envelope
+
+
+def residual_audit(traj: Trajectory) -> dict[str, np.ndarray]:
+    """The pass's defects per node (``eta``, ``v``, ``q``, ``b``, ``wave``)
+    and the energy balance's ``D_diss``."""
+    report = energy_functionals(traj, order=0, residuals=True)
+    return {**report.residuals, "D_diss": report.columns["D_diss"]}
 
 
 def nonlinear_residuals(traj: Trajectory) -> dict[str, np.ndarray]:

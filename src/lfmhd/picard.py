@@ -130,7 +130,8 @@ def solve_nonlinear_kappa(
         # the next freeze builds its own coefficients; holding these through
         # it would keep two iterates' geometry alive at once
         frozen = None
-        d_n = float(np.max(difference_energy(traj, traj_prev, truncation_order)))
+        with np.errstate(all="ignore"):  # the next line checks d_n
+            d_n = float(np.max(difference_energy(traj, traj_prev, truncation_order)))
         if not np.isfinite(d_n):  # it would fail every comparison below
             raise BreakdownError(
                 f"picard iterate {n}: difference energy d_{n} = {d_n} is not finite; "

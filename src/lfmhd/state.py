@@ -109,10 +109,13 @@ def taylor_sign_margin(state: FlowState, a_s: np.ndarray | None = None) -> float
     grid = state.grid
     if a_s is None:
         a_s = build_geometry(grid, state.eta, 0.0).a_s
-    g3 = cov_grad(grid, a_s, state.Q)[2]
-    bottom = g3[..., 0]
-    top = -g3[..., -1]
-    return float(min(bottom.min(), top.min()))
+    return taylor_margin_from_gradient(cov_grad(grid, a_s, state.Q))
+
+
+def taylor_margin_from_gradient(grad_Q: np.ndarray) -> float:
+    """``taylor_sign_margin`` from the covariant gradient of Q."""
+    g3 = grad_Q[2]
+    return float(min(g3[..., 0].min(), (-g3[..., -1]).min()))
 
 
 def check_compatibility(

@@ -4,16 +4,21 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lfmhd
 from lfmhd import cli
 from lfmhd.checkpoint import MAGIC, write_trajectory
 from lfmhd.linear_step import trivial_trajectory
 from lfmhd.picard import NonContractionError
+from lfmhd.state import PRESETS
 
 BASE = """
 grid.n1 = 16
@@ -227,29 +232,32 @@ def test_T_not_multiple_of_dt_exit_code(tmp_path, capsys):
 def test_run_computes_each_constraint_once(tmp_path, monkeypatch):
     from lfmhd import diagnostics
 
-    real = diagnostics._constraints
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(diagnostics, "_constraints", counting)
+    for name in ("taylor_margin_from_gradient", "small_geometry_norm"):
+        monkeypatch.setattr(diagnostics, name, counting(getattr(diagnostics, name)))
     out = tmp_path / "out"
     assert cli.main(["run", write_cfg(tmp_path, out, extra=SMALL)]) == 0
     _, _, rows = read_csv(out / "energy.csv")
-    assert len(calls) == len(rows) == 3
+    for name in ("taylor_margin_from_gradient", "small_geometry_norm"):
+        assert calls.count(name) == len(rows) == 3
 
 
 def test_run_audits_residuals_in_one_pass(tmp_path, monkeypatch):
-    real = cli.residual_audit
+    real = cli.energy_functionals
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "residual_audit", counting)
+    monkeypatch.setattr(cli, "energy_functionals", counting)
     out = tmp_path / "out"
     assert cli.main(["run", write_cfg(tmp_path, out, extra=SMALL)]) == 0
     assert len(calls) == 1
@@ -411,6 +419,53 @@ def test_non_finite_difference_energy_names_dt(tmp_path, capsys, dt):
     err = capsys.readouterr().err
     assert err.startswith("numerical breakdown: picard iterate 1: difference energy d_1 = ")
     assert "is not finite" in err and "1/dt^2" in err and f"scheme.dt = {dt}" in err
+    # no warning comes ahead of the one-line message: raised as errors,
+    # any would end in the catch-all exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == cli.EXIT_BREAKDOWN
+    assert capsys.readouterr().err == err
+
+
+DOCUMENTED_EXITS = {0, cli.EXIT_CONFIG, cli.EXIT_CFL, cli.EXIT_NON_CONTRACTION,
+                    cli.EXIT_DEGENERATE, cli.EXIT_CHECKPOINT, cli.EXIT_NOT_CONVERGED,
+                    cli.EXIT_DIFFUSION, cli.EXIT_BREAKDOWN, cli.EXIT_OUTPUT}
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: float(10.0 ** e))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(preset=st.sampled_from(PRESETS), amplitude=_log_uniform(1e-4, 0.5),
+       kappa=_log_uniform(1e-3, 1.0), dealias=st.floats(0.2, 1.0),
+       diffusivity=st.floats(0.05, 4.0), c0=st.floats(0.0, 0.3),
+       cfl_safety=st.floats(0.3, 1.0), max_iter=st.integers(3, 6))
+def test_run_of_any_accepted_config_exits_with_a_documented_code(
+        preset, amplitude, kappa, dealias, diffusivity, c0, cfl_safety, max_iter):
+    # BASE runs T = 2 dt; SMALL puts it on the 8^3 lattice
+    extra = SMALL + (
+        f"data.preset = {preset}\ndata.amplitude = {amplitude!r}\nscheme.kappa = {kappa!r}\n"
+        f"grid.dealias_fraction = {dealias!r}\nphysics.diffusivity = {diffusivity!r}\n"
+        f"physics.c0 = {c0!r}\nscheme.cfl_safety = {cfl_safety!r}\n"
+        f"scheme.picard_max_iter = {max_iter}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = cli.main(["run", write_cfg(Path(tmp), out, extra=extra)])
+        assert code in DOCUMENTED_EXITS
+        if code != 0:
+            return
+        tables = {name: read_csv(out / name)[1:]
+                  for name in ("energy.csv", "iteration.csv", "residuals.csv")}
+    for name, (header, rows) in tables.items():
+        for row in rows:
+            for cell in row:
+                assert cell == "" or np.isfinite(float(cell)), (name, header, row)
+    # the constraint columns of both tables come from one pass over the nodes
+    (e_header, e_rows), (r_header, r_rows) = tables["energy.csv"], tables["residuals.csv"]
+    for name in ("t", "div_b", "taylor_margin", "small_geometry"):
+        assert column(e_header, e_rows, name, str) == column(r_header, r_rows, name, str)
 
 
 # ----------------------------------------------------------------------

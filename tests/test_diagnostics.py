@@ -21,7 +21,6 @@ from lfmhd.diagnostics import (
     nonlinear_residuals,
     residual_audit,
     physical_energy_balance,
-    time_derivative,
     time_difference,
     wave_equation_residual,
 )
@@ -56,16 +55,21 @@ def magnetic_run(grid16, eos):
 # time stencils and map norms
 
 
+def _time_rows(stack, dt, order):
+    n = len(stack)
+    return np.stack([time_difference(stack.__getitem__, n, j, dt, order) for j in range(n)])
+
+
 def test_time_derivative_exact_on_polynomials():
     t = 0.05 * np.arange(9)
     lin = (0.7 - 1.3 * t)[:, None] * np.ones((9, 4))
     quad = (2.0 + t * t)[:, None] * np.ones((9, 4))
-    d1 = time_derivative(lin, 0.05, 1)
+    d1 = _time_rows(lin, 0.05, 1)
     assert np.abs(d1 + 1.3).max() < 1e-12
-    d2 = time_derivative(quad, 0.05, 2)
+    d2 = _time_rows(quad, 0.05, 2)
     assert np.abs(d2 - 2.0).max() < 1e-9
     # the quadratic's first derivative: centered rows exact, ends one-sided
-    d1q = time_derivative(quad, 0.05, 1)
+    d1q = _time_rows(quad, 0.05, 1)
     assert np.abs(d1q[1:-1] - 2.0 * t[1:-1, None]).max() < 1e-12
     assert np.abs(d1q[0] - 2.0 * t[0]).max() < 1e-12
 
@@ -73,9 +77,9 @@ def test_time_derivative_exact_on_polynomials():
 def test_time_derivative_short_history_rejected():
     stack = np.zeros((2, 3))
     with pytest.raises(ValueError, match="insufficient history"):
-        time_derivative(stack, 0.1, 2)
+        time_difference(stack.__getitem__, 2, 0, 0.1, 2)
     with pytest.raises(ValueError, match="order"):
-        time_derivative(np.zeros((6, 3)), 0.1, 3)
+        time_difference(np.zeros((6, 3)).__getitem__, 6, 0, 0.1, 3)
 
 
 def _stacked_stencil(stack, dt, order):
@@ -109,7 +113,6 @@ def test_time_difference_matches_stacked_stencil_bitwise(n, order, rng):
             time_difference(stack.__getitem__, n, 0, dt, order)
         return
     ref = _stacked_stencil(stack, dt, order)
-    np.testing.assert_array_equal(time_derivative(stack, dt, order), ref)
     for j in range(n):
         np.testing.assert_array_equal(time_difference(stack.__getitem__, n, j, dt, order), ref[j])
 
@@ -321,8 +324,7 @@ def test_constraint_rows_healthy_run(quiescent_run):
 
 def test_constraint_rows_read_from_energy_report(magnetic_run):
     computed = constraint_residuals(magnetic_run, c0=0.25, epsilon=0.1)
-    read = constraint_residuals(magnetic_run, c0=0.25, epsilon=0.1,
-                                energy=energy_functionals(magnetic_run))
+    read = energy_functionals(magnetic_run).constraint_rows(c0=0.25, epsilon=0.1)
     assert read == computed
 
 
@@ -379,8 +381,10 @@ def test_wave_residual_scheme_sized_and_noise_sensitive(quiescent_run):
 
 
 def test_residual_audit_takes_one_gradient_of_b_and_v_per_node(magnetic_run, monkeypatch):
+    from lfmhd import diagnostics
+
     states = magnetic_run.states
-    real = Grid.gradient
+    real, real_cov_grad = Grid.gradient, diagnostics.cov_grad
     seen = []
 
     def recording(self, f):
@@ -388,10 +392,22 @@ def test_residual_audit_takes_one_gradient_of_b_and_v_per_node(magnetic_run, mon
                     for name in ("b", "v") if f is getattr(s, name))
         return real(self, f)
 
+    def recording_cov_grad(grid, a, f):
+        # Q is formed afresh on every read, so it is matched by value
+        seen.extend((j, "Q") for j, s in enumerate(states) if np.array_equal(f, s.Q))
+        return real_cov_grad(grid, a, f)
+
     monkeypatch.setattr(Grid, "gradient", recording)
+    monkeypatch.setattr(diagnostics, "cov_grad", recording_cov_grad)
+    report = energy_functionals(magnetic_run, residuals=True)
+    assert sorted(seen) == [(j, name) for j in range(len(states)) for name in ("Q", "b", "v")]
+    seen.clear()
+    energy_functionals(magnetic_run)  # no defects, so no gradient of v
+    assert sorted(seen) == [(j, name) for j in range(len(states)) for name in ("Q", "b")]
+    monkeypatch.undo()
     audit = residual_audit(magnetic_run)
-    assert sorted(seen) == [(j, name) for j in range(len(states)) for name in ("b", "v")]
-    monkeypatch.setattr(Grid, "gradient", real)
+    for name, col in report.residuals.items():
+        np.testing.assert_array_equal(audit[name], col)
     res = nonlinear_residuals(magnetic_run)
     assert set(audit) == set(res) | {"wave", "D_diss"}
     for name in res:
@@ -419,13 +435,17 @@ def test_field_free_audit_takes_one_gradient_per_node_for_v(quiescent_run, monke
 
 def test_field_free_energy_balance_takes_no_covariant_gradient_of_b(quiescent_run,
                                                                      monkeypatch):
-    from lfmhd import diagnostics
+    states = quiescent_run.states
+    real = Grid.gradient
+    seen = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("covariant gradient of a vanishing b")
+    def recording(self, f):
+        seen.extend(j for j, s in enumerate(states) if f is s.b)
+        return real(self, f)
 
-    monkeypatch.setattr(diagnostics, "cov_grad_vector", refuse)
+    monkeypatch.setattr(Grid, "gradient", recording)
     _, D, _ = physical_energy_balance(quiescent_run)
+    assert seen == []
     assert D.tobytes() == np.zeros(len(quiescent_run)).tobytes()
 
 
@@ -449,18 +469,9 @@ def test_audit_dissipation_is_the_energy_balance_column(magnetic_run):
     _, D, _ = physical_energy_balance(magnetic_run)
     np.testing.assert_array_equal(audit["D_diss"], D)
     assert D.max() > 0.0
-    shared = energy_functionals(magnetic_run, dissipation=audit["D_diss"]).columns
+    shared = energy_functionals(magnetic_run, residuals=True).columns
     for name, col in energy_functionals(magnetic_run).columns.items():
         np.testing.assert_array_equal(shared[name], col, err_msg=name)
-
-
-def test_dissipation_of_the_wrong_shape_refused(magnetic_run):
-    n = len(magnetic_run)
-    for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1)), np.float64(0.0)):
-        with pytest.raises(ValueError, match=rf"one value per node, shape \({n},\)"):
-            physical_energy_balance(magnetic_run, dissipation=bad)
-    with pytest.raises(ValueError, match="one value per node"):
-        energy_functionals(magnetic_run, dissipation=np.zeros(n + 1))
 
 
 # ----------------------------------------------------------------------
