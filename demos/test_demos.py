@@ -1,8 +1,9 @@
 """Smoke test: every demo runs to completion.
 
-Outside Tier-1 (``testpaths`` names only ``tests``); run it with
-``python -m pytest -q demos``.  Each demo runs in its own interpreter,
-in a temporary directory, on the sources next to this checkout.
+Part of the default suite (``testpaths`` names ``tests`` and ``demos``),
+so a change that breaks a demo fails it; ``python -m pytest -q demos``
+runs the demos alone.  Each demo runs in its own interpreter, in a
+temporary directory, on the sources next to this checkout.
 """
 
 import os

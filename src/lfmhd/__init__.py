@@ -19,14 +19,12 @@ from .diagnostics import (
     map_norm,
     nonlinear_residuals,
     physical_energy_balance,
-    residual_audit,
     wave_equation_residual,
 )
 from .geometry import (
     DegenerateMapError,
     GeometryCache,
     build_geometry,
-    cov_curl,
     cov_div,
     cov_grad,
     cov_grad_vector,
@@ -51,7 +49,7 @@ from .picard import (
     kappa_sweep,
     solve_nonlinear_kappa,
 )
-from .smoothing import commutator, derivative_commutator, mollify
+from .smoothing import commutator, mollify
 from .state import (
     CompatibilityReport,
     EquationOfState,
@@ -93,12 +91,10 @@ __all__ = [
     "commutator",
     "constraint_residuals",
     "correction_field",
-    "cov_curl",
     "cov_div",
     "cov_grad",
     "cov_grad_vector",
     "cov_laplacian",
-    "derivative_commutator",
     "difference_energy",
     "divergence_monitor",
     "energy_functionals",
@@ -112,7 +108,6 @@ __all__ = [
     "nonlinear_residuals",
     "physical_energy_balance",
     "piola_residual",
-    "residual_audit",
     "solve_nonlinear_kappa",
     "taylor_sign_margin",
     "trivial_trajectory",

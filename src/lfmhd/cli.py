@@ -107,7 +107,7 @@ def _build_problem(cfg: RunConfig):
     eos = EquationOfState(diffusivity=cfg.physics.diffusivity)
     init = make_initial_data(grid, cfg.data.preset, amplitude=cfg.data.amplitude,
                              seed=cfg.data.seed, eos=eos, c0=cfg.physics.c0)
-    return grid, eos, init
+    return grid, init
 
 
 def _write_energy_csv(out: Path, report: EnergyReport, stride: int) -> None:
@@ -174,14 +174,13 @@ def _write_lemmas_csv(out: Path, grid: Grid, cfg: RunConfig) -> LemmaReport:
 
 
 def _solve_from_config(cfg: RunConfig):
-    grid, eos, init = _build_problem(cfg)
+    grid, init = _build_problem(cfg)
     s = cfg.scheme
-    traj, log = solve_nonlinear_kappa(
+    return solve_nonlinear_kappa(
         grid, init, kappa=s.kappa, T=s.T, dt=s.dt, tol=s.picard_tol,
         max_iter=s.picard_max_iter, truncation_order=cfg.diagnostics.max_time_order,
         cfl_safety=s.cfl_safety, diffusion_tol=s.diffusion_tol,
     )
-    return grid, eos, init, traj, log
 
 
 def _not_converged(log: IterationLog) -> int:
@@ -195,7 +194,7 @@ def _not_converged(log: IterationLog) -> int:
 
 def _cmd_run(cfg: RunConfig) -> int:
     out = _output_directory(cfg.outputs.directory)
-    grid, eos, init, traj, log = _solve_from_config(cfg)
+    traj, log = _solve_from_config(cfg)
     order = cfg.diagnostics.max_time_order
     stride = cfg.outputs.snapshot_stride
     _write_iteration_csv(out, log, order)
@@ -205,8 +204,6 @@ def _cmd_run(cfg: RunConfig) -> int:
     report = energy_functionals(traj, order=order, residuals=True)
     _write_energy_csv(out, report, stride)
     _write_residuals_csv(out, cfg, stride, report)
-    if cfg.diagnostics.lemma_suite:
-        _write_lemmas_csv(out, grid, cfg)
     if cfg.outputs.checkpoint:
         with _writing(out / "trajectory.ckpt"):
             write_trajectory(out / "trajectory.ckpt", traj)
@@ -228,7 +225,7 @@ def _cmd_run(cfg: RunConfig) -> int:
 
 def _cmd_picard_trace(cfg: RunConfig) -> int:
     out = _output_directory(cfg.outputs.directory)
-    _, _, _, traj, log = _solve_from_config(cfg)
+    traj, log = _solve_from_config(cfg)
     _write_iteration_csv(out, log, cfg.diagnostics.max_time_order)
     print(f"picard-trace: {cfg.data.preset} preset, kappa = {cfg.scheme.kappa}, "
           f"T = {cfg.scheme.T}, dt = {cfg.scheme.dt}")
@@ -245,7 +242,7 @@ def _cmd_kappa_sweep(cfg: RunConfig) -> int:
     if len(cfg.scheme.kappa_list) < 2:
         raise ConfigError("kappa-sweep needs scheme.kappa_list with at least two values")
     out = _output_directory(cfg.outputs.directory)
-    grid, eos, init = _build_problem(cfg)
+    grid, init = _build_problem(cfg)
     s = cfg.scheme
     traj, report = kappa_sweep(
         grid, init, kappas=s.kappa_list, T=s.T, dt=s.dt, tol=s.picard_tol,

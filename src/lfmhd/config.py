@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .grid import GridSpec
 from .state import PRESETS
@@ -86,7 +87,6 @@ class OutputConfig:
 @dataclass
 class DiagnosticsConfig:
     max_time_order: int = 2
-    lemma_suite: bool = False
 
 
 @dataclass
@@ -99,31 +99,12 @@ class RunConfig:
     diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)
 
 
-_CASTERS = {
-    "grid.n1": int,
-    "grid.n2": int,
-    "grid.n3": int,
-    "grid.dealias_fraction": _parse_float,
-    "physics.diffusivity": _parse_float,
-    "physics.c0": _parse_float,
-    "physics.epsilon": _parse_float,
-    "scheme.kappa": _parse_float,
-    "scheme.kappa_list": _parse_float_list,
-    "scheme.dt": _parse_float,
-    "scheme.T": _parse_float,
-    "scheme.cfl_safety": _parse_float,
-    "scheme.picard_tol": _parse_float,
-    "scheme.picard_max_iter": int,
-    "scheme.diffusion_tol": _parse_float,
-    "data.preset": str,
-    "data.amplitude": _parse_float,
-    "data.seed": int,
-    "outputs.directory": str,
-    "outputs.snapshot_stride": int,
-    "outputs.checkpoint": _parse_bool,
-    "diagnostics.max_time_order": int,
-    "diagnostics.lemma_suite": _parse_bool,
-}
+# every key is a field of a section; its annotation picks the parser
+_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: str,
+            tuple[float, ...]: _parse_float_list}
+_CASTERS = {f"{section}.{key}": _PARSERS[hint]
+            for section, cls in get_type_hints(RunConfig).items()
+            for key, hint in get_type_hints(cls).items()}
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:

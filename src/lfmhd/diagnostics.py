@@ -371,22 +371,15 @@ def divergence_monitor(traj: Trajectory, drift_constant: float) -> tuple[np.ndar
     return div, div > envelope
 
 
-def residual_audit(traj: Trajectory) -> dict[str, np.ndarray]:
-    """The pass's defects per node (``eta``, ``v``, ``q``, ``b``, ``wave``)
-    and the energy balance's ``D_diss``."""
-    report = energy_functionals(traj, order=0, residuals=True)
-    return {**report.residuals, "D_diss": report.columns["D_diss"]}
-
-
 def nonlinear_residuals(traj: Trajectory) -> dict[str, np.ndarray]:
-    """The four first-order defects of ``residual_audit``."""
-    audit = residual_audit(traj)
+    """The pass's four first-order defects per node (``eta``, ``v``, ``q``, ``b``)."""
+    audit = energy_functionals(traj, order=0, residuals=True).residuals
     return {name: audit[name] for name in ("eta", "v", "q", "b")}
 
 
 def wave_equation_residual(traj: Trajectory) -> np.ndarray:
-    """The second-order pressure-head defect of ``residual_audit``."""
-    return residual_audit(traj)["wave"]
+    """The pass's second-order pressure-head defect per node."""
+    return energy_functionals(traj, order=0, residuals=True).residuals["wave"]
 
 
 # ----------------------------------------------------------------------

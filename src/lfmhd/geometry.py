@@ -129,11 +129,6 @@ def cov_div_from_gradient(grid: Grid, a: np.ndarray, G: np.ndarray) -> np.ndarra
     return grid.dealias(np.einsum("ma...,ma...->...", a, G))
 
 
-def cov_curl(grid: Grid, a: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Covariant curl, the antisymmetric part of the covariant gradient."""
-    return curl_from_gradient(cov_grad_vector(grid, a, X))
-
-
 def curl_from_gradient(G: np.ndarray) -> np.ndarray:
     """Curl from a gradient table G[mu, alpha] = d_mu X_alpha."""
     return np.stack([G[1, 2] - G[2, 1], G[2, 0] - G[0, 2], G[0, 1] - G[1, 0]])

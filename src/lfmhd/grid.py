@@ -154,20 +154,6 @@ class Grid:
         """|xi|^2 on the half spectrum, shape (n1, n2 // 2 + 1, 1)."""
         return self._k1h**2 + self._k2h**2
 
-    def _derivative_symbol(self, p1: int, p2: int) -> np.ndarray:
-        """(i k1)^p1 (i k2)^p2 on the half spectrum, for the Sobolev weights;
-        any positive power zeroes that Nyquist line, as the derivative
-        matrices do."""
-        def build():
-            m1 = (1j * self._k1h) ** p1
-            m2 = (1j * self._k2h) ** p2
-            if p1:
-                m1[self.spec.n1 // 2] = 0.0
-            if p2:
-                m2[:, -1] = 0.0
-            return m1 * m2
-        return self.cached_symbol(("derivative", p1, p2), build)
-
     def apply_factor(self, f: np.ndarray, axis: int, key, factor) -> np.ndarray:
         """Multiply ``f`` by the one-dimensional multiplier ``factor(k)`` along
         tangential axis 1 or 2, in the interior or the boundary layout.
@@ -277,11 +263,6 @@ class Grid:
         return (self.apply_factor(f, 1, "laplacian", factor)
                 + self.apply_factor(f, 2, "laplacian", factor))
 
-    def project_nonzero(self, f: np.ndarray) -> np.ndarray:
-        """Remove the tangential mean on every y3 plane (or boundary plane)."""
-        axes = (-3, -2) if self.field_kind(f) == "interior" else (-2, -1)
-        return f - f.mean(axis=axes, keepdims=True)
-
     def invert_tangential_laplacian_nonzero(self, g: np.ndarray) -> np.ndarray:
         """Solve lap_t u = P_{!=0} g plane-wise with zero tangential mean."""
         def build():
@@ -311,10 +292,6 @@ class Grid:
         plane_mean = f.mean(axis=(-3, -2))
         return float(np.sum(plane_mean * self.w3, axis=-1).sum())
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """L2 inner product of interior fields (components summed)."""
-        return self.integrate(f * g)
-
     def low_norm(self, f: np.ndarray) -> float:
         """Interior L2 norm without derivative terms (components summed)."""
         return float(np.sqrt(self.integrate(f * f)))
@@ -330,10 +307,12 @@ class Grid:
         return self.cached_symbol(("parseval",) + key, scaled)
 
     def _sobolev_weight(self, r: int) -> np.ndarray:
-        """sum over p1 + p2 <= r of k1^(2 p1) k2^(2 p2), Nyquist rule included."""
+        """sum over p1 + p2 <= r of k1^(2 p1) k2^(2 p2); the Nyquist line of
+        each axis is zeroed, as the derivative matrices do."""
         def build():
-            kk1 = np.abs(self._derivative_symbol(1, 0)) ** 2
-            kk2 = np.abs(self._derivative_symbol(0, 1)) ** 2
+            kk1, kk2 = self._k1h**2, self._k2h**2
+            kk1[self.spec.n1 // 2] = 0.0
+            kk2[:, -1] = 0.0
             return sum(kk1**p1 * kk2**p2 for p1 in range(r + 1) for p2 in range(r + 1 - p1))
         return self._parseval_weight(("interior", r), build)[..., 0]
 

@@ -289,14 +289,16 @@ def bicgstab(matvec, b, rtol, maxiter, M, callback=None):
     ||b - A x|| < rtol ||b||.  Returns ``(x, info)``: info is 0 on
     convergence, ``maxiter`` when the budget ran out, -10 and -11 on a rho
     and an omega breakdown, and -12 as soon as rho, omega or the residual
-    norm is not finite.
+    norm is not finite.  Unlike scipy, the rho breakdown bound scales with
+    ||b||^2, since rho = b . r does: a right-hand side of any size is
+    solved alike, however small its norm.
     """
     x = np.zeros_like(b)
     bnorm = _norm(b)
     if bnorm == 0.0:
         return x, 0
     atol = rtol * bnorm
-    tiny = np.finfo(b.dtype).eps ** 2   # scipy's breakdown bound for rho and omega
+    tiny = np.finfo(b.dtype).eps ** 2   # scipy's breakdown bound for omega
     r = b.copy()
     for iteration in range(maxiter):
         rnorm = _norm(r)
@@ -305,7 +307,7 @@ def bicgstab(matvec, b, rtol, maxiter, M, callback=None):
         rho = _dot(b, r)        # the shadow residual is r_0 = b
         if not (np.isfinite(rnorm) and np.isfinite(rho)):
             return x, -12
-        if abs(rho) < tiny:
+        if abs(rho) < tiny * bnorm * bnorm:
             return x, -10
         if iteration > 0:
             if abs(omega) < tiny:

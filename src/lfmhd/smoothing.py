@@ -38,10 +38,3 @@ def mollify(grid: Grid, f: np.ndarray, kappa: float, power: int = 1) -> np.ndarr
 def commutator(grid: Grid, f: np.ndarray, g: np.ndarray, kappa: float) -> np.ndarray:
     """[mollifier, f] g = mollify(f g) - f mollify(g), pointwise products."""
     return mollify(grid, f * g, kappa) - f * mollify(grid, g, kappa)
-
-
-def derivative_commutator(
-    grid: Grid, f: np.ndarray, g: np.ndarray, kappa: float, axis: int
-) -> np.ndarray:
-    """[mollifier, f] (d_axis g), the form appearing in tangential energy swaps."""
-    return commutator(grid, f, grid.derivative(g, axis), kappa)

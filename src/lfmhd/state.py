@@ -1,10 +1,9 @@
 """Flow state, equation of state, initial data presets and admissibility.
 
 The equation of state is the exponential barotropic law rho(p) =
-rho_ref * exp(p), for which rho, drho/dp and d2rho/dp2 coincide and the
-enthalpy-like potential int p(r)/r^2 dr has a closed form.  The reference
-density is 1 so the quiescent state carries unit density and zero
-pressure head.
+exp(p), for which rho and drho/dp coincide and the enthalpy-like
+potential int p(r)/r^2 dr has a closed form.  The reference density is
+1, so the quiescent state carries unit density and zero pressure head.
 """
 
 from __future__ import annotations
@@ -27,23 +26,17 @@ class InitialDataError(ValueError):
 class EquationOfState:
     """Exponential barotropic law with unit reference density."""
 
-    rho_ref: float = 1.0
     diffusivity: float = 1.0  # magnetic diffusivity lambda
 
     def rho(self, p: np.ndarray | float) -> np.ndarray | float:
-        return self.rho_ref * np.exp(p)
+        return np.exp(p)
 
-    # first and second p-derivatives coincide with rho for this law
+    # the p-derivative coincides with rho for this law
     rho_p = rho
-    rho_pp = rho
-
-    def pressure(self, rho: np.ndarray | float) -> np.ndarray | float:
-        return np.log(rho / self.rho_ref)
 
     def q_potential(self, rho: np.ndarray | float) -> np.ndarray | float:
-        """int_{rho_ref}^{rho} p(r) / r^2 dr, closed form for the exponential law."""
-        u = rho / self.rho_ref
-        return (1.0 - (1.0 + np.log(u)) / u) / self.rho_ref
+        """int_1^rho p(r) / r^2 dr, closed form for the exponential law."""
+        return 1.0 - (1.0 + np.log(rho)) / rho
 
 
 @dataclass

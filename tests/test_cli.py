@@ -108,9 +108,11 @@ def test_cfl_violation_exit_code_names_bound(tmp_path, capsys):
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, tmp_path / "out", extra="scheme.kapa = 0.2\n")
-    assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
-    assert "unknown key" in capsys.readouterr().err
+    # run has no lemma switch: check-lemmas alone writes lemmas.csv
+    for key in ("scheme.kapa", "diagnostics.lemma_suite"):
+        cfg = write_cfg(tmp_path, tmp_path / "out", extra=f"{key} = on\n")
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_inadmissible_amplitude_exit_code(tmp_path, capsys):
@@ -390,6 +392,17 @@ def test_diffusion_stall_exit_code(tmp_path, capsys):
     assert cli.main(["run", cfg]) == cli.EXIT_DIFFUSION
     err = capsys.readouterr().err
     assert err.startswith("diffusion solve stalled:") and "target 1.0e-30" in err
+
+
+def test_rounding_noise_field_component_is_solved(tmp_path, capsys):
+    # at this dealias fraction a component of b is rounding noise (norm
+    # about 4e-21); its diffusion solve converges instead of reporting a
+    # Krylov breakdown (exit 8)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, out, extra=SMALL + "data.preset = magnetic-tube\n"
+                    "grid.dealias_fraction = 0.45\n")
+    assert cli.main(["run", cfg]) == 0, capsys.readouterr().err
+    assert (out / "residuals.csv").exists()
 
 
 def test_numerical_breakdown_exit_code(tmp_path, capsys, monkeypatch):

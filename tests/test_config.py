@@ -34,7 +34,6 @@ def test_overrides_comments_and_blank_lines():
     data.preset = magnetic-tube
     data.amplitude = 0.3
     outputs.checkpoint = on
-    diagnostics.lemma_suite = yes
     """
     cfg = parse_config(text)
     assert cfg.grid.n1 == 32 and cfg.grid.n2 == 16 and cfg.grid.n3 == 24
@@ -43,7 +42,6 @@ def test_overrides_comments_and_blank_lines():
     assert cfg.data.preset == "magnetic-tube"
     assert cfg.data.amplitude == 0.3
     assert cfg.outputs.checkpoint is True
-    assert cfg.diagnostics.lemma_suite is True
 
 
 @pytest.mark.parametrize("raw,expected", [
@@ -60,6 +58,9 @@ def test_unknown_key_is_fatal():
         parse_config("grid.n4 = 8")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("scheme.kapa = 0.1")
+    # the lemma table is written by check-lemmas alone; run has no switch for it
+    with pytest.raises(ConfigError, match="unknown key 'diagnostics.lemma_suite'"):
+        parse_config("diagnostics.lemma_suite = on")
 
 
 def test_malformed_line_is_fatal():

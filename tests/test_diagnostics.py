@@ -19,7 +19,6 @@ from lfmhd.diagnostics import (
     lemma_suite,
     map_norm,
     nonlinear_residuals,
-    residual_audit,
     physical_energy_balance,
     time_difference,
     wave_equation_residual,
@@ -405,11 +404,11 @@ def test_residual_audit_takes_one_gradient_of_b_and_v_per_node(magnetic_run, mon
     energy_functionals(magnetic_run)  # no defects, so no gradient of v
     assert sorted(seen) == [(j, name) for j in range(len(states)) for name in ("Q", "b")]
     monkeypatch.undo()
-    audit = residual_audit(magnetic_run)
+    audit = energy_functionals(magnetic_run, order=0, residuals=True).residuals
     for name, col in report.residuals.items():
         np.testing.assert_array_equal(audit[name], col)
     res = nonlinear_residuals(magnetic_run)
-    assert set(audit) == set(res) | {"wave", "D_diss"}
+    assert set(audit) == set(res) | {"wave"}
     for name in res:
         np.testing.assert_array_equal(res[name], audit[name])
     np.testing.assert_array_equal(wave_equation_residual(magnetic_run), audit["wave"])
@@ -428,9 +427,9 @@ def test_field_free_audit_takes_one_gradient_per_node_for_v(quiescent_run, monke
         return real(self, f)
 
     monkeypatch.setattr(Grid, "gradient", recording)
-    audit = residual_audit(quiescent_run)
+    D = energy_functionals(quiescent_run, order=0, residuals=True).columns["D_diss"]
     assert seen == [(j, "v") for j in range(len(states))]
-    assert audit["D_diss"].tobytes() == np.zeros(len(states)).tobytes()
+    assert D.tobytes() == np.zeros(len(states)).tobytes()
 
 
 def test_field_free_energy_balance_takes_no_covariant_gradient_of_b(quiescent_run,
@@ -465,9 +464,9 @@ def test_induction_residual_reads_the_diffusivity(grid16, magnetic_run):
 
 
 def test_audit_dissipation_is_the_energy_balance_column(magnetic_run):
-    audit = residual_audit(magnetic_run)
+    audited = energy_functionals(magnetic_run, order=0, residuals=True).columns["D_diss"]
     _, D, _ = physical_energy_balance(magnetic_run)
-    np.testing.assert_array_equal(audit["D_diss"], D)
+    np.testing.assert_array_equal(audited, D)
     assert D.max() > 0.0
     shared = energy_functionals(magnetic_run, residuals=True).columns
     for name, col in energy_functionals(magnetic_run).columns.items():
@@ -567,7 +566,8 @@ def test_frozen_and_audited_psi_is_the_per_node_correction_field(grid_small, eos
         res_eta = [grid.low_norm(time_difference(eta.__getitem__, n, j, traj.dt, 1)
                                  - s.v - want[j])
                    for j, s in enumerate(traj.states)]
-        assert residual_audit(traj)["eta"].tobytes() == np.array(res_eta).tobytes()
+        audit = energy_functionals(traj, order=0, residuals=True).residuals
+        assert audit["eta"].tobytes() == np.array(res_eta).tobytes()
 
 
 # ----------------------------------------------------------------------

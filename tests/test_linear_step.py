@@ -206,6 +206,18 @@ def test_implicit_diffusion_perturbed_geometry_converges(grid16, rng):
         implicit_diffusion_solve(grid16, cache.a_s, rhs, 0.01, max_iter=1)
 
 
+@pytest.mark.parametrize("scale", [1e8, 1e-15, 1e-20, 1e-100])
+def test_implicit_diffusion_solve_is_scale_invariant(grid16, rng, scale):
+    # the Krylov breakdown test scales with the right-hand side, so a
+    # component whose norm is rounding noise is solved like any other
+    eta = perturbed_map(grid16, rng, eps=0.05)
+    a_s = build_geometry(grid16, eta, KAPPA).a_s
+    rhs = wall_vanishing_scalar(grid16, rng, band=2)
+    sol = implicit_diffusion_solve(grid16, a_s, rhs, 0.01)
+    scaled = implicit_diffusion_solve(grid16, a_s, scale * rhs, 0.01)
+    assert np.abs(scaled / scale - sol).max() <= 1e-13 * np.abs(sol).max()
+
+
 def test_nan_rhs_stops_the_krylov_loop_at_once(grid16, rng, monkeypatch):
     eta = perturbed_map(grid16, rng, eps=0.05)
     cache = build_geometry(grid16, eta, KAPPA)
