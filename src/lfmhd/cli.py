@@ -173,14 +173,17 @@ def _write_lemmas_csv(out: Path, grid: Grid, cfg: RunConfig) -> LemmaReport:
     return report
 
 
+def _solver_options(cfg: RunConfig) -> dict:
+    """The solver keywords of the config, shared by one solve and the sweep."""
+    s = cfg.scheme
+    return dict(T=s.T, dt=s.dt, tol=s.picard_tol, max_iter=s.picard_max_iter,
+                truncation_order=cfg.diagnostics.max_time_order,
+                cfl_safety=s.cfl_safety, diffusion_tol=s.diffusion_tol)
+
+
 def _solve_from_config(cfg: RunConfig):
     grid, init = _build_problem(cfg)
-    s = cfg.scheme
-    return solve_nonlinear_kappa(
-        grid, init, kappa=s.kappa, T=s.T, dt=s.dt, tol=s.picard_tol,
-        max_iter=s.picard_max_iter, truncation_order=cfg.diagnostics.max_time_order,
-        cfl_safety=s.cfl_safety, diffusion_tol=s.diffusion_tol,
-    )
+    return solve_nonlinear_kappa(grid, init, kappa=cfg.scheme.kappa, **_solver_options(cfg))
 
 
 def _not_converged(log: IterationLog) -> int:
@@ -243,12 +246,7 @@ def _cmd_kappa_sweep(cfg: RunConfig) -> int:
         raise ConfigError("kappa-sweep needs scheme.kappa_list with at least two values")
     out = _output_directory(cfg.outputs.directory)
     grid, init = _build_problem(cfg)
-    s = cfg.scheme
-    traj, report = kappa_sweep(
-        grid, init, kappas=s.kappa_list, T=s.T, dt=s.dt, tol=s.picard_tol,
-        max_iter=s.picard_max_iter, truncation_order=cfg.diagnostics.max_time_order,
-        cfl_safety=s.cfl_safety, diffusion_tol=s.diffusion_tol,
-    )
+    traj, report = kappa_sweep(grid, init, kappas=cfg.scheme.kappa_list, **_solver_options(cfg))
     header = ["kappa", "iterations", "d_final", "psi_max", "delta_to_prev"]
     rows = []
     for row in report.rows():
@@ -262,10 +260,10 @@ def _cmd_kappa_sweep(cfg: RunConfig) -> int:
         header,
         rows,
     )
-    if not all(report.converged):
-        for kappa, ok, reason in zip(report.kappas, report.converged, report.stop_reasons):
-            if not ok:
-                print(f"not converged: kappa = {kappa}: {reason}", file=sys.stderr)
+    if not all(lg.converged for lg in report.logs):
+        for kappa, lg in zip(report.kappas, report.logs):
+            if not lg.converged:
+                print(f"not converged: kappa = {kappa}: {lg.stop_reason}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     energy = energy_functionals(traj, order=cfg.diagnostics.max_time_order)
     _write_energy_csv(out, energy, cfg.outputs.snapshot_stride)

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .grid import GridSpec
+from .linear_step import step_count
 from .state import PRESETS
 
 
@@ -163,13 +164,14 @@ def _validate(cfg: RunConfig, source: str) -> None:
                  f"scheme.kappa_list must be strictly decreasing, got {list(s.kappa_list)}")
     _require(s.dt > 0.0, source, "scheme.dt must be positive")
     _require(s.T > 0.0, source, "scheme.T must be positive")
-    steps = s.T / s.dt
-    _require(math.isfinite(steps) and round(steps) >= 1
-             and abs(round(steps) * s.dt - s.T) <= 1e-9 * max(1.0, s.T), source,
-             f"scheme.T = {s.T} must be a positive integer multiple of scheme.dt = {s.dt}")
+    try:
+        steps = step_count(s.T, s.dt)
+    except ValueError:
+        raise ConfigError(f"{source}: scheme.T = {s.T} must be a positive integer "
+                          f"multiple of scheme.dt = {s.dt}") from None
     # the wave residual and the order-2 energies read three nodes
-    _require(round(steps) >= 2, source,
-             f"scheme.T = {s.T} at scheme.dt = {s.dt} gives {round(steps) + 1} nodes; "
+    _require(steps >= 2, source,
+             f"scheme.T = {s.T} at scheme.dt = {s.dt} gives {steps + 1} nodes; "
              "at least 3 are needed (T >= 2 dt)")
     _require(0.0 < s.cfl_safety <= 1.0, source,
              f"scheme.cfl_safety must lie in (0, 1], got {s.cfl_safety}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -231,27 +231,17 @@ class FrozenCoefficients:
 # implicit diffusion solve
 
 
-def _d3_matrix(nz: int, h: float) -> np.ndarray:
-    D = np.zeros((nz, nz))
-    for i in range(1, nz - 1):
-        D[i, i - 1] = -0.5 / h
-        D[i, i + 1] = 0.5 / h
-    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D[-1, -1], D[-1, -2], D[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return D
-
-
-@lru_cache(maxsize=8)
-def _flat_modal_factors(nz: int, h: float):
-    """Eigen-factorization of the composed normal operator, interior rows."""
-    D33 = (_d3_matrix(nz, h) @ _d3_matrix(nz, h))[1:-1, 1:-1]
-    w, V = np.linalg.eig(D33)
-    return w, V, np.linalg.inv(V)
-
-
 def _flat_preconditioner(grid: Grid, dt: float):
     nz = grid.spec.n3 + 1
-    w, V, Vinv = _flat_modal_factors(nz, grid.h3)
+
+    def modal_factors():
+        # eigen-factorization of the composed y3 stencil, interior rows;
+        # the stencil applied to the identity's rows is its transposed matrix
+        D3 = grid._stencil3(np.eye(nz)).T
+        w, V = np.linalg.eig((D3 @ D3)[1:-1, 1:-1])
+        return w, V, np.linalg.inv(V)
+
+    w, V, Vinv = grid.cached_symbol("flat_modal_factors", modal_factors)
 
     def build():
         # per tangential mode and normal eigenmode; the wall planes stay zero
@@ -462,6 +452,16 @@ def _induction_rhs(grid, smp: FrozenSample, v, b_lag, dt):
     return b_lag + dt * transport
 
 
+def step_count(T: float, dt: float) -> int:
+    """The number of dt steps in [0, T]; ValueError unless T is a positive
+    integer multiple of dt, to 1e-9 relative, with a finite count."""
+    steps = T / dt if dt > 0.0 else np.nan
+    n = round(steps) if np.isfinite(steps) else 0
+    if n < 1 or abs(n * dt - T) > 1e-9 * max(1.0, T):
+        raise ValueError(f"T = {T} is not a positive integer multiple of dt = {dt}")
+    return n
+
+
 def _require_finite(j: int, t: float, **fields: np.ndarray) -> None:
     for name, value in fields.items():
         if not np.isfinite(value).all():
@@ -476,7 +476,6 @@ def advance_linearized(
     T: float,
     cfl_safety: float = 0.4,
     diffusion_tol: float = 1e-9,
-    init_geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Trajectory:
     """Integrate the frozen-coefficient system from ``init`` over [0, T].
 
@@ -488,12 +487,8 @@ def advance_linearized(
     :class:`BreakdownError` naming the first such field, in that order,
     and the node; a non-finite b cannot come out of the diffusion solve,
     whose residual check raises :class:`DiffusionSolveError` instead.
-    ``init_geometry``, ``init``'s ``(a_s, J_s, psi)`` at the frozen kappa,
-    becomes the returned trajectory's ``start_geometry``.
     """
-    nsteps = int(round(T / dt))
-    if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"T = {T} is not a positive integer multiple of dt = {dt}")
+    nsteps = step_count(T, dt)
     bound = frozen.cfl_bound(cfl_safety)
     if not dt <= bound:  # a NaN bound fails too
         raise CflError(dt, bound, cfl_safety, grid.h3)
@@ -524,5 +519,4 @@ def advance_linearized(
         )
         states.append(state)
 
-    return Trajectory(grid=grid, eos=init.eos, kappa=frozen.kappa, dt=dt, states=states,
-                      start_geometry=init_geometry)
+    return Trajectory(grid=grid, eos=init.eos, kappa=frozen.kappa, dt=dt, states=states)

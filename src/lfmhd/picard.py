@@ -21,7 +21,7 @@ from .diagnostics import difference_energy
 from .geometry import build_geometry
 from .grid import Grid
 from .linear_step import (BreakdownError, FrozenCoefficients, Trajectory, advance_linearized,
-                          trivial_trajectory)
+                          step_count, trivial_trajectory)
 from .state import FlowState, InitialDataError, check_compatibility, taylor_sign_margin
 
 log = logging.getLogger(__name__)
@@ -74,6 +74,25 @@ def _is_trivial(init: FlowState) -> bool:
     )
 
 
+def _start_geometry(grid: Grid, init: FlowState, kappa: float):
+    """Node 0's ``(a_s, J_s, psi)`` at ``kappa``, once ``init`` passes the
+    initial-data checks.  One geometry build serves all: the compatibility
+    check reads its unsmoothed inverse, the Taylor check its smoothed one."""
+    cache = build_geometry(grid, init.eta, kappa)
+    report = check_compatibility(init, order=0, cache=cache)
+    if report.max_residual() > COMPAT_TOL:
+        raise InitialDataError(
+            f"initial data fails order-0 compatibility: {report.residuals()}"
+        )
+    if not _is_trivial(init):
+        margin = taylor_sign_margin(init, cache.a_s)
+        if margin <= 0.0:
+            raise InitialDataError(
+                f"Rayleigh-Taylor sign condition violated at t = 0: margin {margin:.3e}"
+            )
+    return cache.a_s, cache.J_s, correction_field(grid, init.eta, init.v, cache.a_s, kappa)
+
+
 def solve_nonlinear_kappa(
     grid: Grid,
     init: FlowState,
@@ -93,97 +112,65 @@ def solve_nonlinear_kappa(
     checked from the second iterate on.  Three consecutive increases of
     d_n raise :class:`NonContractionError`, and a non-finite d_n raises
     :class:`BreakdownError` naming the iterate.  A converged trajectory is
-    re-frozen and re-advanced once and the residual stored in the log, so
-    the fixed point is certified self-consistent; the re-freeze also
-    fills the trajectory's ``geometry``.
+    taken through one more iterate and its d_{n+1} stored in the log as
+    the self-check, so the fixed point is certified self-consistent; that
+    freeze also fills the trajectory's ``geometry``.  T must be a positive
+    integer multiple of dt (ValueError, before any iterate).
     """
-    # one geometry of the initial map: the compatibility check reads its
-    # unsmoothed inverse, the Taylor check its smoothed one, and every
-    # iterate's node 0 (always ``init``) its smoothed one and psi
-    cache = build_geometry(grid, init.eta, kappa)
-    report = check_compatibility(init, order=0, cache=cache)
-    if report.max_residual() > COMPAT_TOL:
-        raise InitialDataError(
-            f"initial data fails order-0 compatibility: {report.residuals()}"
-        )
-    if not _is_trivial(init):
-        margin = taylor_sign_margin(init, cache.a_s)
-        if margin <= 0.0:
-            raise InitialDataError(
-                f"Rayleigh-Taylor sign condition violated at t = 0: margin {margin:.3e}"
-            )
+    nsteps = step_count(T, dt)
+    start = _start_geometry(grid, init, kappa)
 
-    start = (cache.a_s, cache.J_s, correction_field(grid, init.eta, init.v, cache.a_s, kappa))
-    del cache  # only ``start`` is read from here on; the rest of the cache is released
-    nsteps = int(round(T / dt))
-    traj_prev = trivial_trajectory(grid, init.eos, init.rho0, kappa, dt, nsteps)
-    logbook = IterationLog(tol=tol)
-
-    traj = traj_prev
-    for n in range(1, max_iter + 1):
-        tic = time.perf_counter()
-        frozen = FrozenCoefficients.freeze(traj_prev)
+    def step(prev: Trajectory, n: int) -> tuple[Trajectory, float]:
+        # the frozen coefficients live only through the advance, so the
+        # difference energy runs with two trajectories alive and no more
         traj = advance_linearized(
-            grid, frozen, init, dt, T,
-            cfl_safety=cfl_safety, diffusion_tol=diffusion_tol, init_geometry=start,
+            grid, FrozenCoefficients.freeze(prev), init, dt, T,
+            cfl_safety=cfl_safety, diffusion_tol=diffusion_tol,
         )
-        # the next freeze builds its own coefficients; holding these through
-        # it would keep two iterates' geometry alive at once
-        frozen = None
+        traj.start_geometry = start
         with np.errstate(all="ignore"):  # the next line checks d_n
-            d_n = float(np.max(difference_energy(traj, traj_prev, truncation_order)))
-        if not np.isfinite(d_n):  # it would fail every comparison below
+            d_n = float(np.max(difference_energy(traj, prev, truncation_order)))
+        if not np.isfinite(d_n):  # it would fail every convergence comparison
             raise BreakdownError(
                 f"picard iterate {n}: difference energy d_{n} = {d_n} is not finite; "
                 f"its time differences scale as 1/dt^2, and scheme.dt = {dt:.6g}")
-        logbook.d_history.append(d_n)
+        return traj, d_n
+
+    logbook = IterationLog(tol=tol)
+    d = logbook.d_history
+    traj = trivial_trajectory(grid, init.eos, init.rho0, kappa, dt, nsteps)
+    for n in range(1, max_iter + 1):
+        tic = time.perf_counter()
+        traj, d_n = step(traj, n)  # rebinding releases the previous iterate
+        d.append(d_n)
         logbook.wall_seconds.append(time.perf_counter() - tic)
         log.info("picard iterate %d: d = %.6e", n, d_n)
-
-        d = logbook.d_history
         if n >= 2 and d_n <= tol * (1.0 + d[0]):
             logbook.converged = True
             logbook.stop_reason = f"d_{n} <= tol (1 + d_1)"
-            break
+            logbook.self_check = step(traj, n + 1)[1]
+            return traj, logbook
         if n >= 3 and d[-1] > d[-2] > d[-3]:
             raise NonContractionError(d, T)
-        traj_prev = traj
-    else:
-        logbook.stop_reason = f"max_iter = {max_iter} reached"
-
-    if logbook.converged:
-        # the previous iterate is not read again; releasing it before the
-        # self-check lowers the run's peak memory
-        traj_prev = None
-        frozen = FrozenCoefficients.freeze(traj)
-        traj_check = advance_linearized(
-            grid, frozen, init, dt, T,
-            cfl_safety=cfl_safety, diffusion_tol=diffusion_tol,
-        )
-        logbook.self_check = float(
-            np.max(difference_energy(traj_check, traj, truncation_order))
-        )
+    logbook.stop_reason = f"max_iter = {max_iter} reached"
     return traj, logbook
 
 
 @dataclass
 class SweepReport:
-    """Per-kappa convergence stats and the Cauchy differences between runs."""
+    """Per-kappa convergence logs and the Cauchy differences between runs."""
 
     kappas: list[float]
-    iterations: list[int]
-    d_final: list[float]
+    logs: list[IterationLog]
     psi_max: list[float]
     deltas: list[float]          # sup-in-time difference energy, consecutive kappas
-    converged: list[bool]
-    stop_reasons: list[str]
 
     def rows(self):
-        for j, kappa in enumerate(self.kappas):
+        for j, (kappa, lg) in enumerate(zip(self.kappas, self.logs)):
             yield {
                 "kappa": kappa,
-                "iterations": self.iterations[j],
-                "d_final": self.d_final[j],
+                "iterations": lg.iterations,
+                "d_final": lg.d_history[-1] if lg.d_history else 0.0,
                 "psi_max": self.psi_max[j],
                 "delta_to_prev": self.deltas[j - 1] if j >= 1 else float("nan"),
             }
@@ -209,9 +196,11 @@ def kappa_sweep(
     Cauchy diagnostic for the vanishing-smoothing limit).  The members
     run one after another, and at most two are held at a time.
     """
-    if len(kappas) < 1 or any(k <= 0 for k in kappas):
+    if len(kappas) == 0:
+        raise ValueError("kappas must name at least one smoothing scale")
+    if not all(k > 0 for k in kappas):
         raise ValueError(f"kappas must be positive, got {kappas}")
-    if sorted(kappas, reverse=True) != list(kappas):
+    if any(a <= b for a, b in zip(kappas, kappas[1:])):
         raise ValueError(f"kappas must be strictly descending, got {kappas}")
 
     order = kwargs.get("truncation_order", 2)
@@ -228,13 +217,4 @@ def kappa_sweep(
         psi_max.append(max_correction_norm(traj))
         if prev is not None:
             deltas.append(float(np.max(difference_energy(prev, traj, order))))
-    report = SweepReport(
-        kappas=list(kappas),
-        iterations=[lg.iterations for lg in logs],
-        d_final=[lg.d_history[-1] if lg.d_history else 0.0 for lg in logs],
-        psi_max=psi_max,
-        deltas=deltas,
-        converged=[lg.converged for lg in logs],
-        stop_reasons=[lg.stop_reason for lg in logs],
-    )
-    return traj, report
+    return traj, SweepReport(kappas=list(kappas), logs=logs, psi_max=psi_max, deltas=deltas)

@@ -173,9 +173,8 @@ def test_implicit_diffusion_matches_dense_modal_solve(grid16, rng):
     dt = 0.01
     sol = implicit_diffusion_solve(g, cache.a_s, rhs, dt)
 
-    from lfmhd.linear_step import _d3_matrix
     n3 = g.spec.n3
-    D3 = _d3_matrix(n3 + 1, g.h3)
+    D3 = g._stencil3(np.eye(n3 + 1)).T
     D33 = (D3 @ D3)[1:-1, 1:-1]
     rh = np.fft.fft2(rhs, axes=(0, 1))
     sh = np.fft.fft2(sol, axes=(0, 1))

@@ -1,11 +1,13 @@
 """Nonlinear fixed-point iteration and the smoothing-scale cascade."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from lfmhd import picard
 from lfmhd.diagnostics import difference_energy
-from lfmhd.linear_step import BreakdownError
+from lfmhd.linear_step import BreakdownError, FrozenCoefficients
 from lfmhd.picard import (
     NonContractionError,
     kappa_sweep,
@@ -51,6 +53,59 @@ def test_non_finite_difference_energy_raises_breakdown(grid_small, monkeypatch):
     with pytest.raises(BreakdownError, match=r"^picard iterate 2: difference energy d_2 = nan"):
         solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
     assert len(calls) == 2
+
+
+def test_non_finite_self_check_raises_breakdown(grid_small, monkeypatch):
+    # the self-check is one more iterate: a NaN there names iterate n + 1
+    st = make_initial_data(grid_small, "quiescent", amplitude=0.1, seed=3)
+    _, log = solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+    assert log.converged
+    n = log.iterations
+    calls = []
+
+    def nan_at_the_self_check(t1, t2, order=2):
+        calls.append(None)
+        d = difference_energy(t1, t2, order)
+        return d if len(calls) <= n else np.full_like(d, np.nan)
+
+    monkeypatch.setattr(picard, "difference_energy", nan_at_the_self_check)
+    with pytest.raises(BreakdownError, match=rf"^picard iterate {n + 1}: difference energy "
+                                             rf"d_{n + 1} = nan"):
+        solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+    assert len(calls) == n + 1
+
+
+def test_no_frozen_coefficients_live_through_a_difference_energy(grid_small, eos, monkeypatch):
+    # the frozen coefficients are released with the advance that reads
+    # them, the self-check's included
+    st = make_initial_data(grid_small, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
+    live = []
+
+    def counting(t1, t2, order=2):
+        gc.collect()
+        live.append(sum(isinstance(o, FrozenCoefficients) for o in gc.get_objects()))
+        return difference_energy(t1, t2, order)
+
+    monkeypatch.setattr(picard, "difference_energy", counting)
+    _, log = solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+    assert log.converged and log.self_check is not None
+    assert live == [0] * (log.iterations + 1)
+
+
+@pytest.mark.parametrize("horizon, dt", [(1e300, 1e-300), (0.05, 0.03)])
+def test_horizon_off_the_lattice_is_refused_before_any_freeze(grid_small, monkeypatch, horizon, dt):
+    st = make_initial_data(grid_small, "quiescent", amplitude=0.1, seed=3)
+    freezes = []
+    real = FrozenCoefficients.freeze.__func__
+
+    def counting(cls, traj):
+        freezes.append(None)
+        return real(cls, traj)
+
+    monkeypatch.setattr(FrozenCoefficients, "freeze", classmethod(counting))
+    with pytest.raises(ValueError, match="is not a positive integer multiple of dt"):
+        solve_nonlinear_kappa(grid_small, st, KAPPA, horizon, dt)
+    assert freezes == []
 
 
 def test_quiescent_contracts_fast(grid16):
@@ -118,6 +173,10 @@ def test_kappa_sweep_validates_ordering(grid16):
         kappa_sweep(grid16, st, (0.1, 0.2), T, DT)
     with pytest.raises(ValueError):
         kappa_sweep(grid16, st, (0.2, -0.1), T, DT)
+    with pytest.raises(ValueError, match="strictly descending"):
+        kappa_sweep(grid16, st, (0.1, 0.1), T, DT)
+    with pytest.raises(ValueError, match="at least one"):
+        kappa_sweep(grid16, st, (), T, DT)
 
 
 def test_max_correction_norm_zero_on_trivial(grid16, eos):

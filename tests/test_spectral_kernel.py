@@ -25,7 +25,7 @@ from lfmhd.diagnostics import map_norm
 from lfmhd.fields import perturbed_map
 from lfmhd.geometry import DegenerateMapError, _invert_pointwise, build_geometry, deformation_gradient
 from lfmhd.grid import Grid, GridSpec
-from lfmhd.linear_step import _flat_modal_factors, _flat_preconditioner
+from lfmhd.linear_step import _flat_preconditioner
 from lfmhd.smoothing import mollify
 
 GRIDS = (Grid(GridSpec(8, 8, 8)), Grid(GridSpec(8, 12, 9)))
@@ -228,16 +228,41 @@ def test_harmonic_extension_matches_full_sinh_profiles(grid):
     assert _close(harmonic_extension(grid, g), ref, 1e-12)
 
 
+def _stencil3_matrix(nz, h):
+    """The y3 stencil of ``Grid._fd3`` written out: central inside,
+    one-sided second order at the walls."""
+    D = np.zeros((nz, nz))
+    for i in range(1, nz - 1):
+        D[i, i - 1], D[i, i + 1] = -0.5 / h, 0.5 / h
+    D[0, :3] = -1.5 / h, 2.0 / h, -0.5 / h
+    D[-1, -3:] = 0.5 / h, -2.0 / h, 1.5 / h
+    return D
+
+
+@pytest.mark.parametrize("n3", (8, 16, 32, 33))
+def test_y3_stencil_matrix_form_matches_fd3(n3):
+    # the flat preconditioner factors the stencil applied to the identity
+    grid = Grid(GridSpec(8, 8, n3))
+    M = grid._stencil3(np.eye(n3 + 1)).T
+    assert np.array_equal(M, _stencil3_matrix(n3 + 1, grid.h3))
+    # as a matrix product it sums the same terms in another order
+    f = np.random.default_rng(n3).standard_normal(grid.shape)
+    bound = 8.0 * np.finfo(float).eps * np.abs(f).max() / grid.h3
+    assert np.abs(f @ M.T - grid._fd3(f)).max() <= bound
+
+
 @pytest.mark.parametrize("grid", GRIDS)
 def test_flat_preconditioner_matches_full_modal_solve(grid):
+    # per tangential mode, a dense solve of (1 + dt |xi|^2) - dt D33 on
+    # the interior rows
     dt = 0.01
     nz = grid.spec.n3 + 1
-    w, V, Vinv = _flat_modal_factors(nz, grid.h3)
+    D3 = _stencil3_matrix(nz, grid.h3)
+    D33 = (D3 @ D3)[1:-1, 1:-1]
     res = np.random.default_rng(17).standard_normal((grid.spec.n1, grid.spec.n2, nz - 2))
     rh = np.fft.fft2(res, axes=(0, 1))
-    wh = np.einsum("ab,ijb->ija", Vinv, rh)
-    wh /= 1.0 + dt * _full_ksq(grid)[:, :, None] - dt * w[None, None, :]
-    ref = np.fft.ifft2(np.einsum("ab,ijb->ija", V, wh), axes=(0, 1)).real
+    ops = (1.0 + dt * _full_ksq(grid))[:, :, None, None] * np.eye(nz - 2) - dt * D33
+    ref = np.fft.ifft2(np.linalg.solve(ops, rh[..., None])[..., 0], axes=(0, 1)).real
     assert _close(_flat_preconditioner(grid, dt)(res), ref, 1e-12)
 
 
