@@ -51,7 +51,6 @@ from .picard import (
 )
 from .smoothing import commutator, mollify
 from .state import (
-    CompatibilityReport,
     EquationOfState,
     FlowState,
     InitialDataError,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BreakdownError",
     "CflError",
-    "CompatibilityReport",
     "DegenerateMapError",
     "DiffusionSolveError",
     "EnergyReport",

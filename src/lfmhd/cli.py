@@ -31,7 +31,7 @@ from .diagnostics import (
     lemma_suite,
 )
 from .geometry import DegenerateMapError
-from .grid import Grid, GridSpec
+from .grid import Grid
 from .linear_step import BreakdownError, CflError, DiffusionSolveError
 from .picard import IterationLog, NonContractionError, kappa_sweep, solve_nonlinear_kappa
 from .state import EquationOfState, InitialDataError, make_initial_data
@@ -102,8 +102,7 @@ def _print_table(title: str, pairs: list[tuple[str, str]]) -> None:
 
 
 def _build_problem(cfg: RunConfig):
-    grid = Grid(GridSpec(cfg.grid.n1, cfg.grid.n2, cfg.grid.n3,
-                         dealias_fraction=cfg.grid.dealias_fraction))
+    grid = Grid(cfg.grid)
     eos = EquationOfState(diffusivity=cfg.physics.diffusivity)
     init = make_initial_data(grid, cfg.data.preset, amplitude=cfg.data.amplitude,
                              seed=cfg.data.seed, eos=eos, c0=cfg.physics.c0)
@@ -270,8 +269,7 @@ def _cmd_kappa_sweep(cfg: RunConfig) -> int:
     if cfg.outputs.checkpoint:
         with _writing(out / "trajectory.ckpt"):
             write_trajectory(out / "trajectory.ckpt", traj)
-    deltas = [row["delta_to_prev"] for row in report.rows()
-              if not np.isnan(row["delta_to_prev"])]
+    deltas = report.deltas
     decreasing = all(a > b for a, b in zip(deltas, deltas[1:]))
     _print_table("kappa-sweep", [
         ("kappas", " ".join(_fmt(k) for k in report.kappas)),
@@ -286,8 +284,7 @@ def _cmd_kappa_sweep(cfg: RunConfig) -> int:
 
 def _cmd_check_lemmas(cfg: RunConfig) -> int:
     out = _output_directory(cfg.outputs.directory)
-    grid = Grid(GridSpec(cfg.grid.n1, cfg.grid.n2, cfg.grid.n3,
-                         dealias_fraction=cfg.grid.dealias_fraction))
+    grid = Grid(cfg.grid)
     report = _write_lemmas_csv(out, grid, cfg)
     pairs = []
     for check in ("hodge", "elliptic", "trace_pin", "trace_ratio"):

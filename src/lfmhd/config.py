@@ -8,7 +8,7 @@ can never fall back to a default silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -42,14 +42,6 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     if not parts:
         raise ValueError("empty list")
     return tuple(_parse_float(p) for p in parts)
-
-
-@dataclass
-class GridConfig:
-    n1: int = 16
-    n2: int = 16
-    n3: int = 16
-    dealias_fraction: float = 2.0 / 3.0
 
 
 @dataclass
@@ -92,7 +84,7 @@ class DiagnosticsConfig:
 
 @dataclass
 class RunConfig:
-    grid: GridConfig = field(default_factory=GridConfig)
+    grid: GridSpec = field(default_factory=lambda: GridSpec(16, 16, 16))
     physics: PhysicsConfig = field(default_factory=PhysicsConfig)
     scheme: SchemeConfig = field(default_factory=SchemeConfig)
     data: DataConfig = field(default_factory=DataConfig)
@@ -109,8 +101,8 @@ _CASTERS = {f"{section}.{key}": _PARSERS[hint]
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    cfg = RunConfig()
-    sections = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    defaults = RunConfig()
+    values: dict[str, dict] = {f.name: {} for f in fields(defaults)}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -128,7 +120,12 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             value = caster(raw_value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
-        setattr(sections[section_name], attr, value)
+        values[section_name][attr] = value
+    try:
+        cfg = RunConfig(**{name: replace(getattr(defaults, name), **section)
+                           for name, section in values.items()})
+    except ValueError as exc:  # the grid is a GridSpec, which checks itself
+        raise ConfigError(f"{source}: grid.{exc}") from None
     _validate(cfg, source)
     return cfg
 
@@ -148,11 +145,7 @@ def _require(cond: bool, source: str, message: str) -> None:
 
 
 def _validate(cfg: RunConfig, source: str) -> None:
-    g, p, s, d = cfg.grid, cfg.physics, cfg.scheme, cfg.data
-    try:
-        GridSpec(g.n1, g.n2, g.n3, dealias_fraction=g.dealias_fraction)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: grid.{exc}") from None
+    p, s, d = cfg.physics, cfg.scheme, cfg.data
     _require(p.diffusivity > 0.0, source, "physics.diffusivity must be positive")
     _require(p.c0 >= 0.0, source, "physics.c0 must be nonnegative")
     _require(p.epsilon > 0.0, source, "physics.epsilon must be positive")

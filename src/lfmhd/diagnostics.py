@@ -177,11 +177,6 @@ class EnergyReport:
     columns: dict[str, np.ndarray] = field(default_factory=dict)
     residuals: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def rows(self):
-        n = len(self.columns["t"])
-        for j in range(n):
-            yield {name: float(self.columns[name][j]) for name in ENERGY_COLUMNS}
-
     def constraint_rows(self, c0: float | None = None, epsilon: float = 0.1) -> list[dict]:
         """Per-node div b, Taylor margin and geometry gauge, with flags for a
         margin below c0 / 2 and a gauge above epsilon (the run's thresholds)."""
@@ -260,7 +255,7 @@ def _node_pass(traj: Trajectory, j: int, cols: dict, audit: dict) -> None:
         for k in range(2):
             dij = grid.derivative(grid.derivative(lap_w, i + 1), k + 1)
             T = np.einsum("a...,a...->...", aw[2], dij)
-            cols["E_boundary"][j] += grid.norm(T, 0, where="boundary") ** 2
+            cols["E_boundary"][j] += grid.norm(T, 0) ** 2
 
     cols["small_geometry"][j] = small_geometry_norm(grid, a, J_s)
     grad_Q = cov_grad(grid, a, s.Q)
@@ -495,7 +490,7 @@ def lemma_suite(
                 grid.norm(X, 0)
                 + grid.norm(_flat_curl(grid, X), s - 1)
                 + grid.norm(_flat_div(grid, X), s - 1)
-                + grid.norm(grid.boundary_slices(X[2]), s - 0.5, where="boundary")
+                + grid.norm(grid.boundary_slices(X[2]), s - 0.5)
             )
             report.rows.append({
                 "check": "hodge", "label": f"sample {i} s={s}", "value": num / den,
@@ -531,7 +526,7 @@ def lemma_suite(
             "check": "trace_pin", "label": f"mode ({m1} {m2})",
             "value": abs(grid.low_norm(psi) ** 2 - closed) / closed,
         })
-        ratio = grid.norm(psi, 1) / grid.norm(g, 0.5, where="boundary")
+        ratio = grid.norm(psi, 1) / grid.norm(g, 0.5)
         report.rows.append({
             "check": "trace_ratio", "label": f"mode ({m1} {m2})", "value": ratio,
         })

@@ -50,8 +50,6 @@ class GeometryCache:
     """Geometry of one flow map and of its tangentially smoothed copy."""
 
     grid: Grid
-    kappa: float
-    eta: np.ndarray      # (3, n1, n2, n3+1)
     J: np.ndarray        # (n1, n2, n3+1)
     a: np.ndarray        # (3, 3, n1, n2, n3+1), a[mu, alpha]
     A: np.ndarray        # cofactor J * a
@@ -95,7 +93,7 @@ def build_geometry(grid: Grid, eta: np.ndarray, kappa: float) -> GeometryCache:
     J_s, _, a_s = _invert_pointwise(deformation_gradient(grid, eta_s), grid)
 
     return GeometryCache(
-        grid=grid, kappa=kappa, eta=eta, J=J, a=a, A=A,
+        grid=grid, J=J, a=a, A=A,
         eta_s=eta_s, J_s=J_s, a_s=a_s,
     )
 

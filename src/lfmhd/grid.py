@@ -341,8 +341,8 @@ class Grid:
             total += float(np.sum(power * self._sobolev_weight(s - p3)))
         return total
 
-    def norm(self, f: np.ndarray, s: float, where: str = "interior") -> float:
-        """Sobolev norm of a field.
+    def norm(self, f: np.ndarray, s: float) -> float:
+        """Sobolev norm of a field, interior or boundary by its layout.
 
         Interior norms take integer s in 0..4 and sum squared L2 norms of
         all mixed derivatives of order <= s, by Parseval from one
@@ -351,25 +351,17 @@ class Grid:
         (1 + |xi|^2)^(s/2), summed over both planes.  Component axes are
         summed in quadrature.
         """
-        if where == "interior":
+        if self.field_kind(f) == "interior":
             if s != int(s) or not 0 <= int(s) <= 4:
                 raise ValueError(f"interior norm order must be an integer in 0..4, got {s}")
-            if self.field_kind(f) != "interior":
-                raise FieldShapeError("interior norm expects an interior field")
             s = int(s)
             return float(np.sqrt(self.sobolev_sq(self.normal_spectra(f, s), s)))
-        if where == "boundary":
-            two_s = 2.0 * s
-            if two_s != int(two_s) or not 0 <= int(two_s) <= 7:
-                raise ValueError(
-                    f"boundary norm order must be a half-integer in 0..7/2, got {s}"
-                )
-            if self.field_kind(f) != "boundary":
-                raise FieldShapeError("boundary norm expects a boundary field")
-            fh = self._spectrum(f)
-            weight = self._parseval_weight(("boundary", s), lambda: (1.0 + self.ksq) ** s)
-            return float(np.sqrt(np.sum((fh.real**2 + fh.imag**2) * weight)))
-        raise ValueError(f"where must be 'interior' or 'boundary', got {where!r}")
+        two_s = 2.0 * s
+        if two_s != int(two_s) or not 0 <= int(two_s) <= 7:
+            raise ValueError(f"boundary norm order must be a half-integer in 0..7/2, got {s}")
+        fh = self._spectrum(f)
+        weight = self._parseval_weight(("boundary", s), lambda: (1.0 + self.ksq) ** s)
+        return float(np.sqrt(np.sum((fh.real**2 + fh.imag**2) * weight)))
 
     def boundary_slices(self, f: np.ndarray) -> np.ndarray:
         """Restrict an interior field to the two walls, plane axis first.

@@ -22,11 +22,9 @@ from .geometry import build_geometry
 from .grid import Grid
 from .linear_step import (BreakdownError, FrozenCoefficients, Trajectory, advance_linearized,
                           step_count, trivial_trajectory)
-from .state import FlowState, InitialDataError, check_compatibility, taylor_sign_margin
+from .state import COMPAT_TOL, FlowState, InitialDataError, check_compatibility, taylor_sign_margin
 
 log = logging.getLogger(__name__)
-
-COMPAT_TOL = 1e-8
 
 
 class NonContractionError(RuntimeError):
@@ -79,11 +77,9 @@ def _start_geometry(grid: Grid, init: FlowState, kappa: float):
     initial-data checks.  One geometry build serves all: the compatibility
     check reads its unsmoothed inverse, the Taylor check its smoothed one."""
     cache = build_geometry(grid, init.eta, kappa)
-    report = check_compatibility(init, order=0, cache=cache)
-    if report.max_residual() > COMPAT_TOL:
-        raise InitialDataError(
-            f"initial data fails order-0 compatibility: {report.residuals()}"
-        )
+    residuals = check_compatibility(init, cache)
+    if max(residuals.values()) > COMPAT_TOL:
+        raise InitialDataError(f"initial data fails order-0 compatibility: {residuals}")
     if not _is_trivial(init):
         margin = taylor_sign_margin(init, cache.a_s)
         if margin <= 0.0:

@@ -8,7 +8,7 @@ potential int p(r)/r^2 dr has a closed form.  The reference density is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,44 +65,18 @@ class FlowState:
         )
 
 
-@dataclass
-class CompatibilityReport:
-    """Boundary/constraint residuals of a state, by compatibility order."""
-
-    order: int
-    q_wall_sup: float
-    b_wall_sup: float
-    div_b_norm: float
-    div_v_wall_sup: float | None = None
-    heat_trace_sup: float | None = None
-
-    def residuals(self) -> dict[str, float]:
-        out = {
-            "q_wall_sup": self.q_wall_sup,
-            "b_wall_sup": self.b_wall_sup,
-            "div_b_norm": self.div_b_norm,
-        }
-        if self.order >= 1:
-            out["div_v_wall_sup"] = self.div_v_wall_sup
-            out["heat_trace_sup"] = self.heat_trace_sup
-        return out
-
-    def max_residual(self) -> float:
-        return max(v for v in self.residuals().values() if v is not None)
+# largest order-0 compatibility residual admitted as initial data
+COMPAT_TOL = 1e-8
 
 
-def taylor_sign_margin(state: FlowState, a_s: np.ndarray | None = None) -> float:
+def taylor_sign_margin(state: FlowState, a_s: np.ndarray) -> float:
     """min over both walls of -N . grad_a Q with outward unit normals.
 
     N = -e3 on the bottom wall and +e3 on the top wall, so the margin is
     the worst-case inward slope of the total pressure head, taken in the
-    smoothed inverse ``a_s``.  Without it the raw (unsmoothed) geometry
-    of the state's map is used.
+    smoothed inverse ``a_s``.
     """
-    grid = state.grid
-    if a_s is None:
-        a_s = build_geometry(grid, state.eta, 0.0).a_s
-    return taylor_margin_from_gradient(cov_grad(grid, a_s, state.Q))
+    return taylor_margin_from_gradient(cov_grad(state.grid, a_s, state.Q))
 
 
 def taylor_margin_from_gradient(grad_Q: np.ndarray) -> float:
@@ -111,41 +85,34 @@ def taylor_margin_from_gradient(grad_Q: np.ndarray) -> float:
     return float(min(g3[..., 0].min(), (-g3[..., -1]).min()))
 
 
-def check_compatibility(
-    state: FlowState,
-    order: int = 0,
-    cache: GeometryCache | None = None,
-) -> CompatibilityReport:
-    """Measure boundary and constraint residuals at order 0 or 1.
+def check_compatibility(state: FlowState, cache: GeometryCache, order: int = 0) -> dict[str, float]:
+    """Boundary and constraint residuals at order 0 or 1, by name, in the
+    unsmoothed geometry of ``cache``.
 
-    Order 0: q and b vanish on the walls, div_a b vanishes in the bulk.
-    Order 1 adds the quantities forced by the evolution at t = 0: the
-    continuity trace div_a v on the walls and the heat-equation trace of
-    b there (with b = 0 on the walls the transport terms drop out).
+    Order 0: q and b vanish on the walls (``q_wall_sup``, ``b_wall_sup``),
+    div_a b vanishes in the bulk (``div_b_norm``).  Order 1 adds the
+    quantities forced by the evolution at t = 0: the continuity trace
+    div_a v on the walls (``div_v_wall_sup``) and the heat-equation trace
+    of b there (``heat_trace_sup``; with b = 0 on the walls the transport
+    terms drop out).
     """
     if order not in (0, 1):
         raise ValueError(f"compatibility order must be 0 or 1, got {order}")
-    grid = state.grid
-    if cache is None:
-        cache = build_geometry(grid, state.eta, kappa=0.0)
-    q_wall = grid.boundary_slices(state.q)
-    b_wall = grid.boundary_slices(state.b)
-    div_b = cov_div(grid, cache.a, state.b)
-    report = CompatibilityReport(
-        order=order,
-        q_wall_sup=float(np.abs(q_wall).max()),
-        b_wall_sup=float(np.abs(b_wall).max()),
-        div_b_norm=grid.low_norm(div_b),
-    )
+    grid, a = state.grid, cache.a
+    out = {
+        "q_wall_sup": float(np.abs(grid.boundary_slices(state.q)).max()),
+        "b_wall_sup": float(np.abs(grid.boundary_slices(state.b)).max()),
+        "div_b_norm": grid.low_norm(cov_div(grid, a, state.b)),
+    }
     if order == 1:
-        div_v = cov_div(grid, cache.a, state.v)
-        report.div_v_wall_sup = float(np.abs(grid.boundary_slices(div_v)).max())
-        lap_b = cov_laplacian(grid, cache.a, state.b)
-        Gv = cov_grad_vector(grid, cache.a, state.v)
+        div_v = cov_div(grid, a, state.v)
+        out["div_v_wall_sup"] = float(np.abs(grid.boundary_slices(div_v)).max())
+        lap_b = cov_laplacian(grid, a, state.b)
+        Gv = cov_grad_vector(grid, a, state.v)
         transport = np.einsum("a...,al...->l...", state.b, Gv) - state.b * div_v
         trace = grid.boundary_slices(state.eos.diffusivity * lap_b + transport)
-        report.heat_trace_sup = float(np.abs(trace).max())
-    return report
+        out["heat_trace_sup"] = float(np.abs(trace).max())
+    return out
 
 
 def _background_head(grid: Grid, eps_q: float) -> np.ndarray:
@@ -222,9 +189,9 @@ def make_initial_data(
                 f"Rayleigh-Taylor sign condition violated: margin {margin:.6f} "
                 f"below c0 = {c0} (preset {preset!r}, amplitude {amplitude})"
             )
-    report = check_compatibility(state, order=0, cache=cache)
-    if report.max_residual() > 1e-8:
+    residuals = check_compatibility(state, cache)
+    if max(residuals.values()) > COMPAT_TOL:
         raise InitialDataError(
-            f"order-0 compatibility violated for preset {preset!r}: {report.residuals()}"
+            f"order-0 compatibility violated for preset {preset!r}: {residuals}"
         )
     return state

@@ -213,15 +213,6 @@ def test_trivial_trajectory_report(grid16, eos):
     assert np.all(c["balance_residual"] == 0.0)
 
 
-def test_report_rows_cover_all_columns(grid16, eos):
-    rho0 = np.full(grid16.shape, eos.rho(0.0))
-    triv = trivial_trajectory(grid16, eos, rho0, 0.1, 0.0125, 3)
-    rows = list(energy_functionals(triv).rows())
-    assert len(rows) == 4
-    assert set(rows[0]) == set(ENERGY_COLUMNS)
-    assert all(isinstance(v, float) for v in rows[0].values())
-
-
 def test_single_snapshot_insufficient(grid16, eos):
     rho0 = np.full(grid16.shape, eos.rho(0.0))
     one = trivial_trajectory(grid16, eos, rho0, 0.1, 0.0125, 0)

@@ -82,7 +82,7 @@ def test_boundary_slices_and_norm(grid16):
     f = np.outer(np.ones(16), np.ones(16))
     w = np.stack([0.0 * f, 3.0 * f])
     # both wall planes summed in the boundary norm
-    assert g.norm(w, 0, where="boundary") == pytest.approx(3.0)
+    assert g.norm(w, 0) == pytest.approx(3.0)
     interior = np.broadcast_to(g.y3, g.shape).copy()
     sl = g.boundary_slices(interior)
     assert sl.shape == (2, 16, 16)
@@ -113,7 +113,7 @@ def test_boundary_norm_scaling(grid16):
     k = 2 * np.pi
     for s in (0.5, 1.5):
         expect = np.sqrt(0.5 * (1 + k * k) ** s)
-        assert g.norm(w, s, where="boundary") == pytest.approx(expect, rel=1e-10)
+        assert g.norm(w, s) == pytest.approx(expect, rel=1e-10)
 
 
 def test_half_norm_rejects_interior(grid16):

@@ -141,7 +141,7 @@ def test_boundary_norm_matches_full_spectrum(grid):
     for two_s in range(8):
         s = two_s / 2.0
         want = np.sqrt(np.sum((1.0 + _full_ksq(grid)) ** s * np.abs(fh) ** 2))
-        assert grid.norm(w, s, where="boundary") == pytest.approx(want, rel=1e-12)
+        assert grid.norm(w, s) == pytest.approx(want, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
