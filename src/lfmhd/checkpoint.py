@@ -12,8 +12,9 @@ Layout, all integers little-endian u32 unless noted:
 Every payload is one scalar lattice; vectors are stored component-wise
 (``v1``..``v3``), trajectory snapshots under ``snapNNN.`` prefixes, and
 scalar metadata (time, smoothing scale, step, diffusivity, dealias
-fraction) as constant lattices so the format stays uniform.  A field with
-a NaN or an infinity is refused on read.
+fraction) as constant lattices so the format stays uniform.  The header
+dims must make a ``GridSpec``; they are checked before any payload is
+read.  A field with a NaN or an infinity is refused on read.
 """
 
 from __future__ import annotations
@@ -81,8 +82,10 @@ def read_fields(path: str | Path) -> tuple[tuple[int, int, int], dict[str, np.nd
             "(values this large usually mean a byte-swapped file; "
             "the format is little-endian only)"
         )
-    if not (8 <= n1 <= 4096 and 8 <= n2 <= 4096 and 8 <= n3 <= 4096):
-        raise CheckpointError(f"{path}: implausible grid dims ({n1}, {n2}, {n3})")
+    try:
+        GridSpec(n1, n2, n3)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: implausible grid dims ({n1}, {n2}, {n3}): {exc}") from None
     payload = n1 * n2 * (n3 + 1) * 8
     offset = 28
     fields: dict[str, np.ndarray] = {}
@@ -143,21 +146,54 @@ def _state_from_fields(grid: Grid, eos: EquationOfState,
     )
 
 
-def write_state(path: str | Path, state: FlowState) -> None:
-    spec = state.grid.spec
-    write_fields(path, (spec.n1, spec.n2, spec.n3), _state_fields(state))
+def _run_fields(grid: Grid, eos: EquationOfState) -> dict[str, np.ndarray]:
+    """The run parameters a checkpoint records, as constant lattices."""
+    return {
+        "meta.diffusivity": np.full(grid.shape, eos.diffusivity),
+        "meta.dealias_fraction": np.full(grid.shape, grid.spec.dealias_fraction),
+    }
 
 
-def _grid(path: str | Path, dims: tuple[int, int, int], dealias_fraction: float) -> Grid:
+def _read_run(path: str | Path):
+    """Read ``path`` and the run it records: its grid, equation of state,
+    ``meta.`` scalars and fields.
+
+    Files without ``meta.diffusivity`` or ``meta.dealias_fraction`` read
+    as 1.0 and 2/3, the values every run used before they were recorded.
+    A recorded scalar out of range is refused.
+    """
+    dims, fields = read_fields(path)
+    meta = {"diffusivity": 1.0, "dealias_fraction": 2.0 / 3.0}
+    meta.update((key.removeprefix("meta."), float(field.flat[0]))
+                for key, field in fields.items() if key.startswith("meta."))
+    # 1.0 stands in for a trajectory scalar a state file does not record
+    kappa, dt, nodes, diffusivity = (meta.get(key, 1.0)
+                                     for key in ("kappa", "dt", "nodes", "diffusivity"))
+    for name, ok in (
+        ("kappa", 0.0 <= kappa < math.inf),
+        ("dt", 0.0 < dt < math.inf),
+        ("nodes", nodes >= 1.0 and nodes.is_integer()),
+        ("diffusivity", 0.0 < diffusivity < math.inf),
+    ):
+        if not ok:
+            raise CheckpointError(f"{path}: meta.{name} out of range: {meta[name]}")
     try:
-        return Grid(GridSpec(*dims, dealias_fraction=dealias_fraction))
+        grid = Grid(GridSpec(*dims, dealias_fraction=meta["dealias_fraction"]))
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+    return grid, EquationOfState(diffusivity=meta["diffusivity"]), meta, fields
+
+
+def write_state(path: str | Path, state: FlowState) -> None:
+    spec = state.grid.spec
+    fields = _run_fields(state.grid, state.eos) | _state_fields(state)
+    write_fields(path, (spec.n1, spec.n2, spec.n3), fields)
 
 
 def read_state(path: str | Path) -> FlowState:
-    dims, fields = read_fields(path)
-    return _state_from_fields(_grid(path, dims, 2.0 / 3.0), EquationOfState(), fields)
+    """Read a state with the diffusivity and dealias fraction it ran at."""
+    grid, eos, _, fields = _read_run(path)
+    return _state_from_fields(grid, eos, fields)
 
 
 def write_trajectory(path: str | Path, traj: Trajectory) -> None:
@@ -167,8 +203,7 @@ def write_trajectory(path: str | Path, traj: Trajectory) -> None:
         "meta.kappa": np.full(shape, traj.kappa),
         "meta.dt": np.full(shape, traj.dt),
         "meta.nodes": np.full(shape, float(len(traj))),
-        "meta.diffusivity": np.full(shape, traj.eos.diffusivity),
-        "meta.dealias_fraction": np.full(shape, spec.dealias_fraction),
+        **_run_fields(traj.grid, traj.eos),
     }
     for j, state in enumerate(traj.states):
         prefix = f"snap{j:03d}."
@@ -178,32 +213,14 @@ def write_trajectory(path: str | Path, traj: Trajectory) -> None:
 
 
 def read_trajectory(path: str | Path) -> Trajectory:
-    """Read a trajectory with the diffusivity and dealias fraction it ran at.
-
-    Files without ``meta.diffusivity`` or ``meta.dealias_fraction`` read
-    as 1.0 and 2/3, the values every run used before they were recorded.
-    """
-    dims, fields = read_fields(path)
-    for key in ("meta.kappa", "meta.dt", "meta.nodes"):
-        if key not in fields:
-            raise CheckpointError(f"{path}: missing field {key!r}; not a trajectory checkpoint")
-
-    meta = {"diffusivity": 1.0, "dealias_fraction": 2.0 / 3.0}
-    meta.update((key.removeprefix("meta."), float(field.flat[0]))
-                for key, field in fields.items() if key.startswith("meta."))
-    kappa, dt, nodes, diffusivity = (meta[k] for k in ("kappa", "dt", "nodes", "diffusivity"))
-    for name, ok in (
-        ("kappa", 0.0 <= kappa < math.inf),
-        ("dt", 0.0 < dt < math.inf),
-        ("nodes", nodes >= 1.0 and nodes.is_integer()),
-        ("diffusivity", 0.0 < diffusivity < math.inf),
-    ):
-        if not ok:
-            raise CheckpointError(f"{path}: meta.{name} out of range: {meta[name]}")
-    grid = _grid(path, dims, meta["dealias_fraction"])
-    eos = EquationOfState(diffusivity=diffusivity)
+    """Read a trajectory with the diffusivity and dealias fraction it ran at."""
+    grid, eos, meta, fields = _read_run(path)
+    for key in ("kappa", "dt", "nodes"):
+        if key not in meta:
+            raise CheckpointError(
+                f"{path}: missing field 'meta.{key}'; not a trajectory checkpoint")
     states = [
         _state_from_fields(grid, eos, fields, prefix=f"snap{j:03d}.")
-        for j in range(int(nodes))
+        for j in range(int(meta["nodes"]))
     ]
-    return Trajectory(grid=grid, eos=eos, kappa=kappa, dt=dt, states=states)
+    return Trajectory(grid=grid, eos=eos, kappa=meta["kappa"], dt=meta["dt"], states=states)

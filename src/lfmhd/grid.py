@@ -24,6 +24,10 @@ from functools import cached_property
 import numpy as np
 
 
+# the largest point count per axis a lattice may have
+MAX_POINTS = 4096
+
+
 class FieldShapeError(ValueError):
     """Raised when an array does not match any known field layout."""
 
@@ -35,9 +39,10 @@ class GridSpec:
     Attributes
     ----------
     n1, n2 : int
-        Tangential point counts.  Must be even and at least 8.
+        Tangential point counts.  Must be even and in 8..4096.
     n3 : int
-        Number of normal intervals; the lattice carries n3 + 1 planes.
+        Number of normal intervals, in 8..4096; the lattice carries
+        n3 + 1 planes.
     dealias_fraction : float
         Fraction of the tangential spectrum retained when products are
         dealiased.  1.0 disables truncation.
@@ -49,12 +54,13 @@ class GridSpec:
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
-        for name in ("n1", "n2"):
+        for name in ("n1", "n2", "n3"):
             n = getattr(self, name)
-            if n < 8 or n % 2 != 0:
-                raise ValueError(f"{name} must be even and >= 8, got {n}")
-        if self.n3 < 8:
-            raise ValueError(f"n3 must be >= 8, got {self.n3}")
+            if n > MAX_POINTS:
+                raise ValueError(f"{name} must be <= {MAX_POINTS}, got {n}")
+            if n < 8 or (n % 2 != 0 and name != "n3"):
+                parity = "" if name == "n3" else "even and "
+                raise ValueError(f"{name} must be {parity}>= 8, got {n}")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ValueError(
                 f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"

@@ -349,8 +349,9 @@ def implicit_diffusion_solve(
     diffusivity.  Component-wise for vector right-hand sides.  The Krylov
     iteration is preconditioned by the exact flat-geometry modal solve, so
     it converges in a handful of steps whenever the smoothed geometry is
-    close to the identity.  Non-convergence, including a non-finite residual, raises
-    :class:`DiffusionSolveError`.
+    close to the identity.  The true relative residual of the result
+    decides, whatever stopped the iteration: above 10 tol, or not finite,
+    it raises :class:`DiffusionSolveError`.
     """
     if rhs.ndim == 4:
         return np.stack([
@@ -387,10 +388,10 @@ def implicit_diffusion_solve(
         nonlocal iters
         iters += 1
 
-    x_flat, info = bicgstab(matvec, b_flat, rtol=tol, maxiter=max_iter,
-                            M=psolve, callback=count)
+    x_flat, _ = bicgstab(matvec, b_flat, rtol=tol, maxiter=max_iter,
+                         M=psolve, callback=count)
     residual = _norm(matvec(x_flat) - b_flat) / bnorm
-    if info != 0 or not residual <= 10.0 * tol:
+    if not residual <= 10.0 * tol:
         raise DiffusionSolveError(iterations=iters, residual=residual, tol=tol)
     return embed(x_flat.reshape(n1, n2, nint))
 

@@ -142,8 +142,9 @@ def make_initial_data(
       vector potential whose normal profile (4 y3 (1 - y3))^3 vanishes to
       second order at the walls; div b vanishes identically.
 
-    Raises :class:`InitialDataError` when the resulting Taylor margin
-    falls below c0 or a wall/constraint residual is out of tolerance.
+    Raises :class:`InitialDataError` when the head or its density is not
+    finite, the resulting Taylor margin falls below c0, or a
+    wall/constraint residual is out of tolerance.
     """
     if preset not in PRESETS:
         raise InitialDataError(f"unknown preset {preset!r}; choose from {PRESETS}")
@@ -158,13 +159,20 @@ def make_initial_data(
     Y1 = grid.y1[:, None, None] * np.ones(shape)
     Y2 = grid.y2[None, :, None] * np.ones(shape)
 
-    q = _background_head(grid, eps_q)
+    # a large c0 or amplitude overflows the head or its density: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _background_head(grid, eps_q)
+        if preset in ("quiescent", "acoustic"):
+            modulation = np.cos(2.0 * np.pi * Y1 + phases[0]) * np.cos(2.0 * np.pi * Y2 + phases[1])
+            q = q * (1.0 + amplitude * modulation)
+        rho0 = np.asarray(eos.rho(q))
+    if not (np.isfinite(q).all() and np.isfinite(rho0).all()):
+        raise InitialDataError(
+            f"pressure head q or density rho0 = exp(q) is not finite for c0 = {c0} "
+            f"(head 2 c0 y3 (1 - y3)) and amplitude {amplitude} (preset {preset!r})"
+        )
     v = np.zeros((3,) + shape)
     b = np.zeros((3,) + shape)
-
-    if preset in ("quiescent", "acoustic"):
-        modulation = np.cos(2.0 * np.pi * Y1 + phases[0]) * np.cos(2.0 * np.pi * Y2 + phases[1])
-        q = q * (1.0 + amplitude * modulation)
     if preset == "acoustic":
         v[0] = amplitude * np.sin(2.0 * np.pi * Y1 + phases[2])
         v[1] = amplitude * np.sin(2.0 * np.pi * Y2 + phases[3])
@@ -177,8 +185,7 @@ def make_initial_data(
 
     state = FlowState(
         grid=grid, eos=eos, t=0.0,
-        eta=grid.identity_map.copy(), v=v, b=b, q=q,
-        rho0=np.asarray(eos.rho(q)),
+        eta=grid.identity_map.copy(), v=v, b=b, q=q, rho0=rho0,
     )
 
     cache = build_geometry(grid, state.eta, kappa=0.0)

@@ -130,6 +130,37 @@ def test_implausible_dims_refused(tmp_path):
         read_fields(path)
 
 
+def test_header_dims_are_a_grid_spec(tmp_path):
+    # odd tangential counts and counts above 4096 are refused before any payload
+    for dims in ((9, 8, 8), (8, 8, 4097)):
+        path = tmp_path / "d.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<IIIII", 1, *dims, 0))
+        with pytest.raises(CheckpointError, match="implausible grid dims"):
+            read_fields(path)
+
+
+def test_state_records_diffusivity_and_dealias(tmp_path, state):
+    grid = lfmhd.Grid(lfmhd.GridSpec(8, 8, 8, dealias_fraction=0.5))
+    eos = lfmhd.EquationOfState(diffusivity=0.5)
+    other = lfmhd.FlowState(grid=grid, eos=eos, t=0.25, eta=state.eta, v=state.v,
+                            b=state.b, q=state.q, rho0=state.rho0)
+    path = tmp_path / "s.ckpt"
+    write_state(path, other)
+    back = read_state(path)
+    assert back.eos == eos
+    assert back.grid.spec == grid.spec
+    assert back.t == 0.25 and np.array_equal(back.b, state.b)
+    # a state file written before the two settings were recorded reads the defaults
+    old = tmp_path / "old.ckpt"
+    fields = {name: field for name, field in read_fields(path)[1].items()
+              if not name.startswith("meta.")}
+    write_fields(old, (8, 8, 8), fields)
+    back = read_state(old)
+    assert back.eos == lfmhd.EquationOfState()
+    assert back.grid.spec == lfmhd.GridSpec(8, 8, 8)
+    assert np.array_equal(back.b, state.b)
+
+
 def test_cross_endian_fixture_refused():
     # Byte-swapped twin written by tests/data/make_cross_endian.py.  The
     # format is little-endian only, so the version word decodes huge and

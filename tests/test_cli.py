@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import lfmhd
 from lfmhd import cli
-from lfmhd.checkpoint import MAGIC, write_trajectory
+from lfmhd.checkpoint import MAGIC, read_state, read_trajectory, write_trajectory
 from lfmhd.linear_step import trivial_trajectory
 from lfmhd.picard import NonContractionError
 from lfmhd.state import PRESETS
@@ -383,6 +383,34 @@ def test_values_that_crash_later_are_config_errors(tmp_path, capsys, extra, frag
     assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and fragment in err
+
+
+def test_final_state_records_the_run_settings(tmp_path):
+    # both checkpoints of a run read back at its diffusivity and dealias fraction
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, out, extra=SMALL + "data.preset = magnetic-tube\n"
+                    "physics.diffusivity = 0.5\ngrid.dealias_fraction = 0.5\n"
+                    "outputs.checkpoint = on\n")
+    assert cli.main(["run", cfg]) == 0
+    for back in (read_state(out / "final_state.ckpt"), read_trajectory(out / "trajectory.ckpt")):
+        assert back.eos.diffusivity == 0.5
+        assert back.grid.spec.dealias_fraction == 0.5
+
+
+@pytest.mark.parametrize("extra", [
+    "data.preset = magnetic-tube\nphysics.c0 = 1e300\ndata.amplitude = 0\n",
+    "data.preset = acoustic\ndata.amplitude = 1e6\n",
+], ids=["c0", "amplitude"])
+def test_overflowing_density_is_a_config_error(tmp_path, capsys, extra):
+    cfg = write_cfg(tmp_path, tmp_path / "out", extra=SMALL + extra)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: pressure head q or density rho0")
+    assert "c0 = " in err and "amplitude " in err
 
 
 def test_diffusion_stall_exit_code(tmp_path, capsys):

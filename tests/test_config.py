@@ -79,6 +79,9 @@ def test_bad_value_reports_key_and_line():
     ("grid.n1 = 7", "even and >= 8"),
     ("grid.n2 = 6", "even and >= 8"),
     ("grid.n3 = 4", ">= 8"),
+    # the bound the checkpoint reader applies to header dims
+    ("grid.n1 = 100000", r"grid\.n1 must be <= 4096, got 100000"),
+    ("grid.n3 = 4097", r"grid\.n3 must be <= 4096"),
     ("grid.dealias_fraction = 0", "dealias_fraction"),
     ("grid.dealias_fraction = 1.5", "dealias_fraction"),
     ("physics.diffusivity = -1", "diffusivity"),

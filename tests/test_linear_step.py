@@ -205,6 +205,16 @@ def test_implicit_diffusion_perturbed_geometry_converges(grid16, rng):
         implicit_diffusion_solve(grid16, cache.a_s, rhs, 0.01, max_iter=1)
 
 
+def test_a_zero_true_residual_is_not_a_stall(grid_small, rng):
+    # at dt = tol = 1e-300 the Krylov loop stops on a rho breakdown, yet the
+    # x it returns solves the system exactly: the true residual decides
+    a_s = build_geometry(grid_small, grid_small.identity_map, KAPPA).a_s
+    rhs = rng.standard_normal(grid_small.shape)
+    rhs[..., [0, -1]] = 0.0
+    sol = implicit_diffusion_solve(grid_small, a_s, rhs, 1e-300, tol=1e-300)
+    assert np.array_equal(sol, rhs)
+
+
 @pytest.mark.parametrize("scale", [1e8, 1e-15, 1e-20, 1e-100])
 def test_implicit_diffusion_solve_is_scale_invariant(grid16, rng, scale):
     # the Krylov breakdown test scales with the right-hand side, so a
