@@ -35,17 +35,18 @@ CONFIGS = {
 
 def generate(root: Path) -> None:
     """Run the four commands, each into ``root/<command>``; stdout is dropped."""
-    with contextlib.redirect_stdout(io.StringIO()):
-        for command, text in CONFIGS.items():
-            cfg = root / f"{command}.cfg"
-            cfg.write_text(text + f"outputs.directory = {root / command}\n")
-            code = main([command, str(cfg)])
-            if code != 0:
-                raise RuntimeError(f"lfmhd {command} exited {code}")
-        code = main(["energy-report", str(root / "run" / "trajectory.ckpt"),
+    commands = []
+    for command, text in CONFIGS.items():
+        cfg = root / f"{command}.cfg"
+        cfg.write_text(text + f"outputs.directory = {root / command}\n")
+        commands.append([command, str(cfg)])
+    commands.append(["energy-report", str(root / "run" / "trajectory.ckpt"),
                      "--out", str(root / "energy-report")])
-        if code != 0:
-            raise RuntimeError(f"lfmhd energy-report exited {code}")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in commands:
+            code = main(argv)
+            if code != 0:
+                raise RuntimeError(f"lfmhd {' '.join(argv)} exited {code}")
 
 
 def tables(root: Path) -> list[Path]:
