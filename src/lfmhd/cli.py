@@ -109,12 +109,8 @@ def _build_problem(cfg: RunConfig):
     return grid, init
 
 
-def _write_energy_csv(out: Path, report: EnergyReport, stride: int) -> None:
-    n = len(report.columns["t"])
-    rows = (
-        [report.columns[name][j] for name in ENERGY_COLUMNS]
-        for j in range(0, n, stride)
-    )
+def _write_energy_csv(out: Path, report: EnergyReport) -> None:
+    rows = zip(*(report.columns[name] for name in ENERGY_COLUMNS))
     _write_csv(
         out / "energy.csv",
         f"{_UNITS_NOTE}; truncation order m = {report.truncation_order}; "
@@ -138,14 +134,13 @@ def _write_iteration_csv(out: Path, log: IterationLog, order: int) -> None:
     )
 
 
-def _write_residuals_csv(out: Path, cfg: RunConfig, stride: int, report: EnergyReport) -> None:
-    cons = report.constraint_rows(c0=cfg.physics.c0, epsilon=cfg.physics.epsilon)
+def _write_residuals_csv(out: Path, cfg: RunConfig, report: EnergyReport) -> None:
+    cons = report.constraint_rows(c0=cfg.physics.c0)
     res = report.residuals
     header = ["t", "res_eta", "res_v", "res_q", "res_b", "wave_residual",
               "div_b", "taylor_margin", "small_geometry", "taylor_ok", "small_ok"]
     rows = []
-    for j in range(0, len(cons), stride):
-        c = cons[j]
+    for j, c in enumerate(cons):
         rows.append([
             c["t"], res["eta"][j], res["v"][j], res["q"][j], res["b"][j],
             res["wave"][j], c["div_b"], c["taylor_margin"], c["small_geometry"],
@@ -176,8 +171,7 @@ def _solver_options(cfg: RunConfig) -> dict:
     """The solver keywords of the config, shared by one solve and the sweep."""
     s = cfg.scheme
     return dict(T=s.T, dt=s.dt, tol=s.picard_tol, max_iter=s.picard_max_iter,
-                truncation_order=cfg.diagnostics.max_time_order,
-                cfl_safety=s.cfl_safety, diffusion_tol=s.diffusion_tol)
+                truncation_order=cfg.diagnostics.max_time_order, diffusion_tol=s.diffusion_tol)
 
 
 def _solve_from_config(cfg: RunConfig):
@@ -198,14 +192,13 @@ def _cmd_run(cfg: RunConfig) -> int:
     out = _output_directory(cfg.outputs.directory)
     traj, log = _solve_from_config(cfg)
     order = cfg.diagnostics.max_time_order
-    stride = cfg.outputs.snapshot_stride
     _write_iteration_csv(out, log, order)
     if not log.converged:
         return _not_converged(log)
     # one pass over the nodes fills both tables
     report = energy_functionals(traj, order=order, residuals=True)
-    _write_energy_csv(out, report, stride)
-    _write_residuals_csv(out, cfg, stride, report)
+    _write_energy_csv(out, report)
+    _write_residuals_csv(out, cfg, report)
     if cfg.outputs.checkpoint:
         with _writing(out / "trajectory.ckpt"):
             write_trajectory(out / "trajectory.ckpt", traj)
@@ -265,7 +258,7 @@ def _cmd_kappa_sweep(cfg: RunConfig) -> int:
                 print(f"not converged: kappa = {kappa}: {lg.stop_reason}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     energy = energy_functionals(traj, order=cfg.diagnostics.max_time_order)
-    _write_energy_csv(out, energy, cfg.outputs.snapshot_stride)
+    _write_energy_csv(out, energy)
     if cfg.outputs.checkpoint:
         with _writing(out / "trajectory.ckpt"):
             write_trajectory(out / "trajectory.ckpt", traj)
@@ -303,7 +296,7 @@ def _cmd_energy_report(path: str, out_dir: str, order: int) -> int:
         )
     out = _output_directory(out_dir)
     report = energy_functionals(traj, order=order)
-    _write_energy_csv(out, report, 1)
+    _write_energy_csv(out, report)
     _print_table(f"energy-report: {path}", [
         ("nodes", str(len(traj))),
         ("kappa", _fmt(traj.kappa)),

@@ -48,7 +48,6 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
 class PhysicsConfig:
     diffusivity: float = 1.0
     c0: float = 0.25
-    epsilon: float = 0.1
 
 
 @dataclass
@@ -57,7 +56,6 @@ class SchemeConfig:
     kappa_list: tuple[float, ...] = ()
     dt: float = 0.0125
     T: float = 0.05
-    cfl_safety: float = 0.4
     picard_tol: float = 1e-8
     picard_max_iter: int = 12
     diffusion_tol: float = 1e-9
@@ -73,7 +71,6 @@ class DataConfig:
 @dataclass
 class OutputConfig:
     directory: str = "out"
-    snapshot_stride: int = 1
     checkpoint: bool = False
 
 
@@ -148,7 +145,6 @@ def _validate(cfg: RunConfig, source: str) -> None:
     p, s, d = cfg.physics, cfg.scheme, cfg.data
     _require(p.diffusivity > 0.0, source, "physics.diffusivity must be positive")
     _require(p.c0 >= 0.0, source, "physics.c0 must be nonnegative")
-    _require(p.epsilon > 0.0, source, "physics.epsilon must be positive")
     _require(s.kappa > 0.0, source, f"scheme.kappa must be positive, got {s.kappa}")
     for k in s.kappa_list:
         _require(k > 0.0, source, f"scheme.kappa_list entries must be positive, got {k}")
@@ -166,8 +162,6 @@ def _validate(cfg: RunConfig, source: str) -> None:
     _require(steps >= 2, source,
              f"scheme.T = {s.T} at scheme.dt = {s.dt} gives {steps + 1} nodes; "
              "at least 3 are needed (T >= 2 dt)")
-    _require(0.0 < s.cfl_safety <= 1.0, source,
-             f"scheme.cfl_safety must lie in (0, 1], got {s.cfl_safety}")
     _require(s.picard_tol > 0.0, source, "scheme.picard_tol must be positive")
     _require(s.picard_max_iter >= 1, source, "scheme.picard_max_iter must be >= 1")
     _require(s.diffusion_tol > 0.0, source, "scheme.diffusion_tol must be positive")
@@ -175,6 +169,5 @@ def _validate(cfg: RunConfig, source: str) -> None:
              f"data.preset must be one of {list(PRESETS)}, got {d.preset!r}")
     _require(d.amplitude >= 0.0, source, "data.amplitude must be nonnegative")
     _require(d.seed >= 0, source, f"data.seed must be >= 0, got {d.seed}")
-    _require(cfg.outputs.snapshot_stride >= 1, source, "outputs.snapshot_stride must be >= 1")
     _require(cfg.diagnostics.max_time_order in (1, 2), source,
              f"diagnostics.max_time_order must be 1 or 2, got {cfg.diagnostics.max_time_order}")

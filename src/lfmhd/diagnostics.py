@@ -165,6 +165,9 @@ ENERGY_COLUMNS = (
     "taylor_margin", "small_geometry", "div_b",
 )
 
+# largest geometry gauge the a priori assumptions admit
+SMALL_GEOMETRY = 0.1
+
 
 @dataclass
 class EnergyReport:
@@ -177,14 +180,14 @@ class EnergyReport:
     columns: dict[str, np.ndarray] = field(default_factory=dict)
     residuals: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def constraint_rows(self, c0: float | None = None, epsilon: float = 0.1) -> list[dict]:
+    def constraint_rows(self, c0: float | None = None) -> list[dict]:
         """Per-node div b, Taylor margin and geometry gauge, with flags for a
-        margin below c0 / 2 and a gauge above epsilon (the run's thresholds)."""
+        margin below c0 / 2 and a gauge above ``SMALL_GEOMETRY``."""
         c = self.columns
         return [{"t": float(t), "div_b": float(div_b), "taylor_margin": float(margin),
                  "small_geometry": float(small),
                  "taylor_ok": bool(c0 is None or margin >= 0.5 * c0),
-                 "small_ok": bool(small <= epsilon)}
+                 "small_ok": bool(small <= SMALL_GEOMETRY)}
                 for t, div_b, margin, small
                 in zip(c["t"], c["div_b"], c["taylor_margin"], c["small_geometry"])]
 
@@ -347,10 +350,9 @@ def physical_energy_balance(traj: Trajectory):
     return c["E_phys"], c["D_diss"], c["balance_residual"]
 
 
-def constraint_residuals(traj: Trajectory, c0: float | None = None,
-                         epsilon: float = 0.1) -> list[dict]:
+def constraint_residuals(traj: Trajectory, c0: float | None = None) -> list[dict]:
     """Per-node constraint table of the pass: see ``EnergyReport.constraint_rows``."""
-    return energy_functionals(traj, order=0).constraint_rows(c0, epsilon)
+    return energy_functionals(traj, order=0).constraint_rows(c0)
 
 
 def divergence_monitor(traj: Trajectory, drift_constant: float) -> tuple[np.ndarray, np.ndarray]:

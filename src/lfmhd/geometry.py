@@ -144,8 +144,7 @@ def piola_field(grid: Grid, A: np.ndarray) -> np.ndarray:
     return np.einsum("mma...->a...", grid.gradient(A))
 
 
-def piola_residual(cache: GeometryCache, smoothed: bool = False) -> float:
+def piola_residual(cache: GeometryCache) -> float:
     """Max over alpha of the L2 norm of the cofactor row divergences."""
-    A = cache.J_s[None, None] * cache.a_s if smoothed else cache.A
-    res = piola_field(cache.grid, A)
+    res = piola_field(cache.grid, cache.A)
     return max(cache.grid.low_norm(res[alpha]) for alpha in range(3))

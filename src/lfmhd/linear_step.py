@@ -33,16 +33,20 @@ from .grid import Grid
 from .state import EquationOfState, FlowState
 
 
+# safety factor of the acoustic CFL bound
+CFL_SAFETY = 0.4
+
+
 class CflError(RuntimeError):
     """Time step exceeds the acoustic stability bound."""
 
-    def __init__(self, dt: float, bound: float, cfl_safety: float, h3: float):
+    def __init__(self, dt: float, bound: float, h3: float):
         self.dt = dt
         self.bound = bound
         super().__init__(
             f"dt = {dt:.6e} violates the acoustic CFL bound "
-            f"dt <= cfl_safety * h3 * min sqrt(r Js / rho0) = "
-            f"{cfl_safety} * {h3:.6e} * {bound / (cfl_safety * h3):.6e} = {bound:.6e}"
+            f"dt <= CFL_SAFETY * h3 * min sqrt(r Js / rho0) = "
+            f"{CFL_SAFETY} * {h3:.6e} * {bound / (CFL_SAFETY * h3):.6e} = {bound:.6e}"
         )
 
 
@@ -222,9 +226,9 @@ class FrozenCoefficients:
         return FrozenSample(psi=mean(self.psi), a_s=mean(self.a_s), J_s=mean(self.J_s),
                             b=mean(self.b), r=mean(self.r))
 
-    def cfl_bound(self, cfl_safety: float) -> float:
+    def cfl_bound(self) -> float:
         speed = np.sqrt(self.r * self.J_s / self.rho0[None])
-        return float(cfl_safety * self.grid.h3 * speed.min())
+        return float(CFL_SAFETY * self.grid.h3 * speed.min())
 
 
 # ----------------------------------------------------------------------
@@ -475,7 +479,6 @@ def advance_linearized(
     init: FlowState,
     dt: float,
     T: float,
-    cfl_safety: float = 0.4,
     diffusion_tol: float = 1e-9,
 ) -> Trajectory:
     """Integrate the frozen-coefficient system from ``init`` over [0, T].
@@ -490,9 +493,9 @@ def advance_linearized(
     whose residual check raises :class:`DiffusionSolveError` instead.
     """
     nsteps = step_count(T, dt)
-    bound = frozen.cfl_bound(cfl_safety)
+    bound = frozen.cfl_bound()
     if not dt <= bound:  # a NaN bound fails too
-        raise CflError(dt, bound, cfl_safety, grid.h3)
+        raise CflError(dt, bound, grid.h3)
     if frozen.dt != dt:
         raise ValueError(f"frozen coefficients are on step {frozen.dt}, the advance on {dt}")
     nodes = len(frozen.J_s)

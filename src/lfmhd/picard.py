@@ -98,7 +98,6 @@ def solve_nonlinear_kappa(
     tol: float = 1e-8,
     max_iter: int = 12,
     truncation_order: int = 2,
-    cfl_safety: float = 0.4,
     diffusion_tol: float = 1e-9,
 ) -> tuple[Trajectory, IterationLog]:
     """Iterate frozen-coefficient solves to a fixed point at one kappa.
@@ -119,10 +118,8 @@ def solve_nonlinear_kappa(
     def step(prev: Trajectory, n: int) -> tuple[Trajectory, float]:
         # the frozen coefficients live only through the advance, so the
         # difference energy runs with two trajectories alive and no more
-        traj = advance_linearized(
-            grid, FrozenCoefficients.freeze(prev), init, dt, T,
-            cfl_safety=cfl_safety, diffusion_tol=diffusion_tol,
-        )
+        traj = advance_linearized(grid, FrozenCoefficients.freeze(prev), init, dt, T,
+                                  diffusion_tol=diffusion_tol)
         traj.start_geometry = start
         with np.errstate(all="ignore"):  # the next line checks d_n
             d_n = float(np.max(difference_energy(traj, prev, truncation_order)))

@@ -470,7 +470,7 @@ def test_criterion_10_uniqueness_probe(grid16, eos):
 
 def test_criterion_11_a_priori_persistence(contraction_run):
     traj, _ = contraction_run
-    rows = constraint_residuals(traj, c0=0.25, epsilon=0.1)
+    rows = constraint_residuals(traj, c0=0.25)
     margins = [row["taylor_margin"] for row in rows]
     smalls = [row["small_geometry"] for row in rows]
     assert min(margins) >= 0.125, f"Taylor margin dipped to {min(margins):.4f}"

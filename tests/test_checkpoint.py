@@ -22,6 +22,7 @@ from lfmhd.checkpoint import (
     write_trajectory,
 )
 from lfmhd.linear_step import trivial_trajectory
+from lfmhd.state import FlowState
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -135,8 +136,8 @@ def test_implausible_dims_refused(tmp_path):
 def test_state_records_diffusivity_and_dealias(tmp_path, state):
     grid = lfmhd.Grid(lfmhd.GridSpec(8, 8, 8, dealias_fraction=0.5))
     eos = lfmhd.EquationOfState(diffusivity=0.5)
-    other = lfmhd.FlowState(grid=grid, eos=eos, t=0.25, eta=state.eta, v=state.v,
-                            b=state.b, q=state.q, rho0=state.rho0)
+    other = FlowState(grid=grid, eos=eos, t=0.25, eta=state.eta, v=state.v,
+                      b=state.b, q=state.q, rho0=state.rho0)
     path = tmp_path / "s.ckpt"
     write_state(path, other)
     back = read_state(path)

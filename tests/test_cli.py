@@ -108,8 +108,10 @@ def test_cfl_violation_exit_code_names_bound(tmp_path, capsys):
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
-    # run has no lemma switch: check-lemmas alone writes lemmas.csv
-    for key in ("scheme.kapa", "diagnostics.lemma_suite"):
+    # run has no lemma switch: check-lemmas alone writes lemmas.csv; the
+    # gauge bound, the CFL factor and the snapshot stride are constants
+    for key in ("scheme.kapa", "diagnostics.lemma_suite", "physics.epsilon",
+                "scheme.cfl_safety", "outputs.snapshot_stride"):
         cfg = write_cfg(tmp_path, tmp_path / "out", extra=f"{key} = on\n")
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
         assert f"unknown key '{key}'" in capsys.readouterr().err
@@ -462,16 +464,14 @@ def _log_uniform(lo, hi):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(preset=st.sampled_from(PRESETS), amplitude=_log_uniform(1e-4, 0.5),
        kappa=_log_uniform(1e-3, 1.0), dealias=st.floats(0.2, 1.0),
-       diffusivity=st.floats(0.05, 4.0), c0=st.floats(0.0, 0.3),
-       cfl_safety=st.floats(0.3, 1.0), max_iter=st.integers(3, 6))
+       diffusivity=st.floats(0.05, 4.0), c0=st.floats(0.0, 0.3), max_iter=st.integers(3, 6))
 def test_run_of_any_accepted_config_exits_with_a_documented_code(
-        preset, amplitude, kappa, dealias, diffusivity, c0, cfl_safety, max_iter):
+        preset, amplitude, kappa, dealias, diffusivity, c0, max_iter):
     # BASE runs T = 2 dt; SMALL puts it on the 8^3 lattice
     extra = SMALL + (
         f"data.preset = {preset}\ndata.amplitude = {amplitude!r}\nscheme.kappa = {kappa!r}\n"
         f"grid.dealias_fraction = {dealias!r}\nphysics.diffusivity = {diffusivity!r}\n"
-        f"physics.c0 = {c0!r}\nscheme.cfl_safety = {cfl_safety!r}\n"
-        f"scheme.picard_max_iter = {max_iter}\n"
+        f"physics.c0 = {c0!r}\nscheme.picard_max_iter = {max_iter}\n"
     )
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"

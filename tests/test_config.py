@@ -91,11 +91,9 @@ def test_bad_value_reports_key_and_line():
     ("scheme.kappa_list = 0.1 -0.05", "positive"),
     ("scheme.dt = 0", "dt"),
     ("scheme.T = -0.1", "T"),
-    ("scheme.cfl_safety = 1.2", "cfl_safety"),
     ("scheme.picard_max_iter = 0", "picard_max_iter"),
     ("data.preset = vortex", "preset"),
     ("data.amplitude = -0.1", "amplitude"),
-    ("outputs.snapshot_stride = 0", "snapshot_stride"),
     ("diagnostics.max_time_order = 3", "max_time_order"),
     ("data.seed = -1", "data.seed must be >= 0"),
     ("physics.c0 = inf", r"physics\.c0: not a finite number"),

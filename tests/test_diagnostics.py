@@ -304,17 +304,17 @@ def test_constraint_rows_trivial(grid16, eos):
 
 
 def test_constraint_rows_healthy_run(quiescent_run):
-    rows = constraint_residuals(quiescent_run, c0=0.25, epsilon=0.1)
+    rows = constraint_residuals(quiescent_run, c0=0.25)
     assert all(r["taylor_ok"] for r in rows)
     # the geometry gauge is a third-order norm and grows quickly; the
-    # epsilon window certifies the early nodes, not the whole horizon
+    # SMALL_GEOMETRY window certifies the early nodes, not the whole horizon
     assert all(r["small_ok"] for r in rows[:4])
     assert rows[0]["small_geometry"] == 0.0
 
 
 def test_constraint_rows_read_from_energy_report(magnetic_run):
-    computed = constraint_residuals(magnetic_run, c0=0.25, epsilon=0.1)
-    read = energy_functionals(magnetic_run).constraint_rows(c0=0.25, epsilon=0.1)
+    computed = constraint_residuals(magnetic_run, c0=0.25)
+    read = energy_functionals(magnetic_run).constraint_rows(c0=0.25)
     assert read == computed
 
 

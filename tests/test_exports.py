@@ -1,32 +1,70 @@
-"""Every exported name has a caller.
+"""The public surface is what its callers use.
 
-A name in ``lfmhd.__all__`` is kept only while something other than the
-package's re-export uses it: the library itself, a demo, an acceptance
-test of a paper claim, or the benchmark.  Unit tests alone do not count,
-so an entry point that only its own unit test calls fails here.
+The package root exports exactly the names that README, the demos, the
+acceptance battery and the benchmark reach as ``lfmhd.<name>``; they
+import everything else from its module.  Every public module-level name
+of ``src/lfmhd`` has a caller other than a unit test: the library
+itself, a demo, an acceptance test of a paper claim, or the benchmark.
+So the root cannot grow a name nobody reaches through it, and an entry
+point that only its own unit test calls fails here.
 """
 
+import ast
 import re
 from pathlib import Path
 
 import lfmhd
 
 ROOT = Path(__file__).resolve().parents[1]
-CALLERS = (
-    [p for p in (ROOT / "src" / "lfmhd").glob("*.py") if p.name != "__init__.py"]
-    + sorted((ROOT / "demos").rglob("*.py"))
+MODULES = sorted(p for p in (ROOT / "src" / "lfmhd").glob("*.py") if p.name != "__init__.py")
+# the callers that are not unit tests
+OUTSIDE = (
+    sorted((ROOT / "demos").rglob("*.py"))
     + [ROOT / "tests" / "test_acceptance.py"]
     + sorted((ROOT / "perfbench").rglob("*.py"))
 )
+ROOT_IMPORT = re.compile(r"^\s*from lfmhd import (?:\(([^)]*)\)|(.*))$", re.M)
+
+
+def _root_names_used() -> set[str]:
+    """Names taken from the package root, submodules and dunders aside."""
+    names = set()
+    for path in OUTSIDE + [ROOT / "README.md"]:
+        text = path.read_text()
+        names.update(re.findall(r"\blfmhd\.(\w+)", text))
+        for group in ROOT_IMPORT.findall(text):
+            names.update(re.findall(r"\w+", "".join(group).split("#")[0]))
+    return {n for n in names if not n.startswith("__")} - {p.stem for p in MODULES}
+
+
+def _public_names(path: Path) -> list[str]:
+    """Functions, classes and variables bound at the top level of a module."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("_")]
 
 
 def _uses(name: str, lines: list[str]) -> bool:
     word = re.compile(rf"\b{re.escape(name)}\b")
-    definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+    definition = re.compile(rf"^(\s*(def|class)\s+{re.escape(name)}\b|{re.escape(name)}\s*[:=])")
     return any(word.search(line) and not definition.match(line) for line in lines)
 
 
-def test_every_export_has_a_caller():
-    lines = [line for path in CALLERS for line in path.read_text().splitlines()]
-    unused = [name for name in lfmhd.__all__ if not _uses(name, lines)]
-    assert unused == [], f"exported but called only by unit tests: {unused}"
+def test_root_exports_what_its_callers_reach():
+    used = _root_names_used()
+    unreached = sorted(set(lfmhd.__all__) - used)
+    missing = sorted(used - set(lfmhd.__all__))
+    assert unreached == [], f"exported but reached through the root by no caller: {unreached}"
+    assert missing == [], f"reached through the root but not exported: {missing}"
+
+
+def test_every_public_module_name_has_a_caller():
+    lines = [line for path in MODULES + OUTSIDE for line in path.read_text().splitlines()]
+    unused = [f"{path.stem}.{name}" for path in MODULES for name in _public_names(path)
+              if not _uses(name, lines)]
+    assert unused == [], f"public but called only by unit tests: {unused}"

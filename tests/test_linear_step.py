@@ -113,7 +113,7 @@ def test_cfl_bound_and_error(grid16, eos):
     st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
     traj = trivial_trajectory(grid16, eos, st.rho0, KAPPA, DT, 4)
     frozen = FrozenCoefficients.freeze(traj)
-    bound = frozen.cfl_bound(cfl_safety=0.4)
+    bound = frozen.cfl_bound()
     assert 0.0 < bound < 1.0
     with pytest.raises(CflError) as err:
         advance_linearized(grid16, frozen, st, 2.0 * bound, 4 * 2.0 * bound)
