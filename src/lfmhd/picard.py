@@ -22,7 +22,7 @@ from .geometry import build_geometry
 from .grid import Grid
 from .linear_step import (BreakdownError, FrozenCoefficients, Trajectory, advance_linearized,
                           step_count, trivial_trajectory)
-from .state import COMPAT_TOL, FlowState, InitialDataError, check_compatibility, taylor_sign_margin
+from .state import FlowState, admit
 
 log = logging.getLogger(__name__)
 
@@ -66,26 +66,12 @@ class IterationLog:
         return out
 
 
-def _is_trivial(init: FlowState) -> bool:
-    return (
-        not np.any(init.v) and not np.any(init.b) and not np.any(init.q)
-    )
-
-
 def _start_geometry(grid: Grid, init: FlowState, kappa: float):
-    """Node 0's ``(a_s, J_s, psi)`` at ``kappa``, once ``init`` passes the
-    initial-data checks.  One geometry build serves all: the compatibility
-    check reads its unsmoothed inverse, the Taylor check its smoothed one."""
+    """Node 0's ``(a_s, J_s, psi)`` at ``kappa``, once ``init`` passes
+    :func:`admit`.  One geometry build serves all: the compatibility check
+    reads its unsmoothed inverse, the Taylor check its smoothed one."""
     cache = build_geometry(grid, init.eta, kappa)
-    residuals = check_compatibility(init, cache)
-    if max(residuals.values()) > COMPAT_TOL:
-        raise InitialDataError(f"initial data fails order-0 compatibility: {residuals}")
-    if not _is_trivial(init):
-        margin = taylor_sign_margin(init, cache.a_s)
-        if margin <= 0.0:
-            raise InitialDataError(
-                f"Rayleigh-Taylor sign condition violated at t = 0: margin {margin:.3e}"
-            )
+    admit(init, cache)
     return cache.a_s, cache.J_s, correction_field(grid, init.eta, init.v, cache.a_s, kappa)
 
 

@@ -115,6 +115,29 @@ def check_compatibility(state: FlowState, cache: GeometryCache, order: int = 0) 
     return out
 
 
+def admit(state: FlowState, cache: GeometryCache, c0: float = 0.0) -> None:
+    """The admission rule for initial data, in the geometry of ``cache``.
+
+    Refuses a total pressure head Q that is not finite, an order-0
+    compatibility residual above ``COMPAT_TOL`` and, unless v, b and q are
+    all zero, a Taylor sign margin that is not positive and at least c0.
+    Each test fails on NaN, and nothing here warns.
+    """
+    with np.errstate(all="ignore"):
+        if not np.isfinite(state.Q).all():
+            raise InitialDataError(
+                f"total pressure head Q = q + |b|^2 / 2 is not finite (max |q| = "
+                f"{np.abs(state.q).max():.3e}, max |b| = {np.abs(state.b).max():.3e})")
+        residuals = check_compatibility(state, cache)
+        if not max(residuals.values()) <= COMPAT_TOL:
+            raise InitialDataError(f"order-0 compatibility violated: {residuals}")
+        if np.any(state.v) or np.any(state.b) or np.any(state.q):
+            margin = taylor_sign_margin(state, cache.a_s)
+            if not (margin > 0.0 and margin >= c0):
+                raise InitialDataError(f"Rayleigh-Taylor sign condition violated: margin "
+                                       f"{margin:.6g} is not positive and at least c0 = {c0}")
+
+
 def _background_head(grid: Grid, eps_q: float) -> np.ndarray:
     y3 = grid.y3[None, None, :]
     return eps_q * y3 * (1.0 - y3) * np.ones(grid.spec.shape)
@@ -143,8 +166,8 @@ def make_initial_data(
       second order at the walls; div b vanishes identically.
 
     Raises :class:`InitialDataError` when the head or its density is not
-    finite, the resulting Taylor margin falls below c0, or a
-    wall/constraint residual is out of tolerance.
+    finite, or the data fail :func:`admit` at c0 on the unsmoothed
+    geometry; the message names the preset and the amplitude.
     """
     if preset not in PRESETS:
         raise InitialDataError(f"unknown preset {preset!r}; choose from {PRESETS}")
@@ -188,17 +211,8 @@ def make_initial_data(
         eta=grid.identity_map.copy(), v=v, b=b, q=q, rho0=rho0,
     )
 
-    cache = build_geometry(grid, state.eta, kappa=0.0)
-    if eps_q > 0.0:
-        margin = taylor_sign_margin(state, cache.a_s)
-        if margin < c0:
-            raise InitialDataError(
-                f"Rayleigh-Taylor sign condition violated: margin {margin:.6f} "
-                f"below c0 = {c0} (preset {preset!r}, amplitude {amplitude})"
-            )
-    residuals = check_compatibility(state, cache)
-    if max(residuals.values()) > COMPAT_TOL:
-        raise InitialDataError(
-            f"order-0 compatibility violated for preset {preset!r}: {residuals}"
-        )
+    try:
+        admit(state, build_geometry(grid, state.eta, kappa=0.0), c0)
+    except InitialDataError as exc:
+        raise InitialDataError(f"{exc} (preset {preset!r}, amplitude {amplitude})") from None
     return state

@@ -385,6 +385,8 @@ def test_non_ascii_field_name_exit_code(tmp_path, capsys):
     # the head or its density exp(q) overflows
     ("data.preset = magnetic-tube\nphysics.c0 = 1e300\ndata.amplitude = 0\n", "c0 = 1e+300"),
     ("data.preset = acoustic\ndata.amplitude = 1e6\n", "amplitude 1000000.0"),
+    # |b|^2 overflows the total head Q, which the admission gate names
+    ("data.preset = magnetic-tube\ndata.amplitude = 1e200\n", "pressure head Q = q + |b|^2 / 2"),
 ])
 def test_values_that_crash_later_are_config_errors(tmp_path, capsys, extra, fragment):
     cfg = write_cfg(tmp_path, tmp_path / "out", extra=SMALL + extra)
@@ -397,10 +399,12 @@ def test_values_that_crash_later_are_config_errors(tmp_path, capsys, extra, frag
     assert len(err.splitlines()) == 1
 
 
-def test_diffusion_stall_exit_code(tmp_path, capsys):
-    # a residual target below rounding leaves the Krylov solve stalled
-    cfg = write_cfg(tmp_path, tmp_path / "out", extra=SMALL + "data.preset = magnetic-tube\n"
-                    "scheme.diffusion_tol = 1e-30\n")
+def test_diffusion_stall_exit_code(tmp_path, capsys, monkeypatch):
+    # a residual target below rounding leaves the Krylov solve stalled; the
+    # config refuses such a target, so it goes to the solver directly
+    options = cli._solver_options
+    monkeypatch.setattr(cli, "_solver_options", lambda cfg: {**options(cfg), "diffusion_tol": 1e-30})
+    cfg = write_cfg(tmp_path, tmp_path / "out", extra=SMALL + "data.preset = magnetic-tube\n")
     assert cli.main(["run", cfg]) == cli.EXIT_DIFFUSION
     err = capsys.readouterr().err
     assert err.startswith("diffusion solve stalled:") and "target 1.0e-30" in err
@@ -461,6 +465,25 @@ def _log_uniform(lo, hi):
     return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: float(10.0 ** e))
 
 
+def _documented_exit(command, extra, names, text_columns=()):
+    """Run ``command`` on BASE + ``extra``; assert a documented exit code and,
+    on exit 0, a finite number in every cell of the tables ``names`` outside
+    ``text_columns``.  Returns {name: (header, rows)} on exit 0, else {}."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = cli.main([command, write_cfg(Path(tmp), out, extra=extra)])
+        assert code in DOCUMENTED_EXITS
+        if code != 0:
+            return {}
+        tables = {name: read_csv(out / name)[1:] for name in names}
+    for name, (header, rows) in tables.items():
+        for row in rows:
+            for column, cell in zip(header, row):
+                assert column in text_columns or cell == "" or np.isfinite(float(cell)), \
+                    (name, header, row)
+    return tables
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(preset=st.sampled_from(PRESETS), amplitude=_log_uniform(1e-4, 0.5),
        kappa=_log_uniform(1e-3, 1.0), dealias=st.floats(0.2, 1.0),
@@ -473,22 +496,42 @@ def test_run_of_any_accepted_config_exits_with_a_documented_code(
         f"grid.dealias_fraction = {dealias!r}\nphysics.diffusivity = {diffusivity!r}\n"
         f"physics.c0 = {c0!r}\nscheme.picard_max_iter = {max_iter}\n"
     )
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        code = cli.main(["run", write_cfg(Path(tmp), out, extra=extra)])
-        assert code in DOCUMENTED_EXITS
-        if code != 0:
-            return
-        tables = {name: read_csv(out / name)[1:]
-                  for name in ("energy.csv", "iteration.csv", "residuals.csv")}
-    for name, (header, rows) in tables.items():
-        for row in rows:
-            for cell in row:
-                assert cell == "" or np.isfinite(float(cell)), (name, header, row)
+    tables = _documented_exit("run", extra, ("energy.csv", "iteration.csv", "residuals.csv"))
+    if not tables:
+        return
     # the constraint columns of both tables come from one pass over the nodes
     (e_header, e_rows), (r_header, r_rows) = tables["energy.csv"], tables["residuals.csv"]
     for name in ("t", "div_b", "taylor_margin", "small_geometry"):
         assert column(e_header, e_rows, name, str) == column(r_header, r_rows, name, str)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(preset=st.sampled_from(PRESETS), amplitude=_log_uniform(1e-4, 0.5),
+       kappa=_log_uniform(1e-3, 1.0), max_iter=st.integers(1, 6))
+def test_picard_trace_of_any_accepted_config_exits_with_a_documented_code(
+        preset, amplitude, kappa, max_iter):
+    extra = SMALL + (f"data.preset = {preset}\ndata.amplitude = {amplitude!r}\n"
+                     f"scheme.kappa = {kappa!r}\nscheme.picard_max_iter = {max_iter}\n")
+    _documented_exit("picard-trace", extra, ("iteration.csv",))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(preset=st.sampled_from(PRESETS),
+       kappas=st.lists(_log_uniform(1e-3, 1.0), min_size=1, max_size=3),
+       descending=st.booleans())
+def test_kappa_sweep_of_any_kappa_list_exits_with_a_documented_code(preset, kappas, descending):
+    # in the drawn order, or sorted into the order the sweep accepts
+    kappas = sorted(kappas, reverse=True) if descending else kappas
+    extra = SMALL + (f"data.preset = {preset}\n"
+                     f"scheme.kappa_list = {' '.join(repr(k) for k in kappas)}\n")
+    _documented_exit("kappa-sweep", extra, ("sweep.csv", "energy.csv"))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**63 - 1))
+def test_check_lemmas_of_any_seed_exits_with_a_documented_code(seed):
+    _documented_exit("check-lemmas", SMALL + f"data.seed = {seed}\n", ("lemmas.csv",),
+                     text_columns=("check", "label"))
 
 
 # ----------------------------------------------------------------------

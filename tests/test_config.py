@@ -1,12 +1,15 @@
 """Config parser: defaults, overrides, and hard rejection of bad input."""
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfmhd.config import _CASTERS, ConfigError, load_config, parse_config
+from lfmhd.config import _CASTERS, _PARSERS, ConfigError, RunConfig, load_config, parse_config
+
+CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 
 
 def test_empty_text_gives_defaults():
@@ -63,6 +66,22 @@ def test_unknown_key_is_fatal():
         parse_config("diagnostics.lemma_suite = on")
 
 
+def test_docs_table_lists_every_key_with_its_type_and_default():
+    rows = [line.split("|")[1:4] for line in CONFIG_DOC.read_text().splitlines()
+            if line.startswith("| `")]
+    table = {key.strip().strip("`"): (kind.strip(), default.strip().strip("`"))
+             for key, kind, default in rows}
+    assert list(table) == list(_CASTERS)
+    types = {"int": int, "float": float, "bool": bool, "str": str,
+             "float list": tuple[float, ...]}
+    defaults = RunConfig()
+    for key, (kind, default) in table.items():
+        section, _, attr = key.partition(".")
+        assert _CASTERS[key] is _PARSERS[types[kind]], key
+        value = () if default == "(empty)" else _CASTERS[key](default)
+        assert value == getattr(getattr(defaults, section), attr), key
+
+
 def test_malformed_line_is_fatal():
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         parse_config("grid.n1 16")
@@ -92,6 +111,8 @@ def test_bad_value_reports_key_and_line():
     ("scheme.dt = 0", "dt"),
     ("scheme.T = -0.1", "T"),
     ("scheme.picard_max_iter = 0", "picard_max_iter"),
+    # below the rounding floor of the diffusion solve's residual
+    ("scheme.diffusion_tol = 1e-17", r"scheme\.diffusion_tol must be >= 1e-14, the rounding floor"),
     ("data.preset = vortex", "preset"),
     ("data.amplitude = -0.1", "amplitude"),
     ("diagnostics.max_time_order = 3", "max_time_order"),

@@ -55,7 +55,7 @@ def _uses(name: str, lines: list[str]) -> bool:
     return any(word.search(line) and not definition.match(line) for line in lines)
 
 
-def test_root_exports_what_its_callers_reach():
+def test_every_export_has_a_caller():
     used = _root_names_used()
     unreached = sorted(set(lfmhd.__all__) - used)
     missing = sorted(used - set(lfmhd.__all__))

@@ -1,6 +1,7 @@
 """Nonlinear fixed-point iteration and the smoothing-scale cascade."""
 
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from lfmhd.picard import (
     max_correction_norm,
     solve_nonlinear_kappa,
 )
-from lfmhd.state import FlowState, make_initial_data
+from lfmhd.state import FlowState, InitialDataError, make_initial_data
 
 KAPPA = 0.1
 DT = 0.0125
@@ -36,6 +37,25 @@ def test_zero_data_converges_immediately(grid16, eos):
     assert log.iterations == 2
     assert log.d_history[-1] == 0.0
     assert np.abs(traj.final.v).max() == 0.0
+
+
+def test_solver_refuses_a_negative_taylor_margin(grid_small, monkeypatch):
+    # the head turned upside down: walls and div b untouched, margin < 0
+    st = make_initial_data(grid_small, "quiescent", amplitude=0.1, seed=3)
+    st.q = -st.q
+    monkeypatch.setattr(picard, "advance_linearized", None)  # refused before any step
+    with pytest.raises(InitialDataError, match=r"sign condition violated: margin -0\.\d+ is not"):
+        solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+
+
+def test_solver_refuses_a_nan_head_without_warning(grid_small):
+    # a NaN fails no "<" test; the gate fails closed and names Q
+    st = make_initial_data(grid_small, "magnetic-tube", amplitude=0.1, seed=3)
+    st.q[2, 3, 4] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InitialDataError, match=r"^total pressure head Q .* not finite"):
+            solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
 
 
 def test_non_finite_difference_energy_raises_breakdown(grid_small, monkeypatch):

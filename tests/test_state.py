@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from lfmhd import state
 from lfmhd.geometry import build_geometry, cov_div
 from lfmhd.grid import Grid, GridSpec
 from lfmhd.state import (
     EquationOfState,
     InitialDataError,
     PRESETS,
+    admit,
     check_compatibility,
     make_initial_data,
     taylor_sign_margin,
@@ -96,6 +98,32 @@ def test_taylor_violation_rejected(grid16):
     with pytest.raises(InitialDataError) as err:
         make_initial_data(grid16, "quiescent", amplitude=0.999, seed=5, c0=0.25)
     assert "sign condition" in str(err.value)
+
+
+@pytest.mark.parametrize("name,value,fragment", [
+    ("check_compatibility", {"div_b_norm": np.nan}, "compatibility"),
+    ("taylor_sign_margin", np.nan, "sign condition"),
+])
+def test_admit_fails_closed_on_nan(grid_small, monkeypatch, name, value, fragment):
+    st = make_initial_data(grid_small, "quiescent", amplitude=0.1, seed=5)
+    cache = build_geometry(grid_small, st.eta, 0.0)
+    admit(st, cache, c0=0.25)
+    monkeypatch.setattr(state, name, lambda *args: value)
+    with pytest.raises(InitialDataError, match=fragment):
+        admit(st, cache)
+
+
+def test_admit_holds_nontrivial_data_to_c0(grid_small):
+    st = make_initial_data(grid_small, "quiescent", amplitude=0.1, seed=5, c0=0.25)
+    cache = build_geometry(grid_small, st.eta, 0.0)
+    margin = taylor_sign_margin(st, cache.a_s)
+    admit(st, cache, c0=margin)
+    with pytest.raises(InitialDataError, match="at least c0"):
+        admit(st, cache, c0=1.01 * margin)
+    # all-zero data carry no margin and need none
+    for name in ("v", "b", "q"):
+        setattr(st, name, np.zeros_like(getattr(st, name)))
+    admit(st, cache, c0=0.25)
 
 
 def test_unknown_preset_rejected(grid16):
