@@ -33,7 +33,7 @@ def _root_names_used() -> set[str]:
         text = path.read_text()
         names.update(re.findall(r"\blfmhd\.(\w+)", text))
         for group in ROOT_IMPORT.findall(text):
-            names.update(re.findall(r"\w+", "".join(group).split("#")[0]))
+            names.update(re.findall(r"\w+", re.sub(r"#.*", "", "".join(group))))
     return {n for n in names if not n.startswith("__")} - {p.stem for p in MODULES}
 
 
