@@ -111,6 +111,10 @@ def test_bad_value_reports_key_and_line():
     ("scheme.dt = 0", "dt"),
     ("scheme.T = -0.1", "T"),
     ("scheme.picard_max_iter = 0", "picard_max_iter"),
+    # the CFL factor and the snapshot stride are constants now: naming
+    # either key is refused as unknown, whatever the value
+    ("scheme.cfl_safety = 1.2", "cfl_safety"),
+    ("outputs.snapshot_stride = 0", "snapshot_stride"),
     # below the rounding floor of the diffusion solve's residual
     ("scheme.diffusion_tol = 1e-17", r"scheme\.diffusion_tol must be >= 1e-14, the rounding floor"),
     ("data.preset = vortex", "preset"),
