@@ -126,12 +126,12 @@ def _state_fields(state: FlowState) -> dict[str, np.ndarray]:
     return out
 
 
-def _state_from_fields(grid: Grid, eos: EquationOfState,
+def _state_from_fields(path: str | Path, grid: Grid, eos: EquationOfState,
                        fields: dict[str, np.ndarray], prefix: str = "") -> FlowState:
     def get(name: str) -> np.ndarray:
         key = prefix + name
         if key not in fields:
-            raise CheckpointError(f"missing field {key!r}")
+            raise CheckpointError(f"{path}: missing field {key!r}")
         return fields[key]
 
     return FlowState(
@@ -193,7 +193,7 @@ def write_state(path: str | Path, state: FlowState) -> None:
 def read_state(path: str | Path) -> FlowState:
     """Read a state with the diffusivity and dealias fraction it ran at."""
     grid, eos, _, fields = _read_run(path)
-    return _state_from_fields(grid, eos, fields)
+    return _state_from_fields(path, grid, eos, fields)
 
 
 def write_trajectory(path: str | Path, traj: Trajectory) -> None:
@@ -220,7 +220,7 @@ def read_trajectory(path: str | Path) -> Trajectory:
             raise CheckpointError(
                 f"{path}: missing field 'meta.{key}'; not a trajectory checkpoint")
     states = [
-        _state_from_fields(grid, eos, fields, prefix=f"snap{j:03d}.")
+        _state_from_fields(path, grid, eos, fields, prefix=f"snap{j:03d}.")
         for j in range(int(meta["nodes"]))
     ]
     return Trajectory(grid=grid, eos=eos, kappa=meta["kappa"], dt=meta["dt"], states=states)

@@ -1,11 +1,7 @@
 """Command-line front end.
 
-Subcommands
-    run            solve one nonlinear fixed point, write the full artifact set
-    picard-trace   same solve, print and record the per-iterate contraction trace
-    kappa-sweep    run the descending smoothing-scale cascade from the config list
-    check-lemmas   measure the inequality constants on random corpora
-    energy-report  tabulate energy functionals from a trajectory checkpoint
+``COMMANDS`` names each subcommand with its help text and handler, and
+``FAILURES`` maps each refusal to its exit code and stderr label.
 
 All tables are CSV with a leading ``#`` header line naming units and the
 time-derivative truncation order; floats are printed with ``%.17g`` so
@@ -16,20 +12,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointError, read_trajectory, write_state, write_trajectory
 from .config import ConfigError, RunConfig, load_config
-from .diagnostics import (
-    ENERGY_COLUMNS,
-    EnergyReport,
-    LemmaReport,
-    energy_functionals,
-    lemma_suite,
-)
+from .diagnostics import ENERGY_COLUMNS, EnergyReport, energy_functionals, lemma_suite
 from .geometry import DegenerateMapError
 from .grid import Grid
 from .linear_step import BreakdownError, CflError, DiffusionSolveError
@@ -53,20 +42,32 @@ class OutputError(Exception):
     """The output directory or an artifact in it cannot be created or written."""
 
 
-@contextmanager
-def _writing(path: Path):
-    """Turn an ``OSError`` while creating or writing ``path`` into an
+# (exception classes, exit code, stderr label), first match wins; any other
+# exception exits 1 with ``error: <type>: <message>``
+FAILURES = (
+    ((ConfigError, InitialDataError), EXIT_CONFIG, "config error"),
+    ((CflError,), EXIT_CFL, "CFL violation"),
+    ((NonContractionError,), EXIT_NON_CONTRACTION, "non-contraction"),
+    ((DegenerateMapError,), EXIT_DEGENERATE, "degenerate map"),
+    ((CheckpointError,), EXIT_CHECKPOINT, "checkpoint error"),
+    ((DiffusionSolveError,), EXIT_DIFFUSION, "diffusion solve stalled"),
+    ((BreakdownError,), EXIT_BREAKDOWN, "numerical breakdown"),
+    ((OutputError,), EXIT_OUTPUT, "output error"),
+)
+
+
+def _write(path: Path, write, *args, **kwargs) -> None:
+    """Call ``write(path, *args, **kwargs)``; an ``OSError`` becomes an
     :class:`OutputError` that names the path."""
     try:
-        yield
+        write(path, *args, **kwargs)
     except OSError as exc:
         raise OutputError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _output_directory(directory) -> Path:
     out = Path(directory)
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
+    _write(out, Path.mkdir, parents=True, exist_ok=True)
     return out
 
 
@@ -86,8 +87,7 @@ def _write_csv(path: Path, comment: str, header: list[str], rows) -> None:
     lines = [f"# {comment}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    with _writing(path):
-        path.write_text("\n".join(lines) + "\n")
+    _write(path, Path.write_text, "\n".join(lines) + "\n")
 
 
 def _print_table(title: str, pairs: list[tuple[str, str]]) -> None:
@@ -121,10 +121,7 @@ def _write_energy_csv(out: Path, report: EnergyReport) -> None:
 
 
 def _write_iteration_csv(out: Path, log: IterationLog, order: int) -> None:
-    ratios = [""] + [_fmt(r) for r in log.ratios()]
-    rows = []
-    for i, d in enumerate(log.d_history):
-        rows.append([i + 1, _fmt(d), ratios[i]])
+    rows = zip(range(1, len(log.d_history) + 1), log.d_history, [None, *log.ratios()])
     _write_csv(
         out / "iteration.csv",
         f"{_UNITS_NOTE}; truncation order m = {order}; tol = {_fmt(log.tol)}; "
@@ -139,13 +136,9 @@ def _write_residuals_csv(out: Path, cfg: RunConfig, report: EnergyReport) -> Non
     res = report.residuals
     header = ["t", "res_eta", "res_v", "res_q", "res_b", "wave_residual",
               "div_b", "taylor_margin", "small_geometry", "taylor_ok", "small_ok"]
-    rows = []
-    for j, c in enumerate(cons):
-        rows.append([
-            c["t"], res["eta"][j], res["v"][j], res["q"][j], res["b"][j],
-            res["wave"][j], c["div_b"], c["taylor_margin"], c["small_geometry"],
-            c["taylor_ok"], c["small_ok"],
-        ])
+    rows = ([c["t"], res["eta"][j], res["v"][j], res["q"][j], res["b"][j], res["wave"][j],
+             c["div_b"], c["taylor_margin"], c["small_geometry"], c["taylor_ok"], c["small_ok"]]
+            for j, c in enumerate(cons))
     _write_csv(
         out / "residuals.csv",
         f"{_UNITS_NOTE}; truncation order m = {cfg.diagnostics.max_time_order}; "
@@ -153,18 +146,6 @@ def _write_residuals_csv(out: Path, cfg: RunConfig, report: EnergyReport) -> Non
         header,
         rows,
     )
-
-
-def _write_lemmas_csv(out: Path, grid: Grid, cfg: RunConfig) -> LemmaReport:
-    report = lemma_suite(grid, seed=cfg.data.seed, kappa=cfg.scheme.kappa)
-    _write_csv(
-        out / "lemmas.csv",
-        f"{_UNITS_NOTE}; empirical inequality constants; "
-        f"seed = {cfg.data.seed}; kappa = {_fmt(cfg.scheme.kappa)}",
-        ["check", "label", "value"],
-        ([r["check"], r["label"], r["value"]] for r in report.rows),
-    )
-    return report
 
 
 def _solver_options(cfg: RunConfig) -> dict:
@@ -188,7 +169,8 @@ def _not_converged(log: IterationLog) -> int:
 # subcommands
 
 
-def _cmd_run(cfg: RunConfig) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     out = _output_directory(cfg.outputs.directory)
     traj, log = _solve_from_config(cfg)
     order = cfg.diagnostics.max_time_order
@@ -200,10 +182,8 @@ def _cmd_run(cfg: RunConfig) -> int:
     _write_energy_csv(out, report)
     _write_residuals_csv(out, cfg, report)
     if cfg.outputs.checkpoint:
-        with _writing(out / "trajectory.ckpt"):
-            write_trajectory(out / "trajectory.ckpt", traj)
-        with _writing(out / "final_state.ckpt"):
-            write_state(out / "final_state.ckpt", traj.final)
+        _write(out / "trajectory.ckpt", write_trajectory, traj)
+        _write(out / "final_state.ckpt", write_state, traj.final)
     _print_table(f"run: {cfg.data.preset} preset, kappa = {cfg.scheme.kappa}", [
         ("nodes", str(len(traj))),
         ("picard iterates", str(log.iterations)),
@@ -218,39 +198,35 @@ def _cmd_run(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_picard_trace(cfg: RunConfig) -> int:
+def _cmd_picard_trace(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     out = _output_directory(cfg.outputs.directory)
     traj, log = _solve_from_config(cfg)
     _write_iteration_csv(out, log, cfg.diagnostics.max_time_order)
     print(f"picard-trace: {cfg.data.preset} preset, kappa = {cfg.scheme.kappa}, "
           f"T = {cfg.scheme.T}, dt = {cfg.scheme.dt}")
     print("  iterate  difference_energy      ratio")
-    ratios = [None] + list(log.ratios())
-    for i, d in enumerate(log.d_history):
-        r = "" if ratios[i] is None else f"{ratios[i]:.6f}"
-        print(f"  {i + 1:7d}  {d:.11e}  {r}")
+    for i, (d, r) in enumerate(zip(log.d_history, [None, *log.ratios()]), 1):
+        print(f"  {i:7d}  {d:.11e}  {'' if r is None else f'{r:.6f}'}")
     print(f"  stop: {log.stop_reason}")
     return 0 if log.converged else _not_converged(log)
 
 
-def _cmd_kappa_sweep(cfg: RunConfig) -> int:
+def _cmd_kappa_sweep(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     if len(cfg.scheme.kappa_list) < 2:
         raise ConfigError("kappa-sweep needs scheme.kappa_list with at least two values")
     out = _output_directory(cfg.outputs.directory)
     grid, init = _build_problem(cfg)
     traj, report = kappa_sweep(grid, init, kappas=cfg.scheme.kappa_list, **_solver_options(cfg))
-    header = ["kappa", "iterations", "d_final", "psi_max", "delta_to_prev"]
-    rows = []
-    for row in report.rows():
-        delta = row["delta_to_prev"]
-        rows.append([row["kappa"], row["iterations"], row["d_final"],
-                     row["psi_max"], "" if np.isnan(delta) else _fmt(delta)])
     _write_csv(
         out / "sweep.csv",
         f"{_UNITS_NOTE}; truncation order m = {cfg.diagnostics.max_time_order}; "
         "delta = difference energy sup between consecutive kappa runs",
-        header,
-        rows,
+        ["kappa", "iterations", "d_final", "psi_max", "delta_to_prev"],
+        # the first member has no predecessor: its delta cell stays empty
+        ([row["kappa"], row["iterations"], row["d_final"], row["psi_max"], delta]
+         for row, delta in zip(report.rows(), [None, *report.deltas])),
     )
     if not all(lg.converged for lg in report.logs):
         for kappa, lg in zip(report.kappas, report.logs):
@@ -260,8 +236,7 @@ def _cmd_kappa_sweep(cfg: RunConfig) -> int:
     energy = energy_functionals(traj, order=cfg.diagnostics.max_time_order)
     _write_energy_csv(out, energy)
     if cfg.outputs.checkpoint:
-        with _writing(out / "trajectory.ckpt"):
-            write_trajectory(out / "trajectory.ckpt", traj)
+        _write(out / "trajectory.ckpt", write_trajectory, traj)
     deltas = report.deltas
     decreasing = all(a > b for a, b in zip(deltas, deltas[1:]))
     _print_table("kappa-sweep", [
@@ -275,10 +250,18 @@ def _cmd_kappa_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_check_lemmas(cfg: RunConfig) -> int:
+def _cmd_check_lemmas(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     out = _output_directory(cfg.outputs.directory)
     grid = Grid(cfg.grid)
-    report = _write_lemmas_csv(out, grid, cfg)
+    report = lemma_suite(grid, seed=cfg.data.seed, kappa=cfg.scheme.kappa)
+    _write_csv(
+        out / "lemmas.csv",
+        f"{_UNITS_NOTE}; empirical inequality constants; "
+        f"seed = {cfg.data.seed}; kappa = {_fmt(cfg.scheme.kappa)}",
+        ["check", "label", "value"],
+        ([r["check"], r["label"], r["value"]] for r in report.rows),
+    )
     pairs = []
     for check in ("hodge", "elliptic", "trace_pin", "trace_ratio"):
         vals = report.values(check)
@@ -287,14 +270,15 @@ def _cmd_check_lemmas(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_energy_report(path: str, out_dir: str, order: int) -> int:
+def _cmd_energy_report(args: argparse.Namespace) -> int:
+    path, order = args.checkpoint, args.order
     traj = read_trajectory(path)
     if len(traj) < order + 1:
         raise CheckpointError(
             f"{path}: {len(traj)} nodes; an order-{order} time derivative "
             f"needs at least {order + 1}"
         )
-    out = _output_directory(out_dir)
+    out = _output_directory(args.out)
     report = energy_functionals(traj, order=order)
     _write_energy_csv(out, report)
     _print_table(f"energy-report: {path}", [
@@ -312,70 +296,46 @@ def _cmd_energy_report(path: str, out_dir: str, order: int) -> int:
 # ----------------------------------------------------------------------
 
 
+# subcommand -> (help text, handler); the handler takes the parsed command line
+COMMANDS = {
+    "run": ("solve one nonlinear fixed point and write all artifacts", _cmd_run),
+    "picard-trace": ("solve and print the per-iterate contraction trace", _cmd_picard_trace),
+    "kappa-sweep": ("run the descending smoothing-scale cascade", _cmd_kappa_sweep),
+    "check-lemmas": ("measure inequality constants on random corpora", _cmd_check_lemmas),
+    "energy-report": ("tabulate energies from a trajectory checkpoint", _cmd_energy_report),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lfmhd",
         description="free-boundary resistive MHD laboratory in flow-map form",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("run", "solve one nonlinear fixed point and write all artifacts"),
-        ("picard-trace", "solve and print the per-iterate contraction trace"),
-        ("kappa-sweep", "run the descending smoothing-scale cascade"),
-        ("check-lemmas", "measure inequality constants on random corpora"),
-    ):
+    for name, (helptext, _) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("config", help="path to a key = value config file")
-    p = sub.add_parser("energy-report", help="tabulate energies from a trajectory checkpoint")
-    p.add_argument("checkpoint", help="path to a trajectory checkpoint")
-    p.add_argument("--out", default=".", help="output directory (default: current)")
-    p.add_argument("--order", type=int, default=2, choices=(1, 2),
-                   help="time-derivative truncation order")
+        if name == "energy-report":
+            p.add_argument("checkpoint", help="path to a trajectory checkpoint")
+            p.add_argument("--out", default=".", help="output directory (default: current)")
+            p.add_argument("--order", type=int, default=2, choices=(1, 2),
+                           help="time-derivative truncation order")
+        else:
+            p.add_argument("config", help="path to a key = value config file")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "energy-report":
-            return _cmd_energy_report(args.checkpoint, args.out, args.order)
-        cfg = load_config(args.config)
-        if args.command == "run":
-            return _cmd_run(cfg)
-        if args.command == "picard-trace":
-            return _cmd_picard_trace(cfg)
-        if args.command == "kappa-sweep":
-            return _cmd_kappa_sweep(cfg)
-        if args.command == "check-lemmas":
-            return _cmd_check_lemmas(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, InitialDataError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CflError as exc:
-        print(f"CFL violation: {exc}", file=sys.stderr)
-        return EXIT_CFL
-    except NonContractionError as exc:
-        print(f"non-contraction: {exc}", file=sys.stderr)
-        return EXIT_NON_CONTRACTION
-    except DegenerateMapError as exc:
-        print(f"degenerate map: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
-    except DiffusionSolveError as exc:
-        print(f"diffusion solve stalled: {exc}", file=sys.stderr)
-        return EXIT_DIFFUSION
-    except BreakdownError as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return EXIT_BREAKDOWN
-    except OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
-    except Exception as exc:  # pragma: no cover - catch-all contract
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return COMMANDS[args.command][1](args)
+    except Exception as exc:
+        for classes, code, label in FAILURES:
+            if isinstance(exc, classes):
+                break
+        else:
+            code, label = 1, f"error: {type(exc).__name__}"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

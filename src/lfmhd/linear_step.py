@@ -45,7 +45,7 @@ class CflError(RuntimeError):
         self.bound = bound
         super().__init__(
             f"dt = {dt:.6e} violates the acoustic CFL bound "
-            f"dt <= CFL_SAFETY * h3 * min sqrt(r Js / rho0) = "
+            f"dt <= CFL_SAFETY * h3 * min sqrt(R'(q)) = "
             f"{CFL_SAFETY} * {h3:.6e} * {bound / (CFL_SAFETY * h3):.6e} = {bound:.6e}"
         )
 
@@ -227,8 +227,10 @@ class FrozenCoefficients:
                             b=mean(self.b), r=mean(self.r))
 
     def cfl_bound(self) -> float:
-        speed = np.sqrt(self.r * self.J_s / self.rho0[None])
-        return float(CFL_SAFETY * self.grid.h3 * speed.min())
+        # the frozen system rho0 / Js v_t = -grad_a Q, r q_t = -div_a v carries
+        # sound at c = sqrt(Js / (rho0 r)); 1 / c = sqrt(R'(q)) pointwise
+        slowness = np.sqrt(self.rho0[None] * self.r / self.J_s)
+        return float(CFL_SAFETY * self.grid.h3 * slowness.min())
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Checkpoint format: bitwise round trips and strict header validation."""
 
 import importlib.util
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -177,8 +178,20 @@ def test_cross_endian_fixture_matches_generator():
 def test_missing_field_in_state_checkpoint(tmp_path, grid):
     path = tmp_path / "partial.ckpt"
     write_fields(path, (8, 8, 8), {"t": np.zeros(grid.shape)})
-    with pytest.raises(CheckpointError, match="missing field"):
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: missing field 'eta1'$"):
         read_state(path)
+
+
+def test_missing_field_in_trajectory_checkpoint(tmp_path, grid, state):
+    path = tmp_path / "partial.ckpt"
+    traj = trivial_trajectory(grid, state.eos, state.rho0, kappa=0.1, dt=0.01, nsteps=2)
+    write_trajectory(path, traj)
+    _, fields = read_fields(path)
+    del fields["snap001.q"]
+    write_fields(path, (8, 8, 8), fields)
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(str(path))}: missing field 'snap001.q'$"):
+        read_trajectory(path)
 
 
 def test_state_checkpoint_is_not_a_trajectory(tmp_path, state):

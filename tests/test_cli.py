@@ -104,7 +104,15 @@ def test_cfl_violation_exit_code_names_bound(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "CFL" in err
     assert "dt = 1.000000e-01" in err
-    assert "cfl_safety" in err or "bound" in err
+    assert "bound" in err and "min sqrt(R'(q))" in err
+
+
+def test_dense_quiescent_data_pass_the_cfl_gate(tmp_path, capsys):
+    # a large background head raises the reference density, not the sound
+    # speed 1 / sqrt(R'(q)) that bounds the step
+    cfg = write_cfg(tmp_path, tmp_path / "out", extra="physics.c0 = 4\n")
+    assert cli.main(["run", cfg]) == 0
+    assert "CFL" not in capsys.readouterr().err
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
@@ -131,6 +139,15 @@ def test_non_contraction_exit_code(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, tmp_path / "out")
     assert cli.main(["run", cfg]) == cli.EXIT_NON_CONTRACTION
     assert "non-contraction" in capsys.readouterr().err
+
+
+def test_unlisted_failure_exits_1_naming_its_type(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "make_initial_data", boom)
+    assert cli.main(["run", write_cfg(tmp_path, tmp_path / "out", extra=SMALL)]) == 1
+    assert capsys.readouterr().err == "error: KeyError: 'x'\n"
 
 
 def test_picard_trace_prints_iterates(tmp_path, capsys):
@@ -456,9 +473,7 @@ def test_non_finite_difference_energy_names_dt(tmp_path, capsys, dt):
     assert capsys.readouterr().err == err
 
 
-DOCUMENTED_EXITS = {0, cli.EXIT_CONFIG, cli.EXIT_CFL, cli.EXIT_NON_CONTRACTION,
-                    cli.EXIT_DEGENERATE, cli.EXIT_CHECKPOINT, cli.EXIT_NOT_CONVERGED,
-                    cli.EXIT_DIFFUSION, cli.EXIT_BREAKDOWN, cli.EXIT_OUTPUT}
+DOCUMENTED_EXITS = {0, cli.EXIT_NOT_CONVERGED} | {code for _, code, _ in cli.FAILURES}
 
 
 def _log_uniform(lo, hi):

@@ -121,6 +121,23 @@ def test_cfl_bound_and_error(grid16, eos):
     assert "CFL" in msg and "bound" in msg
 
 
+def test_cfl_bound_is_the_reciprocal_sound_speed(grid16, eos, rng):
+    # c^2 = Js / (rho0 r) = 1 / R'(q) pointwise, whatever the map and the
+    # reference density; a large c0 makes rho0 far from 1
+    st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3, c0=4.0)
+    states = []
+    for j in range(3):
+        s = st.copy()
+        s.t = j * DT
+        s.eta = perturbed_map(grid16, rng, eps=0.05)
+        states.append(s)
+    frozen = FrozenCoefficients.freeze(
+        linear_step.Trajectory(grid=grid16, eos=eos, kappa=KAPPA, dt=DT, states=states))
+    assert np.abs(frozen.J_s - 1.0).max() > 1e-3 and np.abs(st.rho0 - 1.0).max() > 1.0
+    want = linear_step.CFL_SAFETY * grid16.h3 * np.sqrt(eos.rho_p(st.q).min())
+    assert frozen.cfl_bound() == pytest.approx(want, rel=1e-12)
+
+
 def test_advance_requires_coverage(grid16, eos):
     st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
     traj = trivial_trajectory(grid16, eos, st.rho0, KAPPA, DT, 2)

@@ -103,15 +103,16 @@ def test_table_matches_pinned(fresh, name):
         assert misses == [], f"{name}:{lineno}: (column, got, pinned)"
 
 
-def _schema_sections() -> dict[str, list[str]]:
-    """Heading -> the first cells of the table rows under it."""
-    sections: dict[str, list[str]] = {}
-    rows: list[str] = []
+def _schema_sections() -> dict[str, list[list[str]]]:
+    """Heading -> the cells of each table row under it (``\\|`` is not a
+    cell boundary)."""
+    sections: dict[str, list[list[str]]] = {}
+    rows: list[list[str]] = []
     for line in SCHEMA.read_text().splitlines():
         if line.startswith("## "):
             rows = sections.setdefault(line[3:].split()[0], [])
         elif line.startswith("|") and not line.startswith("| ---"):
-            rows.append(line.split("|")[1].strip())
+            rows.append([cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
     return sections
 
 
@@ -120,12 +121,17 @@ def test_schema_columns_equal_the_written_headers(fresh):
     headers = {rel.name: (fresh / rel).read_text().splitlines()[1].split(",")
                for rel in GEN.tables(fresh)}
     for table, header in headers.items():
-        documented = [name for cell in sections[table][1:]
-                      for name in re.findall(r"`([^`]+)`", cell)]
+        documented = [name for row in sections[table][1:]
+                      for name in re.findall(r"`([^`]+)`", row[0])]
         assert documented == header, table
 
 
 def test_schema_exit_codes_equal_the_cli_codes():
-    documented = [int(code) for code in _schema_sections()["Exit"][1:]]
+    rows = _schema_sections()["Exit"][1:]
+    documented = [int(code) for code, _ in rows]
     codes = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
     assert documented == [0, 1] + codes
+    # each refusal's row names the stderr prefix the CLI prints for it
+    meaning = {int(code): text for code, text in rows}
+    for _, code, label in cli.FAILURES:
+        assert f"`{label}: " in meaning[code], (code, label)
