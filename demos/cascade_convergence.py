@@ -15,7 +15,7 @@ def main():
     eos = lfmhd.EquationOfState()
     init = lfmhd.make_initial_data(grid, "quiescent", amplitude=0.1, seed=0, eos=eos)
     _, report = lfmhd.kappa_sweep(
-        grid, init, kappas=(0.2, 0.1, 0.05, 0.025), T=0.05, dt=0.0125,
+        init, kappas=(0.2, 0.1, 0.05, 0.025), T=0.05, dt=0.0125,
     )
     print("  kappa   iters  d_final       delta_to_prev  psi_max")
     for row in report.rows():

@@ -17,7 +17,7 @@ from lfmhd.picard import NonContractionError
 
 def trace(grid, eos, amplitude, T, dt):
     init = lfmhd.make_initial_data(grid, "quiescent", amplitude=amplitude, seed=0, eos=eos)
-    traj, log = lfmhd.solve_nonlinear_kappa(grid, init, kappa=0.1, T=T, dt=dt)
+    traj, log = lfmhd.solve_nonlinear_kappa(init, kappa=0.1, T=T, dt=dt)
     d = np.array(log.d_history)
     print(f"amplitude {amplitude}, T = {T}: {log.iterations} iterates, {log.stop_reason}")
     print("  iterate  difference_energy  ratio")
@@ -33,7 +33,7 @@ def ladder(grid, eos, amplitude, dt):
         init = lfmhd.make_initial_data(grid, "quiescent", amplitude=amplitude, seed=0, eos=eos)
         try:
             _, log = lfmhd.solve_nonlinear_kappa(
-                grid, init, kappa=0.1, T=T, dt=dt, max_iter=8,
+                init, kappa=0.1, T=T, dt=dt, max_iter=8,
             )
             print(f"T = {T:5.2f}: {log.iterations} iterates, {log.stop_reason}")
         except NonContractionError as exc:

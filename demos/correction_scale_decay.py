@@ -43,7 +43,7 @@ def main():
     print()
 
     init = lfmhd.make_initial_data(grid, "quiescent", amplitude=0.3, seed=0, eos=eos)
-    traj, _ = lfmhd.solve_nonlinear_kappa(grid, init, kappa=0.1, T=0.025, dt=0.0125)
+    traj, _ = lfmhd.solve_nonlinear_kappa(init, kappa=0.1, T=0.025, dt=0.0125)
     s = traj.final
     print("quiescent preset (single-shell modulation, datum cancels):")
     print("  kappa    ||psi||_0")

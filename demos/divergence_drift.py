@@ -29,7 +29,7 @@ def main():
     grid = lfmhd.Grid(lfmhd.GridSpec(16, 16, 16))
     eos = lfmhd.EquationOfState()
     init = lfmhd.make_initial_data(grid, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
-    traj, _ = lfmhd.solve_nonlinear_kappa(grid, init, kappa=0.1, T=0.05, dt=0.01)
+    traj, _ = lfmhd.solve_nonlinear_kappa(init, kappa=0.1, T=0.05, dt=0.01)
     report(traj, "clean run:")
 
     rng = np.random.default_rng(9)

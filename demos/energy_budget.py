@@ -16,7 +16,7 @@ def main():
     eos = lfmhd.EquationOfState()
     init = lfmhd.make_initial_data(grid, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
     for dt in (0.01, 0.005):
-        traj, _ = lfmhd.solve_nonlinear_kappa(grid, init, kappa=0.1, T=0.1, dt=dt)
+        traj, _ = lfmhd.solve_nonlinear_kappa(init, kappa=0.1, T=0.1, dt=dt)
         E, D, res = lfmhd.physical_energy_balance(traj)
         print(f"dt = {dt}:")
         print("      t     E_phys        D_diss        balance_residual")

@@ -18,7 +18,7 @@ def main():
 
     def solve(tol):
         traj, log = lfmhd.solve_nonlinear_kappa(
-            grid, init, kappa=0.1, T=0.05, dt=0.0125, tol=tol,
+            init, kappa=0.1, T=0.05, dt=0.0125, tol=tol,
         )
         print(f"  tol = {tol:.0e}: {log.iterations} iterates, "
               f"d_final = {log.d_history[-1]:.3e}")

@@ -18,7 +18,8 @@ import numpy as np
 
 from .checkpoint import CheckpointError, read_trajectory, write_state, write_trajectory
 from .config import ConfigError, RunConfig, load_config
-from .diagnostics import ENERGY_COLUMNS, EnergyReport, energy_functionals, lemma_suite
+from .diagnostics import (ENERGY_COLUMNS, SMALL_GEOMETRY, EnergyReport, energy_functionals,
+                          lemma_suite)
 from .geometry import DegenerateMapError
 from .grid import Grid
 from .linear_step import BreakdownError, CflError, DiffusionSolveError
@@ -104,9 +105,8 @@ def _print_table(title: str, pairs: list[tuple[str, str]]) -> None:
 def _build_problem(cfg: RunConfig):
     grid = Grid(cfg.grid)
     eos = EquationOfState(diffusivity=cfg.physics.diffusivity)
-    init = make_initial_data(grid, cfg.data.preset, amplitude=cfg.data.amplitude,
+    return make_initial_data(grid, cfg.data.preset, amplitude=cfg.data.amplitude,
                              seed=cfg.data.seed, eos=eos, c0=cfg.physics.c0)
-    return grid, init
 
 
 def _write_energy_csv(out: Path, report: EnergyReport) -> None:
@@ -148,6 +148,20 @@ def _write_residuals_csv(out: Path, cfg: RunConfig, report: EnergyReport) -> Non
     )
 
 
+def _say_where_the_regime_ends(report: EnergyReport, c0: float) -> None:
+    """One stderr line at the first node that ``report.constraint_rows``
+    flags outside the a priori regime; the exit code does not change."""
+    for j, row in enumerate(report.constraint_rows(c0)):
+        failing = [text for ok, text in (
+            (row["taylor_ok"], f"Taylor margin {row['taylor_margin']:.4g} < c0 / 2 = {0.5 * c0:.4g}"),
+            (row["small_ok"], f"geometry gauge {row['small_geometry']:.4g} > {SMALL_GEOMETRY:.4g}"),
+        ) if not ok]
+        if failing:
+            print(f"outside the a priori regime from t = {row['t']:.6g} (node {j}): "
+                  + "; ".join(failing), file=sys.stderr)
+            return
+
+
 def _solver_options(cfg: RunConfig) -> dict:
     """The solver keywords of the config, shared by one solve and the sweep."""
     s = cfg.scheme
@@ -156,8 +170,8 @@ def _solver_options(cfg: RunConfig) -> dict:
 
 
 def _solve_from_config(cfg: RunConfig):
-    grid, init = _build_problem(cfg)
-    return solve_nonlinear_kappa(grid, init, kappa=cfg.scheme.kappa, **_solver_options(cfg))
+    init = _build_problem(cfg)
+    return solve_nonlinear_kappa(init, kappa=cfg.scheme.kappa, **_solver_options(cfg))
 
 
 def _not_converged(log: IterationLog) -> int:
@@ -181,6 +195,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = energy_functionals(traj, order=order, residuals=True)
     _write_energy_csv(out, report)
     _write_residuals_csv(out, cfg, report)
+    _say_where_the_regime_ends(report, cfg.physics.c0)
     if cfg.outputs.checkpoint:
         _write(out / "trajectory.ckpt", write_trajectory, traj)
         _write(out / "final_state.ckpt", write_state, traj.final)
@@ -217,8 +232,8 @@ def _cmd_kappa_sweep(args: argparse.Namespace) -> int:
     if len(cfg.scheme.kappa_list) < 2:
         raise ConfigError("kappa-sweep needs scheme.kappa_list with at least two values")
     out = _output_directory(cfg.outputs.directory)
-    grid, init = _build_problem(cfg)
-    traj, report = kappa_sweep(grid, init, kappas=cfg.scheme.kappa_list, **_solver_options(cfg))
+    init = _build_problem(cfg)
+    traj, report = kappa_sweep(init, kappas=cfg.scheme.kappa_list, **_solver_options(cfg))
     _write_csv(
         out / "sweep.csv",
         f"{_UNITS_NOTE}; truncation order m = {cfg.diagnostics.max_time_order}; "
@@ -235,6 +250,7 @@ def _cmd_kappa_sweep(args: argparse.Namespace) -> int:
         return EXIT_NOT_CONVERGED
     energy = energy_functionals(traj, order=cfg.diagnostics.max_time_order)
     _write_energy_csv(out, energy)
+    _say_where_the_regime_ends(energy, cfg.physics.c0)
     if cfg.outputs.checkpoint:
         _write(out / "trajectory.ckpt", write_trajectory, traj)
     deltas = report.deltas

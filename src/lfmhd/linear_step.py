@@ -35,6 +35,8 @@ from .state import EquationOfState, FlowState
 
 # safety factor of the acoustic CFL bound
 CFL_SAFETY = 0.4
+# Krylov iteration budget of one component of the implicit diffusion solve
+DIFFUSION_MAX_ITER = 500
 
 
 class CflError(RuntimeError):
@@ -341,27 +343,22 @@ def bicgstab(matvec, b, rtol, maxiter, M, callback=None):
     return x, maxiter
 
 
-def implicit_diffusion_solve(
-    grid: Grid,
-    a_s: np.ndarray,
-    rhs: np.ndarray,
-    dt: float,
-    tol: float = 1e-9,
-    max_iter: int = 500,
-) -> np.ndarray:
+def implicit_diffusion_solve(grid: Grid, a_s: np.ndarray, rhs: np.ndarray, dt: float,
+                             tol: float = 1e-9) -> np.ndarray:
     """Solve (I - dt lap_a) x = rhs with x = 0 on both walls.
 
     A resistive step passes ``dt`` as the time step times the magnetic
     diffusivity.  Component-wise for vector right-hand sides.  The Krylov
     iteration is preconditioned by the exact flat-geometry modal solve, so
     it converges in a handful of steps whenever the smoothed geometry is
-    close to the identity.  The true relative residual of the result
-    decides, whatever stopped the iteration: above 10 tol, or not finite,
-    it raises :class:`DiffusionSolveError`.
+    close to the identity, and stops after ``DIFFUSION_MAX_ITER`` at most.
+    The true relative residual of the result decides, whatever stopped the
+    iteration: above 10 tol, or not finite, it raises
+    :class:`DiffusionSolveError`.
     """
     if rhs.ndim == 4:
         return np.stack([
-            implicit_diffusion_solve(grid, a_s, comp, dt, tol, max_iter)
+            implicit_diffusion_solve(grid, a_s, comp, dt, tol)
             for comp in rhs
         ])
 
@@ -394,7 +391,7 @@ def implicit_diffusion_solve(
         nonlocal iters
         iters += 1
 
-    x_flat, _ = bicgstab(matvec, b_flat, rtol=tol, maxiter=max_iter,
+    x_flat, _ = bicgstab(matvec, b_flat, rtol=tol, maxiter=DIFFUSION_MAX_ITER,
                          M=psolve, callback=count)
     residual = _norm(matvec(x_flat) - b_flat) / bnorm
     if not residual <= 10.0 * tol:
@@ -475,41 +472,27 @@ def _require_finite(j: int, t: float, **fields: np.ndarray) -> None:
             raise BreakdownError(f"{name} is not finite at node {j} (t = {t:.6g})")
 
 
-def advance_linearized(
-    grid: Grid,
-    frozen: FrozenCoefficients,
-    init: FlowState,
-    dt: float,
-    T: float,
-    diffusion_tol: float = 1e-9,
-) -> Trajectory:
-    """Integrate the frozen-coefficient system from ``init`` over [0, T].
+def advance_linearized(frozen: FrozenCoefficients, init: FlowState,
+                       diffusion_tol: float = 1e-9) -> Trajectory:
+    """Integrate the frozen-coefficient system from ``init`` on the lattice
+    of ``frozen``: its grid, its step dt, and one step per pair of nodes.
 
-    Requires T to be an integer multiple of dt, dt to satisfy the acoustic
-    CFL bound evaluated over all frozen nodes, and the frozen coefficients
-    to lie on the same lattice: step dt and at least T / dt + 1 nodes.
-    A CFL violation raises :class:`CflError`, every other one ValueError.
-    A step that leaves v, q or eta non-finite raises
-    :class:`BreakdownError` naming the first such field, in that order,
-    and the node; a non-finite b cannot come out of the diffusion solve,
-    whose residual check raises :class:`DiffusionSolveError` instead.
+    dt must satisfy the acoustic CFL bound evaluated over all frozen
+    nodes, else :class:`CflError`.  A step that leaves v, q or eta
+    non-finite raises :class:`BreakdownError` naming the first such field,
+    in that order, and the node; a non-finite b cannot come out of the
+    diffusion solve, whose residual check raises
+    :class:`DiffusionSolveError` instead.
     """
-    nsteps = step_count(T, dt)
+    grid, dt = frozen.grid, frozen.dt
     bound = frozen.cfl_bound()
     if not dt <= bound:  # a NaN bound fails too
         raise CflError(dt, bound, grid.h3)
-    if frozen.dt != dt:
-        raise ValueError(f"frozen coefficients are on step {frozen.dt}, the advance on {dt}")
-    nodes = len(frozen.J_s)
-    if nodes < nsteps + 1:
-        raise ValueError(
-            f"frozen coefficients hold {nodes} nodes, {nsteps} steps need {nsteps + 1}"
-        )
 
     rho0 = init.rho0
     state = init.copy()
     states = [state]
-    for n in range(nsteps):
+    for n in range(len(frozen.J_s) - 1):
         t = n * dt + dt
         eta_n, v_n, q_n = _explicit_midpoint(grid, frozen, n, state, dt, rho0)
         # before the b solve, which a non-finite velocity would stall; v and q

@@ -19,7 +19,6 @@ import numpy as np
 from .correction import correction_field
 from .diagnostics import difference_energy
 from .geometry import build_geometry
-from .grid import Grid
 from .linear_step import (BreakdownError, FrozenCoefficients, Trajectory, advance_linearized,
                           step_count, trivial_trajectory)
 from .state import FlowState, admit
@@ -66,17 +65,16 @@ class IterationLog:
         return out
 
 
-def _start_geometry(grid: Grid, init: FlowState, kappa: float):
+def _start_geometry(init: FlowState, kappa: float):
     """Node 0's ``(a_s, J_s, psi)`` at ``kappa``, once ``init`` passes
     :func:`admit`.  One geometry build serves all: the compatibility check
     reads its unsmoothed inverse, the Taylor check its smoothed one."""
-    cache = build_geometry(grid, init.eta, kappa)
+    cache = build_geometry(init.grid, init.eta, kappa)
     admit(init, cache)
-    return cache.a_s, cache.J_s, correction_field(grid, init.eta, init.v, cache.a_s, kappa)
+    return cache.a_s, cache.J_s, correction_field(init.grid, init.eta, init.v, cache.a_s, kappa)
 
 
 def solve_nonlinear_kappa(
-    grid: Grid,
     init: FlowState,
     kappa: float,
     T: float,
@@ -86,7 +84,7 @@ def solve_nonlinear_kappa(
     truncation_order: int = 2,
     diffusion_tol: float = 1e-9,
 ) -> tuple[Trajectory, IterationLog]:
-    """Iterate frozen-coefficient solves to a fixed point at one kappa.
+    """Iterate frozen-coefficient solves on ``init``'s grid to a fixed point.
 
     Stops when the sup-in-time difference energy d_n between consecutive
     iterates (order ``truncation_order``) falls below tol * (1 + d_1),
@@ -99,12 +97,12 @@ def solve_nonlinear_kappa(
     integer multiple of dt (ValueError, before any iterate).
     """
     nsteps = step_count(T, dt)
-    start = _start_geometry(grid, init, kappa)
+    start = _start_geometry(init, kappa)
 
     def step(prev: Trajectory, n: int) -> tuple[Trajectory, float]:
         # the frozen coefficients live only through the advance, so the
         # difference energy runs with two trajectories alive and no more
-        traj = advance_linearized(grid, FrozenCoefficients.freeze(prev), init, dt, T,
+        traj = advance_linearized(FrozenCoefficients.freeze(prev), init,
                                   diffusion_tol=diffusion_tol)
         traj.start_geometry = start
         with np.errstate(all="ignore"):  # the next line checks d_n
@@ -117,7 +115,7 @@ def solve_nonlinear_kappa(
 
     logbook = IterationLog(tol=tol)
     d = logbook.d_history
-    traj = trivial_trajectory(grid, init.eos, init.rho0, kappa, dt, nsteps)
+    traj = trivial_trajectory(init.grid, init.eos, init.rho0, kappa, dt, nsteps)
     for n in range(1, max_iter + 1):
         tic = time.perf_counter()
         traj, d_n = step(traj, n)  # rebinding releases the previous iterate
@@ -160,14 +158,8 @@ def max_correction_norm(traj: Trajectory) -> float:
     return max(traj.grid.low_norm(psi) for psi in traj.geometry.psi)
 
 
-def kappa_sweep(
-    grid: Grid,
-    init: FlowState,
-    kappas: list[float],
-    T: float,
-    dt: float,
-    **kwargs,
-) -> tuple[Trajectory, SweepReport]:
+def kappa_sweep(init: FlowState, kappas: list[float], T: float, dt: float,
+                **kwargs) -> tuple[Trajectory, SweepReport]:
     """Solve at a descending list of smoothing scales and compare runs.
 
     Returns the smallest-kappa trajectory and a report whose deltas are
@@ -191,7 +183,7 @@ def kappa_sweep(
         prev = traj
         if prev is not None:
             del prev.geometry  # only the finest member's memo is read again
-        traj, logbook = solve_nonlinear_kappa(grid, init, kappa, T, dt, **kwargs)
+        traj, logbook = solve_nonlinear_kappa(init, kappa, T, dt, **kwargs)
         logs.append(logbook)
         psi_max.append(max_correction_norm(traj))
         if prev is not None:

@@ -121,7 +121,10 @@ def admit(state: FlowState, cache: GeometryCache, c0: float = 0.0) -> None:
     Refuses a total pressure head Q that is not finite, an order-0
     compatibility residual above ``COMPAT_TOL`` and, unless v, b and q are
     all zero, a Taylor sign margin that is not positive and at least c0.
-    Each test fails on NaN, and nothing here warns.
+    Each test fails on NaN, and nothing here warns.  This t = 0 gate is
+    stricter than the a priori regime that ``EnergyReport.constraint_rows``
+    flags along a run (margin >= c0 / 2 and a geometry gauge, which is 0
+    on the identity map the presets start from).
     """
     with np.errstate(all="ignore"):
         if not np.isfinite(state.Q).all():

@@ -37,7 +37,7 @@ ID4_SQ = 3.9394531249999996
 @pytest.fixture(scope="module")
 def quiescent_run(grid16, eos):
     init = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=0, eos=eos)
-    traj, log = solve_nonlinear_kappa(grid16, init, kappa=0.1, T=0.1, dt=0.01)
+    traj, log = solve_nonlinear_kappa(init, kappa=0.1, T=0.1, dt=0.01)
     assert log.converged
     return traj
 
@@ -45,7 +45,7 @@ def quiescent_run(grid16, eos):
 @pytest.fixture(scope="module")
 def magnetic_run(grid16, eos):
     init = make_initial_data(grid16, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
-    traj, log = solve_nonlinear_kappa(grid16, init, kappa=0.1, T=0.1, dt=0.01)
+    traj, log = solve_nonlinear_kappa(init, kappa=0.1, T=0.1, dt=0.01)
     assert log.converged
     return traj
 
@@ -445,7 +445,7 @@ def test_induction_residual_reads_the_diffusivity(grid16, magnetic_run):
     # and is more than ten times larger at every node
     eos = EquationOfState(diffusivity=0.25)
     init = make_initial_data(grid16, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
-    traj, log = solve_nonlinear_kappa(grid16, init, kappa=0.1, T=0.1, dt=0.01)
+    traj, log = solve_nonlinear_kappa(init, kappa=0.1, T=0.1, dt=0.01)
     assert log.converged
     res_b = nonlinear_residuals(traj)["b"]
     assert res_b.max() <= nonlinear_residuals(magnetic_run)["b"].max()
@@ -470,7 +470,7 @@ def test_audit_dissipation_is_the_energy_balance_column(magnetic_run):
 
 def _small_tube_run(grid, eos):
     init = make_initial_data(grid, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
-    traj, log = solve_nonlinear_kappa(grid, init, kappa=0.1, T=0.05, dt=0.0125)
+    traj, log = solve_nonlinear_kappa(init, kappa=0.1, T=0.05, dt=0.0125)
     assert log.converged and log.self_check is not None
     return traj
 

@@ -1,5 +1,6 @@
 """Frozen coefficients, CFL gate, implicit diffusion, linearized advance."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -79,7 +80,7 @@ def test_non_finite_step_raises_breakdown_naming_the_node(grid_small, eos):
         trivial_trajectory(grid_small, eos, st.rho0, KAPPA, DT, 3))
     st.v[0, 2, 3, 4] = np.nan
     with pytest.raises(BreakdownError, match=r"^v is not finite at node 1 \(t = 0.0125\)$"):
-        advance_linearized(grid_small, frozen, st, DT, 3 * DT)
+        advance_linearized(frozen, st)
 
 
 def test_nan_cfl_bound_refused_before_the_advance(grid_small, eos):
@@ -88,7 +89,7 @@ def test_nan_cfl_bound_refused_before_the_advance(grid_small, eos):
         trivial_trajectory(grid_small, eos, st.rho0, KAPPA, DT, 3))
     frozen.r[1, 2, 3, 4] = np.nan
     with pytest.raises(CflError, match="nan"):
-        advance_linearized(grid_small, frozen, st, DT, 3 * DT)
+        advance_linearized(frozen, st)
 
 
 def test_frozen_coefficients_interpolate(grid16, eos, rng):
@@ -116,7 +117,7 @@ def test_cfl_bound_and_error(grid16, eos):
     bound = frozen.cfl_bound()
     assert 0.0 < bound < 1.0
     with pytest.raises(CflError) as err:
-        advance_linearized(grid16, frozen, st, 2.0 * bound, 4 * 2.0 * bound)
+        advance_linearized(dataclasses.replace(frozen, dt=2.0 * bound), st)
     msg = str(err.value)
     assert "CFL" in msg and "bound" in msg
 
@@ -138,29 +139,35 @@ def test_cfl_bound_is_the_reciprocal_sound_speed(grid16, eos, rng):
     assert frozen.cfl_bound() == pytest.approx(want, rel=1e-12)
 
 
-def test_advance_requires_coverage(grid16, eos):
-    st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
-    traj = trivial_trajectory(grid16, eos, st.rho0, KAPPA, DT, 2)
-    frozen = FrozenCoefficients.freeze(traj)
-    with pytest.raises(ValueError):
-        # frozen ring only covers [0, 2 dt], asking for twice that
-        advance_linearized(grid16, frozen, st, DT, 8 * DT)
+@pytest.mark.parametrize("c0", [0.25, 2.0, 4.0])
+def test_cfl_gate_sits_within_a_factor_two_below_the_scheme_limit(grid_small, eos,
+                                                                  monkeypatch, c0):
+    # admitted acoustic data frozen on every node of a 40-step lattice
+    init = make_initial_data(grid_small, "acoustic", amplitude=0.1, seed=0, eos=eos, c0=c0)
+    states = [init.copy() for _ in range(41)]
+    frozen = FrozenCoefficients.freeze(
+        linear_step.Trajectory(grid=grid_small, eos=eos, kappa=KAPPA, dt=1.0, states=states))
+    gate = frozen.cfl_bound()
+    # R'(0) = 1 and q = 0 on the walls, so the gate is CFL_SAFETY h3 for any c0
+    assert gate == linear_step.CFL_SAFETY * grid_small.h3
+    monkeypatch.setattr(linear_step, "CFL_SAFETY", np.inf)
+    v0 = np.abs(init.v).max()
 
+    def growth(dt):
+        out = advance_linearized(dataclasses.replace(frozen, dt=dt), init)
+        return max(np.abs(s.v).max() for s in out.states) / v0
 
-def test_advance_requires_the_frozen_step(grid16, eos):
-    st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
-    traj = trivial_trajectory(grid16, eos, st.rho0, KAPPA, DT, 4)
-    frozen = FrozenCoefficients.freeze(traj)
-    # enough nodes and inside the CFL bound, but on a different lattice
-    with pytest.raises(ValueError, match="step"):
-        advance_linearized(grid16, frozen, st, 0.5 * DT, 2 * DT)
+    # measured: 4.9, 13.5 and 22.6 for c0 = 0.25, 2 and 4
+    assert growth(gate) <= 30.0
+    # measured: 2.2e8, 1.2e6 and 7.0e3
+    assert growth(2.0 * gate) >= 1e3
 
 
 def test_zero_data_stays_zero(grid16, eos):
     st = _zero_state(grid16, eos)
     traj = trivial_trajectory(grid16, eos, st.rho0, KAPPA, DT, 4)
     frozen = FrozenCoefficients.freeze(traj)
-    out = advance_linearized(grid16, frozen, st, DT, 4 * DT)
+    out = advance_linearized(frozen, st)
     for s in out.states:
         assert np.abs(s.v).max() == 0.0
         assert np.abs(s.b).max() == 0.0
@@ -172,7 +179,7 @@ def test_walls_enforced_every_node(grid16, eos):
     st = make_initial_data(grid16, "acoustic", amplitude=0.2, seed=3)
     traj = trivial_trajectory(grid16, eos, st.rho0, KAPPA, DT, 8)
     frozen = FrozenCoefficients.freeze(traj)
-    out = advance_linearized(grid16, frozen, st, DT, 8 * DT)
+    out = advance_linearized(frozen, st)
     for s in out.states:
         assert np.abs(s.q[..., 0]).max() == 0.0
         assert np.abs(s.q[..., -1]).max() == 0.0
@@ -210,7 +217,7 @@ def test_implicit_diffusion_zero_rhs_shortcut(grid16):
     assert np.abs(out).max() == 0.0
 
 
-def test_implicit_diffusion_perturbed_geometry_converges(grid16, rng):
+def test_implicit_diffusion_perturbed_geometry_converges(grid16, rng, monkeypatch):
     eta = perturbed_map(grid16, rng, eps=0.05)
     cache = build_geometry(grid16, eta, KAPPA)
     rhs = wall_vanishing_scalar(grid16, rng, band=2)
@@ -218,8 +225,9 @@ def test_implicit_diffusion_perturbed_geometry_converges(grid16, rng):
     assert np.isfinite(sol).all()
     assert np.abs(sol[..., 0]).max() == 0.0
     # iteration budget too small -> named failure
+    monkeypatch.setattr(linear_step, "DIFFUSION_MAX_ITER", 1)
     with pytest.raises(DiffusionSolveError):
-        implicit_diffusion_solve(grid16, cache.a_s, rhs, 0.01, max_iter=1)
+        implicit_diffusion_solve(grid16, cache.a_s, rhs, 0.01)
 
 
 def test_a_zero_true_residual_is_not_a_stall(grid_small, rng):
@@ -344,7 +352,7 @@ def test_step_diffuses_at_the_diffusivity(grid16):
         eos = lfmhd.EquationOfState(diffusivity=lam)
         st = make_initial_data(grid16, "magnetic-tube", amplitude=0.3, seed=3, eos=eos)
         frozen = FrozenCoefficients.freeze(trivial_trajectory(grid16, eos, st.rho0, KAPPA, DT, 1))
-        b1 = advance_linearized(grid16, frozen, st, DT, DT).final.b
+        b1 = advance_linearized(frozen, st).final.b
         np.testing.assert_array_equal(
             b1, implicit_diffusion_solve(grid16, frozen.a_s[1], st.b, DT * lam))
         steps[lam] = b1
@@ -358,7 +366,7 @@ def test_diffusion_unconditionally_stable_per_step(grid16, eos):
     st.v[...] = 0.0
     traj = trivial_trajectory(grid16, eos, st.rho0, KAPPA, 0.02, 5)
     frozen = FrozenCoefficients.freeze(traj)
-    out = advance_linearized(grid16, frozen, st, 0.02, 0.1)
+    out = advance_linearized(frozen, st)
     norms = [grid16.low_norm(s.b) for s in out.states]
     for a, b in zip(norms, norms[1:]):
         assert b <= a + 1e-12, norms
@@ -368,17 +376,9 @@ def test_nonzero_dynamics_move_the_state(grid16, eos):
     st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
     traj = trivial_trajectory(grid16, eos, st.rho0, KAPPA, DT, 4)
     frozen = FrozenCoefficients.freeze(traj)
-    out = advance_linearized(grid16, frozen, st, DT, 4 * DT)
+    out = advance_linearized(frozen, st)
     assert np.abs(out.final.eta - grid16.identity_map).max() > 1e-5
     assert np.abs(out.final.q - st.q).max() > 1e-4
-
-
-def test_step_count_must_divide_horizon(grid16, eos):
-    st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
-    traj = trivial_trajectory(grid16, eos, st.rho0, KAPPA, DT, 4)
-    frozen = FrozenCoefficients.freeze(traj)
-    with pytest.raises(ValueError):
-        advance_linearized(grid16, frozen, st, DT, 2.7 * DT)
 
 
 # ----------------------------------------------------------------------
@@ -429,8 +429,7 @@ def _reference_advance(grid, frozen, init, dt, nsteps):
 def _frozen_field_vanishing_at(grid, eos, init, nodes):
     """Coefficients frozen from a magnetic advance, with b* zeroed at ``nodes``."""
     first = advance_linearized(
-        grid, FrozenCoefficients.freeze(trivial_trajectory(grid, eos, init.rho0, KAPPA, DT, 4)),
-        init, DT, 4 * DT)
+        FrozenCoefficients.freeze(trivial_trajectory(grid, eos, init.rho0, KAPPA, DT, 4)), init)
     for j in nodes:
         first.states[j].b = np.zeros_like(init.b)
     return FrozenCoefficients.freeze(first)
@@ -443,7 +442,7 @@ def test_vanishing_frozen_field_matches_the_general_formulas_bitwise(grid16, eos
     init = make_initial_data(grid16, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
     frozen = _frozen_field_vanishing_at(grid16, eos, init, nodes)
     assert [bool(np.any(b)) for b in frozen.b] == [j not in nodes for j in range(5)]
-    out = advance_linearized(grid16, frozen, init, DT, 4 * DT)
+    out = advance_linearized(frozen, init)
     ref = _reference_advance(grid16, frozen, init, DT, 4)
     for j, (s, r) in enumerate(zip(out.states, ref)):
         for name in ("eta", "v", "q", "b"):
@@ -467,7 +466,7 @@ def test_vanishing_frozen_field_takes_no_magnetic_derivative(grid_small, eos, mo
 
     monkeypatch.setattr(linear_step, "cov_grad_vector_from_gradient", contraction)
     monkeypatch.setattr(Grid, "gradient", gradient)
-    out = advance_linearized(grid_small, frozen, init, DT, 4 * DT)
+    out = advance_linearized(frozen, init)
     assert contractions == []
     assert gradients and not any(f is s.b for f in gradients for s in out.states)
     assert np.any(out.final.b)  # b diffuses; only the transport is skipped

@@ -32,7 +32,7 @@ def _zero_state(grid, eos):
 
 def test_zero_data_converges_immediately(grid16, eos):
     st = _zero_state(grid16, eos)
-    traj, log = solve_nonlinear_kappa(grid16, st, KAPPA, T, DT)
+    traj, log = solve_nonlinear_kappa(st, KAPPA, T, DT)
     assert log.converged
     assert log.iterations == 2
     assert log.d_history[-1] == 0.0
@@ -45,7 +45,7 @@ def test_solver_refuses_a_negative_taylor_margin(grid_small, monkeypatch):
     st.q = -st.q
     monkeypatch.setattr(picard, "advance_linearized", None)  # refused before any step
     with pytest.raises(InitialDataError, match=r"sign condition violated: margin -0\.\d+ is not"):
-        solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+        solve_nonlinear_kappa(st, KAPPA, T, DT)
 
 
 def test_solver_refuses_a_nan_head_without_warning(grid_small):
@@ -55,7 +55,7 @@ def test_solver_refuses_a_nan_head_without_warning(grid_small):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InitialDataError, match=r"^total pressure head Q .* not finite"):
-            solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+            solve_nonlinear_kappa(st, KAPPA, T, DT)
 
 
 def test_non_finite_difference_energy_raises_breakdown(grid_small, monkeypatch):
@@ -71,14 +71,14 @@ def test_non_finite_difference_energy_raises_breakdown(grid_small, monkeypatch):
 
     monkeypatch.setattr(picard, "difference_energy", nan_from_the_second)
     with pytest.raises(BreakdownError, match=r"^picard iterate 2: difference energy d_2 = nan"):
-        solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+        solve_nonlinear_kappa(st, KAPPA, T, DT)
     assert len(calls) == 2
 
 
 def test_non_finite_self_check_raises_breakdown(grid_small, monkeypatch):
     # the self-check is one more iterate: a NaN there names iterate n + 1
     st = make_initial_data(grid_small, "quiescent", amplitude=0.1, seed=3)
-    _, log = solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+    _, log = solve_nonlinear_kappa(st, KAPPA, T, DT)
     assert log.converged
     n = log.iterations
     calls = []
@@ -91,7 +91,7 @@ def test_non_finite_self_check_raises_breakdown(grid_small, monkeypatch):
     monkeypatch.setattr(picard, "difference_energy", nan_at_the_self_check)
     with pytest.raises(BreakdownError, match=rf"^picard iterate {n + 1}: difference energy "
                                              rf"d_{n + 1} = nan"):
-        solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+        solve_nonlinear_kappa(st, KAPPA, T, DT)
     assert len(calls) == n + 1
 
 
@@ -107,7 +107,7 @@ def test_no_frozen_coefficients_live_through_a_difference_energy(grid_small, eos
         return difference_energy(t1, t2, order)
 
     monkeypatch.setattr(picard, "difference_energy", counting)
-    _, log = solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+    _, log = solve_nonlinear_kappa(st, KAPPA, T, DT)
     assert log.converged and log.self_check is not None
     assert live == [0] * (log.iterations + 1)
 
@@ -124,13 +124,13 @@ def test_horizon_off_the_lattice_is_refused_before_any_freeze(grid_small, monkey
 
     monkeypatch.setattr(FrozenCoefficients, "freeze", classmethod(counting))
     with pytest.raises(ValueError, match="is not a positive integer multiple of dt"):
-        solve_nonlinear_kappa(grid_small, st, KAPPA, horizon, dt)
+        solve_nonlinear_kappa(st, KAPPA, horizon, dt)
     assert freezes == []
 
 
 def test_quiescent_contracts_fast(grid16):
     st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
-    traj, log = solve_nonlinear_kappa(grid16, st, KAPPA, T, DT)
+    traj, log = solve_nonlinear_kappa(st, KAPPA, T, DT)
     assert log.converged
     assert log.iterations <= 8
     for r in log.ratios():
@@ -143,16 +143,16 @@ def test_solution_independent_of_first_guess_scale(grid16):
     # converged limit must not remember the trivial initial trajectory:
     # two tolerances, same answer within the looser one
     st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
-    t1, _ = solve_nonlinear_kappa(grid16, st, KAPPA, T, DT, tol=1e-8)
-    t2, _ = solve_nonlinear_kappa(grid16, st, KAPPA, T, DT, tol=1e-10)
+    t1, _ = solve_nonlinear_kappa(st, KAPPA, T, DT, tol=1e-8)
+    t2, _ = solve_nonlinear_kappa(st, KAPPA, T, DT, tol=1e-10)
     d = float(np.max(difference_energy(t1, t2)))
     assert d <= 10.0 * 1e-8
 
 
 def test_determinism_bitwise(grid16):
     st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
-    t1, log1 = solve_nonlinear_kappa(grid16, st, KAPPA, T, DT)
-    t2, log2 = solve_nonlinear_kappa(grid16, st, KAPPA, T, DT)
+    t1, log1 = solve_nonlinear_kappa(st, KAPPA, T, DT)
+    t2, log2 = solve_nonlinear_kappa(st, KAPPA, T, DT)
     assert log1.d_history == log2.d_history
     for s1, s2 in zip(t1.states, t2.states):
         assert np.array_equal(s1.v, s2.v)
@@ -169,7 +169,7 @@ def test_non_contraction_raises_with_advice():
     g = Grid(GridSpec(16, 16, 16))
     st = make_initial_data(g, "quiescent", amplitude=0.45, seed=3)
     with pytest.raises(NonContractionError) as err:
-        solve_nonlinear_kappa(g, st, KAPPA, T=6.4, dt=0.05 / 3, tol=1e-8, max_iter=10)
+        solve_nonlinear_kappa(st, KAPPA, T=6.4, dt=0.05 / 3, tol=1e-8, max_iter=10)
     msg = str(err.value)
     assert "smaller T" in msg
     assert len(err.value.d_history) >= 3
@@ -178,7 +178,7 @@ def test_non_contraction_raises_with_advice():
 def test_kappa_sweep_shapes_and_determinism(grid16):
     st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
     kappas = (0.2, 0.1)
-    traj, report = kappa_sweep(grid16, st, kappas, T, DT)
+    traj, report = kappa_sweep(st, kappas, T, DT)
     assert report.kappas == list(kappas)
     assert len(report.deltas) == 1
     assert report.deltas[0] > 0.0
@@ -190,18 +190,18 @@ def test_kappa_sweep_shapes_and_determinism(grid16):
 def test_kappa_sweep_validates_ordering(grid16):
     st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
     with pytest.raises(ValueError):
-        kappa_sweep(grid16, st, (0.1, 0.2), T, DT)
+        kappa_sweep(st, (0.1, 0.2), T, DT)
     with pytest.raises(ValueError):
-        kappa_sweep(grid16, st, (0.2, -0.1), T, DT)
+        kappa_sweep(st, (0.2, -0.1), T, DT)
     with pytest.raises(ValueError, match="strictly descending"):
-        kappa_sweep(grid16, st, (0.1, 0.1), T, DT)
+        kappa_sweep(st, (0.1, 0.1), T, DT)
     with pytest.raises(ValueError, match="at least one"):
-        kappa_sweep(grid16, st, (), T, DT)
+        kappa_sweep(st, (), T, DT)
 
 
 def test_max_correction_norm_zero_on_trivial(grid16, eos):
     st = _zero_state(grid16, eos)
-    traj, _ = solve_nonlinear_kappa(grid16, st, KAPPA, T, DT)
+    traj, _ = solve_nonlinear_kappa(st, KAPPA, T, DT)
     assert max_correction_norm(traj) == 0.0
 
 
@@ -220,7 +220,7 @@ def test_initial_map_geometry_built_once_per_solve(grid_small, eos, monkeypatch)
 
     monkeypatch.setattr(picard, "build_geometry", counting("picard"))
     monkeypatch.setattr(state, "build_geometry", counting("state"))
-    _, log = solve_nonlinear_kappa(grid_small, st, KAPPA, T, DT)
+    _, log = solve_nonlinear_kappa(st, KAPPA, T, DT)
     assert log.converged
     # check_compatibility reads the unsmoothed inverse of the same build
     assert calls == {"picard": [KAPPA], "state": []}
