@@ -20,7 +20,7 @@ def main():
     print("  kappa   iters  d_final       delta_to_prev  psi_max")
     for row in report.rows():
         delta = row["delta_to_prev"]
-        delta_s = "" if delta != delta else f"{delta:.6e}"
+        delta_s = "" if delta is None else f"{delta:.6e}"
         print(f"  {row['kappa']:.4f}  {row['iterations']:5d}  "
               f"{row['d_final']:.6e}  {delta_s:>13s}  {row['psi_max']:.3e}")
 

@@ -219,8 +219,14 @@ def read_trajectory(path: str | Path) -> Trajectory:
         if key not in meta:
             raise CheckpointError(
                 f"{path}: missing field 'meta.{key}'; not a trajectory checkpoint")
+    dt = meta["dt"]
     states = [
         _state_from_fields(path, grid, eos, fields, prefix=f"snap{j:03d}.")
         for j in range(int(meta["nodes"]))
     ]
-    return Trajectory(grid=grid, eos=eos, kappa=meta["kappa"], dt=meta["dt"], states=states)
+    # the time derivatives divide by dt, so snapshot j must sit at t = j dt
+    for j, state in enumerate(states):
+        if abs(state.t - j * dt) > 1e-9 * max(j, 1) * dt:
+            raise CheckpointError(f"{path}: snapshot {j} is at t = {state.t!r}, "
+                                  f"but meta.dt = {dt!r} puts it at t = {j * dt!r}")
+    return Trajectory(grid=grid, eos=eos, kappa=meta["kappa"], dt=dt, states=states)

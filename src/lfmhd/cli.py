@@ -240,8 +240,8 @@ def _cmd_kappa_sweep(args: argparse.Namespace) -> int:
         "delta = difference energy sup between consecutive kappa runs",
         ["kappa", "iterations", "d_final", "psi_max", "delta_to_prev"],
         # the first member has no predecessor: its delta cell stays empty
-        ([row["kappa"], row["iterations"], row["d_final"], row["psi_max"], delta]
-         for row, delta in zip(report.rows(), [None, *report.deltas])),
+        ([row["kappa"], row["iterations"], row["d_final"], row["psi_max"], row["delta_to_prev"]]
+         for row in report.rows()),
     )
     if not all(lg.converged for lg in report.logs):
         for kappa, lg in zip(report.kappas, report.logs):

@@ -49,20 +49,10 @@ def random_boundary_smooth(
     grid: Grid, rng: np.random.Generator, band: int = 3, amplitude: float = 1.0
 ) -> np.ndarray:
     """Smooth random boundary scalar (independent fields on the two walls)."""
-    Y1 = grid.y1[:, None]
-    Y2 = grid.y2[None, :]
-    out = np.zeros((2,) + Y1.shape[:1] + Y2.shape[1:])
-    for plane in range(2):
-        acc = np.zeros((grid.spec.n1, grid.spec.n2))
-        for k1 in range(-band, band + 1):
-            for k2 in range(0, band + 1):
-                if k2 == 0 and k1 < 0:
-                    continue
-                amp = rng.normal() / (1.0 + k1 * k1 + k2 * k2)
-                phase = rng.uniform(0.0, 2.0 * np.pi)
-                acc += amp * np.cos(2.0 * np.pi * (k1 * Y1 + k2 * Y2) + phase)
-        out[plane] = acc
-    return amplitude * out
+    return np.stack([
+        random_scalar(grid, rng, band=band, n3_modes=0, amplitude=amplitude)[..., 0]
+        for _ in range(2)
+    ])
 
 
 def random_boundary_rough(

@@ -139,12 +139,7 @@ def cov_laplacian(grid: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.stack([cov_div(grid, a, cov_grad(grid, a, comp)) for comp in f])
 
 
-def piola_field(grid: Grid, A: np.ndarray) -> np.ndarray:
-    """Row divergences d_mu A^{mu alpha} of a cofactor matrix."""
-    return np.einsum("mma...->a...", grid.gradient(A))
-
-
 def piola_residual(cache: GeometryCache) -> float:
-    """Max over alpha of the L2 norm of the cofactor row divergences."""
-    res = piola_field(cache.grid, cache.A)
+    """Max over alpha of the L2 norm of the row divergences d_mu A^{mu alpha}."""
+    res = np.einsum("mma...->a...", cache.grid.gradient(cache.A))
     return max(cache.grid.low_norm(res[alpha]) for alpha in range(3))

@@ -224,19 +224,19 @@ class Grid:
     # ------------------------------------------------------------------
     # public operators
 
-    def _derivative_along(self, f: np.ndarray, axis: int, power: int) -> np.ndarray:
-        """d_axis^power along tangential axis 1 or 2; the Nyquist line is
-        zeroed, so mixed derivatives agree with composed single ones."""
+    def _derivative_along(self, f: np.ndarray, axis: int) -> np.ndarray:
+        """d/dy_axis along tangential axis 1 or 2: the factor 1j k, with the
+        Nyquist line zeroed because its derivative is ambiguous."""
         def factor(k):
-            m = (1j * k) ** power
+            m = 1j * k
             m[len(k) // 2] = 0.0
             return m
-        return self.apply_factor(f, axis, ("derivative", power), factor)
+        return self.apply_factor(f, axis, "derivative", factor)
 
     def derivative(self, f: np.ndarray, axis: int) -> np.ndarray:
         """Partial derivative along axis 1, 2 (spectral) or 3 (FD)."""
         if axis in (1, 2):
-            return self._derivative_along(f, axis, 1)
+            return self._derivative_along(f, axis)
         if axis == 3:
             return self._fd3(f)
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
@@ -248,18 +248,9 @@ class Grid:
         """
         out = np.empty((3,) + f.shape)
         out[2] = self._fd3(f)  # refuses anything but an interior field
-        out[0] = self._derivative_along(f, 1, 1)
-        out[1] = self._derivative_along(f, 2, 1)
+        out[0] = self._derivative_along(f, 1)
+        out[1] = self._derivative_along(f, 2)
         return out
-
-    def derivative_multi(self, f: np.ndarray, p1: int, p2: int, p3: int) -> np.ndarray:
-        """Mixed derivative d1^p1 d2^p2 d3^p3 by composition."""
-        g = self._derivative_along(f, 1, p1) if p1 else f
-        if p2:
-            g = self._derivative_along(g, 2, p2)
-        for _ in range(p3):
-            g = self._fd3(g)
-        return g
 
     def tangential_laplacian(self, f: np.ndarray) -> np.ndarray:
         """Flat tangential Laplacian d11 + d22, the factor -k^2 along each

@@ -149,7 +149,7 @@ class SweepReport:
                 "iterations": lg.iterations,
                 "d_final": lg.d_history[-1] if lg.d_history else 0.0,
                 "psi_max": self.psi_max[j],
-                "delta_to_prev": self.deltas[j - 1] if j >= 1 else float("nan"),
+                "delta_to_prev": self.deltas[j - 1] if j >= 1 else None,
             }
 
 

@@ -423,11 +423,14 @@ def test_criterion_08_picard_contraction(grid16, eos, contraction_run):
             lfmhd.solve_nonlinear_kappa(
                 init, kappa=0.1, T=T, dt=0.05 / 3.0, tol=1e-8, max_iter=8,
             )
-        except NonContractionError:
-            fired_at = T
+        except NonContractionError as err:
+            fired_at, error = T, err
             break
         T *= 2.0
     assert fired_at is not None, "doubling T never left the contraction regime"
+    # the refusal carries its evidence and says what to do
+    assert "smaller T" in str(error)
+    assert len(error.d_history) >= 3
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +440,7 @@ def test_criterion_08_picard_contraction(grid16, eos, contraction_run):
 def test_criterion_09_cauchy_in_kappa(quiescent_sweep):
     _, report = quiescent_sweep
     deltas = [row["delta_to_prev"] for row in report.rows()]
-    deltas = [d for d in deltas if not np.isnan(d)]
+    deltas = [d for d in deltas if d is not None]
     assert len(deltas) == 2
     assert deltas[0] > deltas[1] > 0.0, f"cascade deltas {deltas} not decreasing"
 

@@ -201,6 +201,35 @@ def test_state_checkpoint_is_not_a_trajectory(tmp_path, state):
         read_trajectory(path)
 
 
+def _edited_trajectory(tmp_path, grid, state, key, value):
+    """A three-node trajectory checkpoint at dt = 0.01 with field ``key`` set to ``value``."""
+    traj = trivial_trajectory(grid, state.eos, state.rho0, kappa=0.1, dt=0.01, nsteps=2)
+    path = tmp_path / "t.ckpt"
+    write_trajectory(path, traj)
+    _, fields = read_fields(path)
+    fields[key] = np.full(grid.shape, value)
+    write_fields(path, (8, 8, 8), fields)
+    return path
+
+
+@pytest.mark.parametrize("key,value,node", [
+    ("meta.dt", 1e-200, 1), ("meta.dt", 0.02, 1), ("meta.dt", 0.01 * (1.0 + 1e-6), 1),
+    ("snap002.t", 0.03, 2), ("snap000.t", 1e-3, 0),
+])
+def test_snapshot_times_off_the_step_refused(tmp_path, grid, state, key, value, node):
+    # the time differences divide by meta.dt, so it must agree with the
+    # snapshots' own times t = j dt
+    path = _edited_trajectory(tmp_path, grid, state, key, value)
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: snapshot {node} is "
+                                              r"at t = \S+, but meta\.dt = \S+ puts it at t = "):
+        read_trajectory(path)
+
+
+def test_snapshot_times_within_rounding_of_the_step_read(tmp_path, grid, state):
+    path = _edited_trajectory(tmp_path, grid, state, "snap002.t", 0.02 * (1.0 + 1e-12))
+    assert read_trajectory(path).states[2].t == 0.02 * (1.0 + 1e-12)
+
+
 def test_unreadable_path_refused(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read"):
         read_fields(tmp_path / "nonexistent.ckpt")

@@ -61,13 +61,9 @@ def test_derivative_of_constant_vanishes(grid16):
 def test_nyquist_mode_killed_by_tangential_derivatives(grid16):
     g = grid16
     # pure Nyquist sawtooth in y1; its spectral first derivative is
-    # ambiguous and the convention drops it, and multi-derivatives are
-    # defined by composition so every positive power drops it too
+    # ambiguous and the convention drops it
     f = np.cos(np.pi * g.spec.n1 * g.y1)[:, None, None] * np.ones(g.shape)
     assert np.abs(g.derivative(f, 1)).max() < 1e-10
-    assert np.abs(g.derivative_multi(f, 2, 0, 0)).max() < 1e-10
-    composed = g.derivative(g.derivative(f, 1), 1)
-    assert np.abs(g.derivative_multi(f, 2, 0, 0) - composed).max() < 1e-10
 
 
 def test_integrate_matches_closed_forms(grid16):

@@ -10,7 +10,6 @@ from lfmhd import picard
 from lfmhd.diagnostics import difference_energy
 from lfmhd.linear_step import BreakdownError, FrozenCoefficients
 from lfmhd.picard import (
-    NonContractionError,
     kappa_sweep,
     max_correction_norm,
     solve_nonlinear_kappa,
@@ -159,20 +158,6 @@ def test_determinism_bitwise(grid16):
         assert np.array_equal(s1.q, s2.q)
         assert np.array_equal(s1.b, s2.b)
         assert np.array_equal(s1.eta, s2.eta)
-
-
-def test_non_contraction_raises_with_advice():
-    # strong data on a marginally resolved time step: the frozen-ring map
-    # amplifies differences once the horizon is long enough
-    from lfmhd.grid import Grid, GridSpec
-
-    g = Grid(GridSpec(16, 16, 16))
-    st = make_initial_data(g, "quiescent", amplitude=0.45, seed=3)
-    with pytest.raises(NonContractionError) as err:
-        solve_nonlinear_kappa(st, KAPPA, T=6.4, dt=0.05 / 3, tol=1e-8, max_iter=10)
-    msg = str(err.value)
-    assert "smaller T" in msg
-    assert len(err.value.d_history) >= 3
 
 
 def test_kappa_sweep_shapes_and_determinism(grid16):
