@@ -76,26 +76,30 @@ def time_difference(row, n: int, j: int, dt: float, order: int) -> np.ndarray:
     return (row(j + 1) - 2.0 * row(j) + row(j - 1)) / (dt * dt)
 
 
-def _time_energies(grid: Grid, stack: np.ndarray, dt: float, order: int) -> np.ndarray:
+def _time_energies(grid: Grid, fields, dt: float, order: int) -> np.ndarray:
     """Row k, column j: the squared H^k norm at node j of the (order - k)-th
-    time difference of a (nodes, ...) stack; shape (order + 1, nodes).
+    time difference of a sequence of node fields; shape (order + 1, nodes).
 
-    Each node is transformed once: the time differences are formed from
-    the nodes' normal spectra (``Grid.normal_spectra``), since both the
-    time stencil and the y3 stencil are linear.  An identically zero
-    stack, such as b in a field-free run, gives the exact zero table
-    without a transform."""
-    n = stack.shape[0]
+    Each node is transformed once: the time differences are formed, one
+    normal order at a time, from the nodes' normal spectra
+    (``Grid.normal_spectra``), since both the time stencil and the y3
+    stencil are linear.  An identically zero sequence, such as b in a
+    field-free run, gives the exact zero table without a transform."""
+    n = len(fields)
     _require_history(n, order)
     out = np.zeros((order + 1, n))
-    if not np.any(stack):
+    if not any(np.any(f) for f in fields):
         return out
-    spectra = [grid.normal_spectra(f, order) for f in stack]
+    spectra = [list(grid.normal_spectra(f, order)) for f in fields]
+
+    def differences(j, k):
+        # the (order - k)-th time difference at node j of each normal order
+        for p3 in range(k + 1):
+            yield time_difference(lambda m: spectra[m][p3], n, j, dt, order - k)
+
     for k in range(order + 1):
-        def row(m):
-            return spectra[m][: k + 1]
         for j in range(n):
-            out[k, j] = grid.sobolev_sq(time_difference(row, n, j, dt, order - k), k)
+            out[k, j] = grid.sobolev_sq(differences(j, k), k)
     return out
 
 
@@ -146,12 +150,13 @@ def difference_energy(t1: Trajectory, t2: Trajectory, order: int = 2) -> np.ndar
     grid, dt = t1.grid, t1.dt
     n = len(t1)
     total = np.zeros(n)
+    pairs = list(zip(t1.states, t2.states))
     for name in ("v", "b", "q"):
-        for row in _time_energies(grid, t1.stack(name) - t2.stack(name), dt, order):
+        diffs = [getattr(s1, name) - getattr(s2, name) for s1, s2 in pairs]
+        for row in _time_energies(grid, diffs, dt, order):
             total += row
-    deta = t1.stack("eta") - t2.stack("eta")
-    for j in range(n):
-        total[j] += grid.norm(deta[j], order) ** 2
+    for j, (s1, s2) in enumerate(pairs):
+        total[j] += grid.norm(s1.eta - s2.eta, order) ** 2
     return total
 
 
@@ -215,7 +220,8 @@ def energy_functionals(traj: Trajectory, order: int = 2, residuals: bool = False
 
     cols: dict[str, np.ndarray] = {name: np.zeros(n) for name in ENERGY_COLUMNS}
     cols["t"] = traj.times
-    Ek = {name: _time_energies(grid, traj.stack(name), dt, order) for name in ("v", "b", "q")}
+    Ek = {name: _time_energies(grid, [getattr(s, name) for s in traj.states], dt, order)
+          for name in ("v", "b", "q")}
     audit = {name: np.empty(n) for name in ("eta", "v", "q", "b", "wave")} if residuals else {}
     for j in range(n):
         _node_pass(traj, j, cols, audit)

@@ -80,6 +80,20 @@ def _wavenumbers(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
 
 
+def _flat_view(out: np.ndarray | None, f: np.ndarray, shape) -> np.ndarray | None:
+    """``out`` reshaped to ``shape`` for a kernel to write f's result into, or
+    None.  Refuses an ``out`` that reshape would copy or that aliases f."""
+    if out is None:
+        return None
+    if (out.shape != f.shape or out.dtype != f.dtype or not out.flags.c_contiguous
+            or np.shares_memory(out, f)):
+        raise ValueError(
+            f"out must be a C-contiguous {f.dtype} array of shape {f.shape} "
+            f"sharing no memory with the input, got {out.dtype} {out.shape}"
+        )
+    return out.reshape(shape)
+
+
 class Grid:
     """Cached operators for one :class:`GridSpec`.
 
@@ -160,7 +174,9 @@ class Grid:
         """|xi|^2 on the half spectrum, shape (n1, n2 // 2 + 1, 1)."""
         return self._k1h**2 + self._k2h**2
 
-    def apply_factor(self, f: np.ndarray, axis: int, key, factor) -> np.ndarray:
+    def apply_factor(self, f: np.ndarray, axis: int, key, factor,
+                     out: np.ndarray | None = None,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
         """Multiply ``f`` by the one-dimensional multiplier ``factor(k)`` along
         tangential axis 1 or 2, in the interior or the boundary layout.
 
@@ -168,7 +184,9 @@ class Grid:
         in physical space (m(-k) = conj m(k)); its matrix is built once and
         cached under ``(axis, key)``.  When m(0) = 0 the first line along
         the axis is subtracted first, so a field constant along the axis
-        maps to exactly 0.0.
+        maps to exactly 0.0.  The product goes into ``out`` and the
+        subtracted field into ``scratch`` when they are given (C-contiguous
+        float arrays of f's shape, sharing no memory with f or each other).
         """
         def build():
             k = self.k1 if axis == 1 else self.k2
@@ -180,11 +198,13 @@ class Grid:
         M, annihilates_constants = self.cached_symbol(("factor", axis, key), build)
         pos = axis - 4 if self.field_kind(f) == "interior" else axis - 3
         if annihilates_constants:
-            f = f - np.take(f, [0], axis=pos)
+            f = np.subtract(f, np.take(f, [0], axis=pos), out=_flat_view(scratch, f, f.shape))
         shape = f.shape
         if pos == -1:
-            return (f.reshape(-1, shape[-1]) @ M.T).reshape(shape)
-        return (M @ f.reshape(shape[:pos] + (shape[pos], -1))).reshape(shape)
+            rows = (-1, shape[-1])
+            return np.matmul(f.reshape(rows), M.T, out=_flat_view(out, f, rows)).reshape(shape)
+        lines = shape[:pos] + (shape[pos], -1)
+        return np.matmul(M, f.reshape(lines), out=_flat_view(out, f, lines)).reshape(shape)
 
     def _spectrum(self, f: np.ndarray) -> np.ndarray:
         """Tangential half spectrum; boundary fields gain a length-1 y3 axis."""
@@ -212,11 +232,20 @@ class Grid:
     def _stencil3(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The y3 stencil of ``_fd3`` along the last axis, for a field or its
         tangential half spectrum: it acts on y3 only, so it commutes with
-        the tangential transform."""
+        the tangential transform.
+
+        The central differences run as one pass over the flattened field;
+        the entries that pass computes across two y3 rows are the wall
+        entries, which the one-sided stencils then overwrite.  Every entry
+        is rounded as in ``(f[..., 2:] - f[..., :-2]) / (2 h)``.
+        """
         h = self.h3
+        f = np.ascontiguousarray(f)
         if out is None:
             out = np.empty_like(f)
-        out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+        ff, of = f.reshape(-1), _flat_view(out, f, -1)
+        np.subtract(ff[2:], ff[:-2], out=of[1:-1])
+        np.divide(of[1:-1], 2.0 * h, out=of[1:-1])
         out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
         out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h)
         return out
@@ -224,14 +253,16 @@ class Grid:
     # ------------------------------------------------------------------
     # public operators
 
-    def _derivative_along(self, f: np.ndarray, axis: int) -> np.ndarray:
+    def _derivative_along(self, f: np.ndarray, axis: int, out: np.ndarray | None = None,
+                          scratch: np.ndarray | None = None) -> np.ndarray:
         """d/dy_axis along tangential axis 1 or 2: the factor 1j k, with the
-        Nyquist line zeroed because its derivative is ambiguous."""
+        Nyquist line zeroed because its derivative is ambiguous; ``out`` and
+        ``scratch`` as in ``apply_factor``."""
         def factor(k):
             m = 1j * k
             m[len(k) // 2] = 0.0
             return m
-        return self.apply_factor(f, axis, "derivative", factor)
+        return self.apply_factor(f, axis, "derivative", factor, out=out, scratch=scratch)
 
     def derivative(self, f: np.ndarray, axis: int) -> np.ndarray:
         """Partial derivative along axis 1, 2 (spectral) or 3 (FD)."""
@@ -244,12 +275,17 @@ class Grid:
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """All three partials of an interior field, derivative axis first.
 
-        ``out[mu]`` is d f / d y_(mu+1).
+        ``out[mu]`` is d f / d y_(mu+1).  Each partial is written straight
+        into its slot; the slot of the y3 partial, filled last, holds the
+        constant-line subtraction of the two tangential ones.
         """
+        if self.field_kind(f) != "interior":
+            raise FieldShapeError("axis-3 derivative needs an interior field")
+        f = np.asarray(f, dtype=float)
         out = np.empty((3,) + f.shape)
-        out[2] = self._fd3(f)  # refuses anything but an interior field
-        out[0] = self._derivative_along(f, 1)
-        out[1] = self._derivative_along(f, 2)
+        self._derivative_along(f, 1, out=out[0], scratch=out[2])
+        self._derivative_along(f, 2, out=out[1], scratch=out[2])
+        self._stencil3(f, out=out[2])
         return out
 
     def tangential_laplacian(self, f: np.ndarray) -> np.ndarray:
@@ -313,27 +349,27 @@ class Grid:
             return sum(kk1**p1 * kk2**p2 for p1 in range(r + 1) for p2 in range(r + 1 - p1))
         return self._parseval_weight(("interior", r), build)[..., 0]
 
-    def normal_spectra(self, f: np.ndarray, s: int) -> np.ndarray:
-        """Half spectra of d3^p3 f for p3 = 0..s, stacked on a leading axis:
-        one transform of the interior field f, then the y3 stencil applied
-        to the spectrum s times."""
+    def normal_spectra(self, f: np.ndarray, s: int):
+        """Half spectra of d3^p3 f for p3 = 0..s, yielded in turn: one
+        transform of the interior field f, then the y3 stencil applied to
+        the previous spectrum, so a consumer that drops each order before
+        asking for the next holds at most two."""
         if self.field_kind(f) != "interior":
             raise FieldShapeError("normal spectra need an interior field")
         fh = self._spectrum(f)
-        out = np.empty((s + 1,) + fh.shape, dtype=fh.dtype)
-        out[0] = fh
-        for p3 in range(s):
-            self._stencil3(out[p3], out=out[p3 + 1])
-        return out
+        yield fh
+        for _ in range(s):
+            fh = self._stencil3(fh)
+            yield fh
 
-    def sobolev_sq(self, spectra: np.ndarray, s: int) -> float:
-        """Squared interior H^s norm from ``normal_spectra(f, r)``, r >= s:
-        the squared L2 norms of all mixed derivatives of order <= s of f,
-        by Parseval on every y3 plane, each normal order p3 weighted by the
-        summed tangential symbol of order <= s - p3."""
+    def sobolev_sq(self, spectra, s: int) -> float:
+        """Squared interior H^s norm from the half spectra of d3^p3 f for
+        p3 = 0, 1, ..., in turn (``normal_spectra(f, r)``, r >= s, or such a
+        stack): the squared L2 norms of all mixed derivatives of order <= s
+        of f, by Parseval on every y3 plane, each normal order p3 weighted
+        by the summed tangential symbol of order <= s - p3."""
         total = 0.0
-        for p3 in range(s + 1):
-            gh = spectra[p3]
+        for p3, gh in zip(range(s + 1), spectra):
             power = (gh.real**2 + gh.imag**2) @ self.w3
             total += float(np.sum(power * self._sobolev_weight(s - p3)))
         return total

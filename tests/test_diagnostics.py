@@ -183,6 +183,20 @@ def test_difference_energy_symmetric_and_positive(quiescent_run, grid16, eos):
     assert d12.min() > 0.0
 
 
+def test_difference_energy_equals_the_stacked_definition_bitwise(magnetic_run, quiescent_run):
+    # node-by-node differences give the bytes of whole-trajectory stacks
+    t1, t2 = magnetic_run, quiescent_run
+    grid, dt, n = t1.grid, t1.dt, len(t1)
+    want = np.zeros(n)
+    for name in ("v", "b", "q"):
+        for row in _time_energies(grid, t1.stack(name) - t2.stack(name), dt, 2):
+            want += row
+    deta = t1.stack("eta") - t2.stack("eta")
+    for j in range(n):
+        want[j] += grid.norm(deta[j], 2) ** 2
+    assert difference_energy(t1, t2).tobytes() == want.tobytes()
+
+
 def test_difference_energy_mismatch_rejected(quiescent_run, grid16, eos):
     rho0 = quiescent_run.states[0].rho0
     short = trivial_trajectory(grid16, eos, rho0, 0.1, quiescent_run.dt, 2)

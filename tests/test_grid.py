@@ -143,3 +143,86 @@ def test_identity_map_round_values(grid16):
     # three unit gradient entries (lattice means of y^2, not 1/3 exactly)
     from lfmhd.diagnostics import map_norm
     assert map_norm(g, eta, 4) ** 2 == pytest.approx(3.9394531249999996, rel=1e-13)
+
+
+# ----------------------------------------------------------------------
+# the kernels write into their outputs and keep the reference roundings
+
+
+def _stencil3_reference(f, h):
+    # the y3 stencil as three slice expressions
+    out = np.empty_like(f)
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
+    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h)
+    return out
+
+
+KERNEL_LATTICES = [(8, 8, 8), (16, 16, 16), (8, 12, 9)]
+KERNEL_LEADS = [(), (3,), (3, 3)]
+
+
+@pytest.mark.parametrize("lattice", KERNEL_LATTICES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("lead", KERNEL_LEADS, ids=["scalar", "vector", "tensor"])
+@pytest.mark.parametrize("spectral", [False, True], ids=["real", "complex"])
+def test_stencil3_matches_the_slice_formula_bytewise(lattice, lead, spectral):
+    g = Grid(GridSpec(*lattice))
+    f = np.random.default_rng(7).standard_normal(lead + g.shape)
+    if spectral:  # a tangential half spectrum, as the interior norms use
+        f = np.fft.rfft2(f, axes=(-3, -2))
+    got = g._stencil3(f)
+    assert got.dtype == f.dtype and got.shape == f.shape
+    assert got.tobytes() == _stencil3_reference(f, g.h3).tobytes()
+
+
+def test_stencil3_of_a_strided_view_matches_its_copy(grid16, rng):
+    G = grid16.gradient(rng.standard_normal((3,) + grid16.shape))
+    for view in (G[:, 1], G.swapaxes(0, 1), G[..., ::-1]):
+        assert not view.flags.c_contiguous
+        want = grid16._stencil3(np.ascontiguousarray(view))
+        assert grid16._stencil3(view).tobytes() == want.tobytes()
+        assert want.tobytes() == _stencil3_reference(view, grid16.h3).tobytes()
+
+
+def test_stencil3_refuses_an_out_it_cannot_write_in_place(grid16, rng):
+    f = rng.standard_normal((3,) + grid16.shape)
+    strided = np.empty(f.shape[:-1] + (2 * f.shape[-1],))[..., ::2]
+    for out in (strided, f, f[::-1], np.empty(grid16.shape), np.empty(f.shape, dtype=complex)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            grid16._stencil3(f, out=out)
+    out = np.empty_like(f)
+    assert grid16._stencil3(f, out=out) is out
+    assert out.tobytes() == _stencil3_reference(f, grid16.h3).tobytes()
+
+
+@pytest.mark.parametrize("lattice", KERNEL_LATTICES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("lead", KERNEL_LEADS, ids=["scalar", "vector", "tensor"])
+def test_gradient_matches_the_per_axis_derivatives_bytewise(lattice, lead):
+    g = Grid(GridSpec(*lattice))
+    f = np.random.default_rng(3).standard_normal(lead + g.shape)
+    for field in (f, f[..., ::-1]):  # contiguous, and a strided view
+        want = np.stack([g.derivative(field, mu) for mu in (1, 2, 3)])
+        assert g.gradient(field).tobytes() == want.tobytes()
+
+
+def test_gradient_refuses_a_boundary_field(grid16):
+    with pytest.raises(FieldShapeError, match="axis-3 derivative needs an interior field"):
+        grid16.gradient(np.zeros((3, 2, 16, 16)))
+    with pytest.raises(FieldShapeError, match="interior field"):
+        next(grid16.normal_spectra(np.zeros((2, 16, 16)), 1))
+
+
+@pytest.mark.parametrize("lattice", KERNEL_LATTICES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("lead", KERNEL_LEADS, ids=["scalar", "vector", "tensor"])
+def test_interior_norm_equals_the_stacked_spectra_sum_bytewise(lattice, lead):
+    # norm sums each normal order as it is produced; the stack of all
+    # orders, built here from the reference stencil, gives the same bytes
+    g = Grid(GridSpec(*lattice))
+    f = np.random.default_rng(11).standard_normal(lead + g.shape)
+    stack = [np.fft.rfft2(f, axes=(-3, -2))]
+    for _ in range(4):
+        stack.append(_stencil3_reference(stack[-1], g.h3))
+    stack = np.stack(stack)
+    for s in range(5):
+        want = float(np.sqrt(g.sobolev_sq(stack, s)))
+        assert np.float64(g.norm(f, s)).tobytes() == np.float64(want).tobytes()
