@@ -104,6 +104,8 @@ def read_fields(path: str | Path) -> tuple[tuple[int, int, int], dict[str, np.nd
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: field name at byte {offset} is not ASCII") from None
         offset += name_len
+        if name in fields:
+            raise CheckpointError(f"{path}: field {name!r} appears twice")
         fields[name] = _from_wire(raw[offset:offset + payload], (n1, n2, n3))
         if not np.isfinite(fields[name]).all():
             raise CheckpointError(f"{path}: field {name!r} holds non-finite values")
@@ -160,28 +162,23 @@ def _read_run(path: str | Path):
 
     Files without ``meta.diffusivity`` or ``meta.dealias_fraction`` read
     as 1.0 and 2/3, the values every run used before they were recorded.
-    A recorded scalar out of range is refused.
+    A recorded diffusivity or dealias fraction out of range is refused.
     """
     dims, fields = read_fields(path)
     meta = {"diffusivity": 1.0, "dealias_fraction": 2.0 / 3.0}
     meta.update((key.removeprefix("meta."), float(field.flat[0]))
                 for key, field in fields.items() if key.startswith("meta."))
-    # 1.0 stands in for a trajectory scalar a state file does not record
-    kappa, dt, nodes, diffusivity = (meta.get(key, 1.0)
-                                     for key in ("kappa", "dt", "nodes", "diffusivity"))
-    for name, ok in (
-        ("kappa", 0.0 <= kappa < math.inf),
-        ("dt", 0.0 < dt < math.inf),
-        ("nodes", nodes >= 1.0 and nodes.is_integer()),
-        ("diffusivity", 0.0 < diffusivity < math.inf),
-    ):
-        if not ok:
-            raise CheckpointError(f"{path}: meta.{name} out of range: {meta[name]}")
+    _require_range(path, meta, "diffusivity", 0.0 < meta["diffusivity"] < math.inf)
     try:
         grid = Grid(GridSpec(*dims, dealias_fraction=meta["dealias_fraction"]))
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     return grid, EquationOfState(diffusivity=meta["diffusivity"]), meta, fields
+
+
+def _require_range(path: str | Path, meta: dict, name: str, ok: bool) -> None:
+    if not ok:
+        raise CheckpointError(f"{path}: meta.{name} out of range: {meta[name]}")
 
 
 def write_state(path: str | Path, state: FlowState) -> None:
@@ -219,14 +216,17 @@ def read_trajectory(path: str | Path) -> Trajectory:
         if key not in meta:
             raise CheckpointError(
                 f"{path}: missing field 'meta.{key}'; not a trajectory checkpoint")
-    dt = meta["dt"]
+    kappa, dt, nodes = meta["kappa"], meta["dt"], meta["nodes"]
+    _require_range(path, meta, "kappa", 0.0 <= kappa < math.inf)
+    _require_range(path, meta, "dt", 0.0 < dt < math.inf)
+    _require_range(path, meta, "nodes", nodes >= 1.0 and nodes.is_integer())
     states = [
         _state_from_fields(path, grid, eos, fields, prefix=f"snap{j:03d}.")
-        for j in range(int(meta["nodes"]))
+        for j in range(int(nodes))
     ]
     # the time derivatives divide by dt, so snapshot j must sit at t = j dt
     for j, state in enumerate(states):
         if abs(state.t - j * dt) > 1e-9 * max(j, 1) * dt:
             raise CheckpointError(f"{path}: snapshot {j} is at t = {state.t!r}, "
                                   f"but meta.dt = {dt!r} puts it at t = {j * dt!r}")
-    return Trajectory(grid=grid, eos=eos, kappa=meta["kappa"], dt=dt, states=states)
+    return Trajectory(grid=grid, eos=eos, kappa=kappa, dt=dt, states=states)

@@ -45,30 +45,20 @@ def random_vector(grid: Grid, rng: np.random.Generator, **kw) -> np.ndarray:
     return np.stack([random_scalar(grid, rng, **kw) for _ in range(3)])
 
 
-def random_boundary_smooth(
-    grid: Grid, rng: np.random.Generator, band: int = 3, amplitude: float = 1.0
-) -> np.ndarray:
+def random_boundary_smooth(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     """Smooth random boundary scalar (independent fields on the two walls)."""
-    return np.stack([
-        random_scalar(grid, rng, band=band, n3_modes=0, amplitude=amplitude)[..., 0]
-        for _ in range(2)
-    ])
+    return np.stack([random_scalar(grid, rng, n3_modes=0)[..., 0] for _ in range(2)])
 
 
-def random_boundary_rough(
-    grid: Grid, rng: np.random.Generator, amplitude: float = 1.0
-) -> np.ndarray:
+def random_boundary_rough(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     """White-noise boundary scalar; saturates the high tangential modes."""
-    return amplitude * rng.standard_normal((2, grid.spec.n1, grid.spec.n2))
+    return rng.standard_normal((2, grid.spec.n1, grid.spec.n2))
 
 
-def wall_vanishing_scalar(
-    grid: Grid, rng: np.random.Generator, band: int = 2, amplitude: float = 1.0
-) -> np.ndarray:
+def wall_vanishing_scalar(grid: Grid, rng: np.random.Generator, band: int = 2) -> np.ndarray:
     """Smooth interior scalar vanishing on both walls (sin(pi y3) profile)."""
     prof = np.sin(np.pi * grid.y3)[None, None, :]
-    base = random_scalar(grid, rng, band=band, n3_modes=0, amplitude=amplitude)
-    return base * prof
+    return random_scalar(grid, rng, band=band, n3_modes=0) * prof
 
 
 def perturbed_map(

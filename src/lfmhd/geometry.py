@@ -99,31 +99,23 @@ def build_geometry(grid: Grid, eta: np.ndarray, kappa: float) -> GeometryCache:
 
 
 # ----------------------------------------------------------------------
-# covariant operators (pass a = cache.a or cache.a_s explicitly)
+# covariant operators (pass a = cache.a or cache.a_s explicitly); the
+# first-order ones contract a gradient table G = grid.gradient(X)
 
 
-def cov_grad(grid: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Covariant gradient a^{mu alpha} d_mu f of a scalar field."""
-    return grid.dealias(np.einsum("ma...,m...->a...", a, grid.gradient(f)))
+def cov_grad(grid: Grid, a: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Covariant gradient a^{mu alpha} d_mu f of a scalar f, from G[mu] = d_mu f."""
+    return grid.dealias(np.einsum("ma...,m...->a...", a, G))
 
 
-def cov_grad_vector(grid: Grid, a: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Covariant gradient of a vector field; out[alpha, lam] = grad^alpha X_lam."""
-    return cov_grad_vector_from_gradient(grid, a, grid.gradient(X))
-
-
-def cov_grad_vector_from_gradient(grid: Grid, a: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """``cov_grad_vector`` from a gradient table G[mu, lam] = d_mu X_lam."""
+def cov_grad_vector(grid: Grid, a: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Covariant gradient of a vector X from G[mu, lam] = d_mu X_lam;
+    out[alpha, lam] = grad^alpha X_lam."""
     return grid.dealias(np.einsum("ma...,ml...->al...", a, G))
 
 
-def cov_div(grid: Grid, a: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Covariant divergence a^{mu alpha} d_mu X_alpha."""
-    return cov_div_from_gradient(grid, a, grid.gradient(X))
-
-
-def cov_div_from_gradient(grid: Grid, a: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """``cov_div`` from a gradient table G[mu, alpha] = d_mu X_alpha."""
+def cov_div(grid: Grid, a: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Covariant divergence a^{mu alpha} d_mu X_alpha from G[mu, alpha] = d_mu X_alpha."""
     return grid.dealias(np.einsum("ma...,ma...->...", a, G))
 
 
@@ -134,9 +126,9 @@ def curl_from_gradient(G: np.ndarray) -> np.ndarray:
 
 def cov_laplacian(grid: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Nested covariant Laplacian div_a(grad_a f), scalar or component-wise."""
-    if f.ndim == 3:
-        return cov_div(grid, a, cov_grad(grid, a, f))
-    return np.stack([cov_div(grid, a, cov_grad(grid, a, comp)) for comp in f])
+    def lap(g):
+        return cov_div(grid, a, grid.gradient(cov_grad(grid, a, grid.gradient(g))))
+    return lap(f) if f.ndim == 3 else np.stack([lap(comp) for comp in f])
 
 
 def piola_residual(cache: GeometryCache) -> float:

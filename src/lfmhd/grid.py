@@ -223,16 +223,11 @@ class Grid:
                             axes=(-3, -2))
         return out[..., 0] if out.shape[-1] == 1 else out
 
-    def _fd3(self, f: np.ndarray) -> np.ndarray:
-        """Second-order d/dy3: central inside, one-sided at the walls."""
-        if self.field_kind(f) != "interior":
-            raise FieldShapeError("axis-3 derivative needs an interior field")
-        return self._stencil3(f)
-
     def _stencil3(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The y3 stencil of ``_fd3`` along the last axis, for a field or its
-        tangential half spectrum: it acts on y3 only, so it commutes with
-        the tangential transform.
+        """Second-order d/dy3 along the last axis, central inside and
+        one-sided at the walls, for a field or its tangential half
+        spectrum: it acts on y3 only, so it commutes with the tangential
+        transform.
 
         The central differences run as one pass over the flattened field;
         the entries that pass computes across two y3 rows are the wall
@@ -269,7 +264,9 @@ class Grid:
         if axis in (1, 2):
             return self._derivative_along(f, axis)
         if axis == 3:
-            return self._fd3(f)
+            if self.field_kind(f) != "interior":
+                raise FieldShapeError("axis-3 derivative needs an interior field")
+            return self._stencil3(f)
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
 
     def gradient(self, f: np.ndarray) -> np.ndarray:

@@ -27,8 +27,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .correction import correction_field
-from .geometry import (build_geometry, cov_div, cov_div_from_gradient, cov_grad,
-                       cov_grad_vector_from_gradient, cov_laplacian)
+from .geometry import build_geometry, cov_div, cov_grad, cov_grad_vector, cov_laplacian
 from .grid import Grid
 from .state import EquationOfState, FlowState
 
@@ -417,10 +416,10 @@ def _explicit_rates(grid, smp: FrozenSample, v, q, grad_b_lag, half_b2, rho0):
     if np.any(smp.b):
         lorentz = np.einsum(
             "a...,al...->l...", smp.b,
-            cov_grad_vector_from_gradient(grid, smp.a_s, grad_b_lag()),
+            cov_grad_vector(grid, smp.a_s, grad_b_lag()),
         )
-    dv = (smp.J_s / rho0)[None] * (lorentz - cov_grad(grid, smp.a_s, Q))
-    dq = -cov_div(grid, smp.a_s, v) / smp.r
+    dv = (smp.J_s / rho0)[None] * (lorentz - cov_grad(grid, smp.a_s, grid.gradient(Q)))
+    dq = -cov_div(grid, smp.a_s, grid.gradient(v)) / smp.r
     deta = v + smp.psi
     return deta, dv, dq
 
@@ -449,9 +448,9 @@ def _induction_rhs(grid, smp: FrozenSample, v, b_lag, dt):
     if not np.any(smp.b):
         return b_lag
     grad_v = grid.gradient(v)
-    div_v = cov_div_from_gradient(grid, smp.a_s, grad_v)
+    div_v = cov_div(grid, smp.a_s, grad_v)
     transport = np.einsum(
-        "a...,al...->l...", smp.b, cov_grad_vector_from_gradient(grid, smp.a_s, grad_v)
+        "a...,al...->l...", smp.b, cov_grad_vector(grid, smp.a_s, grad_v)
     ) - smp.b * div_v
     return b_lag + dt * transport
 

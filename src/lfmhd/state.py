@@ -69,18 +69,14 @@ class FlowState:
 COMPAT_TOL = 1e-8
 
 
-def taylor_sign_margin(state: FlowState, a_s: np.ndarray) -> float:
-    """min over both walls of -N . grad_a Q with outward unit normals.
+def taylor_sign_margin(grad_Q: np.ndarray) -> float:
+    """min over both walls of -N . grad_a Q with outward unit normals, from
+    the covariant gradient of the total pressure head Q.
 
     N = -e3 on the bottom wall and +e3 on the top wall, so the margin is
-    the worst-case inward slope of the total pressure head, taken in the
-    smoothed inverse ``a_s``.
+    the worst-case inward slope of Q; the callers take it in the smoothed
+    inverse ``a_s``.
     """
-    return taylor_margin_from_gradient(cov_grad(state.grid, a_s, state.Q))
-
-
-def taylor_margin_from_gradient(grad_Q: np.ndarray) -> float:
-    """``taylor_sign_margin`` from the covariant gradient of Q."""
     g3 = grad_Q[2]
     return float(min(g3[..., 0].min(), (-g3[..., -1]).min()))
 
@@ -102,13 +98,14 @@ def check_compatibility(state: FlowState, cache: GeometryCache, order: int = 0) 
     out = {
         "q_wall_sup": float(np.abs(grid.boundary_slices(state.q)).max()),
         "b_wall_sup": float(np.abs(grid.boundary_slices(state.b)).max()),
-        "div_b_norm": grid.low_norm(cov_div(grid, a, state.b)),
+        "div_b_norm": grid.low_norm(cov_div(grid, a, grid.gradient(state.b))),
     }
     if order == 1:
-        div_v = cov_div(grid, a, state.v)
+        gv = grid.gradient(state.v)
+        div_v = cov_div(grid, a, gv)
         out["div_v_wall_sup"] = float(np.abs(grid.boundary_slices(div_v)).max())
         lap_b = cov_laplacian(grid, a, state.b)
-        Gv = cov_grad_vector(grid, a, state.v)
+        Gv = cov_grad_vector(grid, a, gv)
         transport = np.einsum("a...,al...->l...", state.b, Gv) - state.b * div_v
         trace = grid.boundary_slices(state.eos.diffusivity * lap_b + transport)
         out["heat_trace_sup"] = float(np.abs(trace).max())
@@ -135,7 +132,8 @@ def admit(state: FlowState, cache: GeometryCache, c0: float = 0.0) -> None:
         if not max(residuals.values()) <= COMPAT_TOL:
             raise InitialDataError(f"order-0 compatibility violated: {residuals}")
         if np.any(state.v) or np.any(state.b) or np.any(state.q):
-            margin = taylor_sign_margin(state, cache.a_s)
+            grad_Q = cov_grad(state.grid, cache.a_s, state.grid.gradient(state.Q))
+            margin = taylor_sign_margin(grad_Q)
             if not (margin > 0.0 and margin >= c0):
                 raise InitialDataError(f"Rayleigh-Taylor sign condition violated: margin "
                                        f"{margin:.6g} is not positive and at least c0 = {c0}")

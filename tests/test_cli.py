@@ -289,12 +289,12 @@ def test_run_computes_each_constraint_once(tmp_path, monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("taylor_margin_from_gradient", "small_geometry_norm"):
+    for name in ("taylor_sign_margin", "small_geometry_norm"):
         monkeypatch.setattr(diagnostics, name, counting(getattr(diagnostics, name)))
     out = tmp_path / "out"
     assert cli.main(["run", write_cfg(tmp_path, out, extra=SMALL)]) == 0
     _, _, rows = read_csv(out / "energy.csv")
-    for name in ("taylor_margin_from_gradient", "small_geometry_norm"):
+    for name in ("taylor_sign_margin", "small_geometry_norm"):
         assert calls.count(name) == len(rows) == 3
 
 
@@ -420,6 +420,15 @@ def test_non_ascii_field_name_exit_code(tmp_path, capsys):
     path.write_bytes(MAGIC + header + field)
     assert cli.main(["energy-report", str(path)]) == cli.EXIT_CHECKPOINT
     assert "not ASCII" in capsys.readouterr().err
+
+
+def test_repeated_field_name_exit_code(tmp_path, capsys):
+    header = struct.pack("<IIIII", 1, 8, 8, 8, 2)
+    field = struct.pack("<I", 1) + b"q" + bytes(8 * 8 * 9 * 8)
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(MAGIC + header + field + field)
+    assert cli.main(["energy-report", str(path)]) == cli.EXIT_CHECKPOINT
+    assert f"{path}: field 'q' appears twice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra,fragment", [

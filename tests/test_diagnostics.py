@@ -207,6 +207,13 @@ def test_difference_energy_mismatch_rejected(quiescent_run, grid16, eos):
     )
     with pytest.raises(ValueError, match="time lattices"):
         difference_energy(quiescent_run, other_dt)
+    # dt is compared relatively: 1e-15 and 2e-15 are two lattices, while
+    # a rounding-sized difference is one
+    t1, t2, t3 = (trivial_trajectory(grid16, eos, rho0, 0.1, dt, 2)
+                  for dt in (1e-15, 2e-15, 1e-15 * (1.0 + 1e-12)))
+    with pytest.raises(ValueError, match="time lattices"):
+        difference_energy(t1, t2)
+    assert difference_energy(t1, t3).tobytes() == np.zeros(3).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -385,24 +392,18 @@ def test_wave_residual_scheme_sized_and_noise_sensitive(quiescent_run):
 
 
 def test_residual_audit_takes_one_gradient_of_b_and_v_per_node(magnetic_run, monkeypatch):
-    from lfmhd import diagnostics
-
     states = magnetic_run.states
-    real, real_cov_grad = Grid.gradient, diagnostics.cov_grad
+    real = Grid.gradient
     seen = []
 
     def recording(self, f):
         seen.extend((j, name) for j, s in enumerate(states)
                     for name in ("b", "v") if f is getattr(s, name))
-        return real(self, f)
-
-    def recording_cov_grad(grid, a, f):
         # Q is formed afresh on every read, so it is matched by value
         seen.extend((j, "Q") for j, s in enumerate(states) if np.array_equal(f, s.Q))
-        return real_cov_grad(grid, a, f)
+        return real(self, f)
 
     monkeypatch.setattr(Grid, "gradient", recording)
-    monkeypatch.setattr(diagnostics, "cov_grad", recording_cov_grad)
     report = energy_functionals(magnetic_run, residuals=True)
     assert sorted(seen) == [(j, name) for j in range(len(states)) for name in ("Q", "b", "v")]
     seen.clear()

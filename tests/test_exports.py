@@ -6,7 +6,8 @@ import everything else from its module.  Every public module-level name
 of ``src/lfmhd`` has a caller other than a unit test: the library
 itself, a demo, an acceptance test of a paper claim, or the benchmark.
 So the root cannot grow a name nobody reaches through it, and an entry
-point that only its own unit test calls fails here.
+point that only its own unit test calls fails here.  The same rule holds
+for options: every defaulted parameter of a function is set by some call.
 """
 
 import ast
@@ -68,3 +69,53 @@ def test_every_public_module_name_has_a_caller():
     unused = [f"{path.stem}.{name}" for path in MODULES for name in _public_names(path)
               if not _uses(name, lines)]
     assert unused == [], f"public but called only by unit tests: {unused}"
+
+
+# where a call may set a defaulted parameter
+CALLERS = (
+    sorted((ROOT / "src" / "lfmhd").glob("*.py"))
+    + sorted((ROOT / "demos").rglob("*.py"))
+    + sorted((ROOT / "tests").rglob("*.py"))
+    + sorted((ROOT / "perfbench").rglob("*.py"))
+)
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function, parameter, position) of every defaulted parameter of a
+    function or method; position counts the positional arguments a call
+    passes (self and cls aside), and is None for a keyword-only one."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+               if isinstance(f, ast.FunctionDef)
+               and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)}
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        positional = f.args.posonlyargs + f.args.args
+        skip = 1 if id(f) in methods else 0
+        for i in range(len(positional) - len(f.args.defaults), len(positional)):
+            yield f.name, positional[i].arg, i - skip
+        for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+            if default is not None:
+                yield f.name, arg.arg, None
+
+
+def _calls(tree: ast.Module):
+    """(called name, positional count, keyword names, unpacks) of every call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            yield name, len(node.args), {k.arg for k in node.keywords}, unpacks
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    calls = {}
+    for path in CALLERS:
+        for name, *call in _calls(ast.parse(path.read_text())):
+            calls.setdefault(name, []).append(call)
+    unset = [f"{path.stem}.{func}({param}=)" for path in MODULES
+             for func, param, pos in _defaulted_parameters(ast.parse(path.read_text()))
+             if not any(unpacks or param in keywords or (pos is not None and count > pos)
+                        for count, keywords, unpacks in calls.get(func, []))]
+    assert unset == [], f"defaulted parameters no call sets: {unset}"

@@ -73,7 +73,7 @@ def _composition_norm(grid, f, s):
             for p2 in range(order - p1 + 1):
                 d = _full_apply(grid, f, _full_derivative_symbol(grid, p1, p2))
                 for _ in range(order - p1 - p2):
-                    d = grid._fd3(d)
+                    d = grid.derivative(d, 3)
                 total += grid.integrate(d * d)
     return np.sqrt(total)
 
@@ -125,7 +125,7 @@ def test_map_norm_equals_composition_sum(grid):
                     p3 = order - p1 - p2
                     d = _full_apply(grid, disp, _full_derivative_symbol(grid, p1, p2))
                     for _ in range(p3):
-                        d = grid._fd3(d)
+                        d = grid.derivative(d, 3)
                     if order == 1:
                         mu = (p1, p2, p3).index(1)
                         d[mu] += 1.0
@@ -225,8 +225,8 @@ def test_harmonic_extension_matches_full_sinh_profiles(grid):
 
 
 def _stencil3_matrix(nz, h):
-    """The y3 stencil of ``Grid._fd3`` written out: central inside,
-    one-sided second order at the walls."""
+    """The y3 stencil of ``Grid.derivative(f, 3)`` written out: central
+    inside, one-sided second order at the walls."""
     D = np.zeros((nz, nz))
     for i in range(1, nz - 1):
         D[i, i - 1], D[i, i + 1] = -0.5 / h, 0.5 / h
@@ -244,7 +244,7 @@ def test_y3_stencil_matrix_form_matches_fd3(n3):
     # as a matrix product it sums the same terms in another order
     f = np.random.default_rng(n3).standard_normal(grid.shape)
     bound = 8.0 * np.finfo(float).eps * np.abs(f).max() / grid.h3
-    assert np.abs(f @ M.T - grid._fd3(f)).max() <= bound
+    assert np.abs(f @ M.T - grid.derivative(f, 3)).max() <= bound
 
 
 @pytest.mark.parametrize("grid", GRIDS)
