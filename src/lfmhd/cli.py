@@ -85,8 +85,14 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, comment: str, header: list[str], rows) -> None:
+    """Write one table; a cell that is a float but not finite is refused as a
+    :class:`BreakdownError` before the file is opened, and None is empty."""
     lines = [f"# {comment}", ",".join(header)]
-    for row in rows:
+    for i, row in enumerate(rows, start=1):
+        for name, value in zip(header, row):
+            if value is not None and not isinstance(value, str) and not np.isfinite(value):
+                raise BreakdownError(f"{path}: column {name} of row {i} is {_fmt(value)}, "
+                                     "not a finite number; the table is not written")
         lines.append(",".join(_fmt(v) for v in row))
     _write(path, Path.write_text, "\n".join(lines) + "\n")
 

@@ -50,7 +50,6 @@ class GeometryCache:
     """Geometry of one flow map and of its tangentially smoothed copy."""
 
     grid: Grid
-    J: np.ndarray        # (n1, n2, n3+1)
     a: np.ndarray        # (3, 3, n1, n2, n3+1), a[mu, alpha]
     A: np.ndarray        # cofactor J * a
     eta_s: np.ndarray    # smoothed map (squared mollifier on the displacement)
@@ -88,19 +87,20 @@ def build_geometry(grid: Grid, eta: np.ndarray, kappa: float) -> GeometryCache:
     displacement.  Raises :class:`DegenerateMapError` if either Jacobian
     drops to ``DET_FLOOR`` or is NaN.
     """
-    J, A, a = _invert_pointwise(deformation_gradient(grid, eta), grid)
+    _, A, a = _invert_pointwise(deformation_gradient(grid, eta), grid)
     eta_s = grid.identity_map + mollify(grid, grid.displacement(eta), kappa, power=2)
     J_s, _, a_s = _invert_pointwise(deformation_gradient(grid, eta_s), grid)
 
     return GeometryCache(
-        grid=grid, J=J, a=a, A=A,
+        grid=grid, a=a, A=A,
         eta_s=eta_s, J_s=J_s, a_s=a_s,
     )
 
 
 # ----------------------------------------------------------------------
 # covariant operators (pass a = cache.a or cache.a_s explicitly); the
-# first-order ones contract a gradient table G = grid.gradient(X)
+# first-order ones contract a gradient table G = grid.gradient(X), and the
+# Laplacian takes the covariant gradient table one of them returns
 
 
 def cov_grad(grid: Grid, a: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -124,11 +124,13 @@ def curl_from_gradient(G: np.ndarray) -> np.ndarray:
     return np.stack([G[1, 2] - G[2, 1], G[2, 0] - G[0, 2], G[0, 1] - G[1, 0]])
 
 
-def cov_laplacian(grid: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Nested covariant Laplacian div_a(grad_a f), scalar or component-wise."""
-    def lap(g):
-        return cov_div(grid, a, grid.gradient(cov_grad(grid, a, grid.gradient(g))))
-    return lap(f) if f.ndim == 3 else np.stack([lap(comp) for comp in f])
+def cov_laplacian(grid: Grid, a: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Nested covariant Laplacian div_a(grad_a f) from the covariant gradient
+    G = grad_a f: ``cov_grad`` of a scalar f, or ``cov_grad_vector`` of a
+    vector f, whose Laplacian is taken component-wise."""
+    if G.ndim == 4:
+        return cov_div(grid, a, grid.gradient(G))
+    return np.stack([cov_div(grid, a, grid.gradient(G[:, lam])) for lam in range(3)])
 
 
 def piola_residual(cache: GeometryCache) -> float:

@@ -106,10 +106,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.states)
 
-    def stack(self, name: str) -> np.ndarray:
-        """Stack one field over time, shape (nodes, ...)."""
-        return np.stack([getattr(s, name) for s in self.states])
-
     @property
     def final(self) -> FlowState:
         return self.states[-1]
@@ -185,53 +181,44 @@ class FrozenSample:
 class FrozenCoefficients:
     """Ring quantities of a previous iterate at the nodes of its lattice.
 
-    Stores, per node: the smoothed-geometry inverse and Jacobian, the
-    correction field psi, the frozen magnetic field, and the acoustic
-    weight r = Js R'(q) / rho0.  ``node`` reads one node and ``midpoint``
-    the mean of two neighbours.
+    ``node`` reads one node of the frozen iterate ``traj`` in place: the
+    smoothed-geometry inverse and Jacobian and the correction field psi
+    from its geometry memo, the magnetic field from its state.  The
+    acoustic weight r = Js R'(q) / rho0 is the one array formed here.
+    ``midpoint`` is the mean of two neighbouring nodes.
     """
 
-    grid: Grid
-    kappa: float
-    dt: float
-    psi: np.ndarray    # (nodes, 3, ...)
-    a_s: np.ndarray    # (nodes, 3, 3, ...)
-    J_s: np.ndarray
-    b: np.ndarray
-    r: np.ndarray
-    rho0: np.ndarray
+    traj: Trajectory
+    r: np.ndarray    # (nodes, ...)
 
     @classmethod
     def freeze(cls, traj: Trajectory) -> "FrozenCoefficients":
         geo = traj.geometry
-        rho0 = traj.states[0].rho0
-        r = geo.J_s * traj.eos.rho_p(traj.stack("q")) / rho0
+        r = geo.J_s * traj.eos.rho_p(np.stack([s.q for s in traj.states])) / traj.states[0].rho0
         if not r.min() > 0.0:  # NaN fails too
             j = next(j for j in range(len(r)) if not r[j].min() > 0.0)
             raise BreakdownError(
                 f"frozen acoustic weight r must be positive: node {j} "
                 f"(t = {traj.states[j].t:.6g}) has min {r[j].min():.3e}"
             )
-        return cls(
-            grid=traj.grid, kappa=traj.kappa, dt=traj.dt,
-            psi=geo.psi, a_s=geo.a_s, J_s=geo.J_s, b=traj.stack("b"), r=r, rho0=rho0,
-        )
+        geo.psi  # built here, on first read, and not inside the advance
+        return cls(traj=traj, r=r)
 
     def node(self, j: int) -> FrozenSample:
-        return FrozenSample(psi=self.psi[j], a_s=self.a_s[j], J_s=self.J_s[j],
-                            b=self.b[j], r=self.r[j])
+        geo = self.traj.geometry
+        return FrozenSample(psi=geo.psi[j], a_s=geo.a_s[j], J_s=geo.J_s[j],
+                            b=self.traj.states[j].b, r=self.r[j])
 
     def midpoint(self, j: int) -> FrozenSample:
-        def mean(arr):
-            return 0.5 * arr[j] + 0.5 * arr[j + 1]
-        return FrozenSample(psi=mean(self.psi), a_s=mean(self.a_s), J_s=mean(self.J_s),
-                            b=mean(self.b), r=mean(self.r))
+        x, y = vars(self.node(j)), vars(self.node(j + 1))
+        return FrozenSample(**{name: 0.5 * x[name] + 0.5 * y[name] for name in x})
 
     def cfl_bound(self) -> float:
         # the frozen system rho0 / Js v_t = -grad_a Q, r q_t = -div_a v carries
         # sound at c = sqrt(Js / (rho0 r)); 1 / c = sqrt(R'(q)) pointwise
-        slowness = np.sqrt(self.rho0[None] * self.r / self.J_s)
-        return float(CFL_SAFETY * self.grid.h3 * slowness.min())
+        traj = self.traj
+        slowness = np.sqrt(traj.states[0].rho0[None] * self.r / traj.geometry.J_s)
+        return float(CFL_SAFETY * traj.grid.h3 * slowness.min())
 
 
 # ----------------------------------------------------------------------
@@ -283,12 +270,12 @@ def bicgstab(matvec, b, rtol, maxiter, M, callback=None):
 
     ``matvec`` applies the operator and ``M`` the preconditioner to a flat
     vector; ``callback(x)`` runs after each full iteration.  Stops when
-    ||b - A x|| < rtol ||b||.  Returns ``(x, info)``: info is 0 on
-    convergence, ``maxiter`` when the budget ran out, -10 and -11 on a rho
-    and an omega breakdown, and -12 as soon as rho, omega or the residual
-    norm is not finite.  Unlike scipy, the rho breakdown bound scales with
-    ||b||^2, since rho = b . r does: a right-hand side of any size is
-    solved alike, however small its norm.
+    ||b - A x|| < rtol ||b||, after ``maxiter`` iterations, on a rho or an
+    omega breakdown, and as soon as rho, omega or the residual norm is not
+    finite.  Returns ``(x, iterations)``, the number of full iterations;
+    the caller judges x by its true residual.  Unlike scipy, the rho
+    breakdown bound scales with ||b||^2, since rho = b . r does: a
+    right-hand side of any size is solved alike, however small its norm.
     """
     x = np.zeros_like(b)
     bnorm = _norm(b)
@@ -297,18 +284,16 @@ def bicgstab(matvec, b, rtol, maxiter, M, callback=None):
     atol = rtol * bnorm
     tiny = np.finfo(b.dtype).eps ** 2   # scipy's breakdown bound for omega
     r = b.copy()
-    for iteration in range(maxiter):
+    iterations = 0
+    while iterations < maxiter:
         rnorm = _norm(r)
-        if rnorm < atol:
-            return x, 0
         rho = _dot(b, r)        # the shadow residual is r_0 = b
-        if not (np.isfinite(rnorm) and np.isfinite(rho)):
-            return x, -12
-        if abs(rho) < tiny * bnorm * bnorm:
-            return x, -10
-        if iteration > 0:
+        # converged, a rho breakdown, or a non-finite residual norm or rho
+        if not (atol <= rnorm < np.inf and tiny * bnorm * bnorm <= abs(rho) < np.inf):
+            break
+        if iterations > 0:
             if abs(omega) < tiny:
-                return x, -11
+                break
             beta = (rho / rho_prev) * (alpha / omega)
             p -= omega * v
             p *= beta
@@ -319,27 +304,28 @@ def bicgstab(matvec, b, rtol, maxiter, M, callback=None):
         v = matvec(phat)
         rv = _dot(b, v)
         if rv == 0:
-            return x, -11
+            break
         alpha = rho / rv
         r -= alpha * v          # r is now s = b - A (x + alpha phat)
         snorm = _norm(r)
         if snorm < atol:
             x += alpha * phat
-            return x, 0
+            break
         if not np.isfinite(snorm):
-            return x, -12
+            break
         shat = M(r)
         t = matvec(shat)
         omega = _dot(t, r) / _dot(t, t)
         if not np.isfinite(omega):
-            return x, -12
+            break
         x += alpha * phat
         x += omega * shat
         r -= omega * t
         rho_prev = rho
+        iterations += 1
         if callback is not None:
             callback(x)
-    return x, maxiter
+    return x, iterations
 
 
 def implicit_diffusion_solve(grid: Grid, a_s: np.ndarray, rhs: np.ndarray, dt: float,
@@ -371,7 +357,7 @@ def implicit_diffusion_solve(grid: Grid, a_s: np.ndarray, rhs: np.ndarray, dt: f
 
     def matvec(x_flat: np.ndarray) -> np.ndarray:
         full = embed(x_flat.reshape(n1, n2, nint))
-        out = full - dt * cov_laplacian(grid, a_s, full)
+        out = full - dt * cov_laplacian(grid, a_s, cov_grad(grid, a_s, grid.gradient(full)))
         return out[..., 1:-1].ravel()
 
     precond = _flat_preconditioner(grid, dt)
@@ -384,14 +370,7 @@ def implicit_diffusion_solve(grid: Grid, a_s: np.ndarray, rhs: np.ndarray, dt: f
     if bnorm == 0.0:
         return np.zeros((n1, n2, nz))
 
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    x_flat, _ = bicgstab(matvec, b_flat, rtol=tol, maxiter=DIFFUSION_MAX_ITER,
-                         M=psolve, callback=count)
+    x_flat, iters = bicgstab(matvec, b_flat, rtol=tol, maxiter=DIFFUSION_MAX_ITER, M=psolve)
     residual = _norm(matvec(x_flat) - b_flat) / bnorm
     if not residual <= 10.0 * tol:
         raise DiffusionSolveError(iterations=iters, residual=residual, tol=tol)
@@ -474,7 +453,8 @@ def _require_finite(j: int, t: float, **fields: np.ndarray) -> None:
 def advance_linearized(frozen: FrozenCoefficients, init: FlowState,
                        diffusion_tol: float = 1e-9) -> Trajectory:
     """Integrate the frozen-coefficient system from ``init`` on the lattice
-    of ``frozen``: its grid, its step dt, and one step per pair of nodes.
+    of the frozen iterate ``frozen.traj``: its grid, its step dt, its kappa,
+    and one step per pair of nodes.
 
     dt must satisfy the acoustic CFL bound evaluated over all frozen
     nodes, else :class:`CflError`.  A step that leaves v, q or eta
@@ -483,7 +463,8 @@ def advance_linearized(frozen: FrozenCoefficients, init: FlowState,
     diffusion solve, whose residual check raises
     :class:`DiffusionSolveError` instead.
     """
-    grid, dt = frozen.grid, frozen.dt
+    prev = frozen.traj
+    grid, dt = prev.grid, prev.dt
     bound = frozen.cfl_bound()
     if not dt <= bound:  # a NaN bound fails too
         raise CflError(dt, bound, grid.h3)
@@ -491,7 +472,7 @@ def advance_linearized(frozen: FrozenCoefficients, init: FlowState,
     rho0 = init.rho0
     state = init.copy()
     states = [state]
-    for n in range(len(frozen.J_s) - 1):
+    for n in range(len(prev) - 1):
         t = n * dt + dt
         eta_n, v_n, q_n = _explicit_midpoint(grid, frozen, n, state, dt, rho0)
         # before the b solve, which a non-finite velocity would stall; v and q
@@ -507,4 +488,4 @@ def advance_linearized(frozen: FrozenCoefficients, init: FlowState,
         )
         states.append(state)
 
-    return Trajectory(grid=grid, eos=init.eos, kappa=frozen.kappa, dt=dt, states=states)
+    return Trajectory(grid=grid, eos=init.eos, kappa=prev.kappa, dt=dt, states=states)

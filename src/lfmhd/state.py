@@ -95,16 +95,17 @@ def check_compatibility(state: FlowState, cache: GeometryCache, order: int = 0) 
     if order not in (0, 1):
         raise ValueError(f"compatibility order must be 0 or 1, got {order}")
     grid, a = state.grid, cache.a
+    gb = grid.gradient(state.b)
     out = {
         "q_wall_sup": float(np.abs(grid.boundary_slices(state.q)).max()),
         "b_wall_sup": float(np.abs(grid.boundary_slices(state.b)).max()),
-        "div_b_norm": grid.low_norm(cov_div(grid, a, grid.gradient(state.b))),
+        "div_b_norm": grid.low_norm(cov_div(grid, a, gb)),
     }
     if order == 1:
         gv = grid.gradient(state.v)
         div_v = cov_div(grid, a, gv)
         out["div_v_wall_sup"] = float(np.abs(grid.boundary_slices(div_v)).max())
-        lap_b = cov_laplacian(grid, a, state.b)
+        lap_b = cov_laplacian(grid, a, cov_grad_vector(grid, a, gb))
         Gv = cov_grad_vector(grid, a, gv)
         transport = np.einsum("a...,al...->l...", state.b, Gv) - state.b * div_v
         trace = grid.boundary_slices(state.eos.diffusivity * lap_b + transport)

@@ -23,6 +23,7 @@ from lfmhd.diagnostics import (
 from lfmhd.geometry import build_geometry, piola_residual
 from lfmhd.linear_step import (
     FrozenCoefficients,
+    SmoothedGeometry,
     Trajectory,
     advance_linearized,
     implicit_diffusion_solve,
@@ -225,26 +226,30 @@ def test_criterion_04_alinhac_identity(grid16):
 
 
 def _random_frozen(grid, eos, rng, nodes, dt):
+    """Coefficients frozen from random maps and heads with b* = 0; a random
+    field stands in for the correction field, injected with the geometry
+    the way ``trivial_trajectory`` injects its constants."""
     shape = grid.spec.shape
     n = nodes
     psi = np.empty((n, 3) + shape)
     a_s = np.empty((n, 3, 3) + shape)
     J_s = np.empty((n,) + shape)
-    q = np.empty((n,) + shape)
-    r = np.empty((n,) + shape)
     rho0 = np.ones(shape)
+    states = []
     for j in range(n):
-        cache = build_geometry(grid, fields.perturbed_map(grid, rng, eps=0.03, band=1), 0.1)
+        eta = fields.perturbed_map(grid, rng, eps=0.03, band=1)
+        cache = build_geometry(grid, eta, 0.1)
         psi[j] = 0.05 * fields.random_vector(grid, rng, band=1, n3_modes=1)
         a_s[j] = cache.a_s
         J_s[j] = cache.J_s
-        q[j] = 0.1 * fields.random_scalar(grid, rng, band=1, n3_modes=1)
-        r[j] = cache.J_s * np.asarray(eos.rho_p(q[j])) / rho0
-    return FrozenCoefficients(
-        grid=grid, kappa=0.1, dt=dt,
-        psi=psi, a_s=a_s, J_s=J_s, b=np.zeros((n, 3) + shape), r=r,
-        rho0=rho0,
-    )
+        states.append(FlowState(
+            grid=grid, eos=eos, t=j * dt, eta=eta, v=np.zeros((3,) + shape),
+            b=np.zeros((3,) + shape),
+            q=0.1 * fields.random_scalar(grid, rng, band=1, n3_modes=1), rho0=rho0,
+        ))
+    traj = Trajectory(grid=grid, eos=eos, kappa=0.1, dt=dt, states=states)
+    traj.geometry = SmoothedGeometry(a_s=a_s, J_s=J_s, build_psi=lambda: psi)
+    return FrozenCoefficients.freeze(traj)
 
 
 def test_criterion_05_linearized_superposition(grid16, eos):

@@ -404,6 +404,26 @@ def test_energy_report_refuses_non_finite_field(tmp_path, capsys, grid_small, eo
     assert not rep.exists()
 
 
+def test_energy_report_refuses_a_non_finite_cell(tmp_path, capsys):
+    # finite fields whose energies overflow: the table is refused, not written
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, out, extra=SMALL + "data.preset = magnetic-tube\n"
+                    "outputs.checkpoint = on\n")
+    assert cli.main(["run", cfg]) == 0
+    traj = read_trajectory(out / "trajectory.ckpt")
+    for s in traj.states:
+        s.v *= 1e200
+    path = tmp_path / "fast.ckpt"
+    write_trajectory(path, traj)
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    with np.errstate(all="ignore"):
+        assert cli.main(["energy-report", str(path), "--out", str(rep)]) == cli.EXIT_BREAKDOWN
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical breakdown: {rep / 'energy.csv'}: column E_total of row 1 is ")
+    assert not (rep / "energy.csv").exists()
+
+
 def test_cli_imports_no_scipy():
     src = str(Path(lfmhd.__file__).resolve().parents[1])
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import lfmhd.cli; "

@@ -187,11 +187,16 @@ def test_difference_energy_equals_the_stacked_definition_bitwise(magnetic_run, q
     # node-by-node differences give the bytes of whole-trajectory stacks
     t1, t2 = magnetic_run, quiescent_run
     grid, dt, n = t1.grid, t1.dt, len(t1)
+
+    def diff(name):
+        return np.stack([getattr(s, name) for s in t1.states]) \
+            - np.stack([getattr(s, name) for s in t2.states])
+
     want = np.zeros(n)
     for name in ("v", "b", "q"):
-        for row in _time_energies(grid, t1.stack(name) - t2.stack(name), dt, 2):
+        for row in _time_energies(grid, diff(name), dt, 2):
             want += row
-    deta = t1.stack("eta") - t2.stack("eta")
+    deta = diff("eta")
     for j in range(n):
         want[j] += grid.norm(deta[j], 2) ** 2
     assert difference_energy(t1, t2).tobytes() == want.tobytes()
@@ -567,7 +572,7 @@ def test_frozen_and_audited_psi_is_the_per_node_correction_field(grid_small, eos
                 for j, s in enumerate(traj.states)]
         frozen = FrozenCoefficients.freeze(traj)
         for j in range(n):
-            np.testing.assert_array_equal(frozen.psi[j], want[j])
+            np.testing.assert_array_equal(frozen.node(j).psi, want[j])
         eta = [s.eta for s in traj.states]
         res_eta = [grid.low_norm(time_difference(eta.__getitem__, n, j, traj.dt, 1)
                                  - s.v - want[j])

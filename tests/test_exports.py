@@ -8,6 +8,8 @@ itself, a demo, an acceptance test of a paper claim, or the benchmark.
 So the root cannot grow a name nobody reaches through it, and an entry
 point that only its own unit test calls fails here.  The same rule holds
 for options: every defaulted parameter of a function is set by some call.
+And for records: every dataclass field is read by some code other than a
+unit test.
 """
 
 import ast
@@ -119,3 +121,35 @@ def test_every_defaulted_parameter_is_set_by_some_call():
              if not any(unpacks or param in keywords or (pos is not None and count > pos)
                         for count, keywords, unpacks in calls.get(func, []))]
     assert unset == [], f"defaulted parameters no call sets: {unset}"
+
+
+# where a record field may be read: everything but the unit tests
+READERS = MODULES + [ROOT / "src" / "lfmhd" / "__init__.py"] + OUTSIDE
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class, field) of every annotated field of a dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def _reads(tree: ast.Module):
+    """Attribute names loaded, and names taken by ``getattr`` with a literal."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def test_every_record_field_is_read():
+    read = {name for path in READERS for name in _reads(ast.parse(path.read_text()))}
+    unread = [f"{path.stem}.{cls}.{name}" for path in MODULES
+              for cls, name in _dataclass_fields(ast.parse(path.read_text()))
+              if name not in read]
+    assert unread == [], f"record fields no code outside the unit tests reads: {unread}"

@@ -6,6 +6,7 @@ import pytest
 from lfmhd.fields import perturbed_map, random_scalar, random_vector
 from lfmhd.geometry import (
     DegenerateMapError,
+    _invert_pointwise,
     build_geometry,
     cov_div,
     cov_grad,
@@ -21,9 +22,14 @@ from lfmhd.grid import Grid, GridSpec
 KAPPA = 0.1
 
 
+def _raw_jacobian(grid, eta):
+    """The unsmoothed Jacobian, which the geometry build checks but does not keep."""
+    return _invert_pointwise(deformation_gradient(grid, eta), grid)[0]
+
+
 def test_identity_map_geometry(grid16):
     cache = build_geometry(grid16, grid16.identity_map, KAPPA)
-    assert np.abs(cache.J - 1.0).max() < 1e-13
+    assert np.abs(_raw_jacobian(grid16, grid16.identity_map) - 1.0).max() < 1e-13
     assert np.abs(cache.J_s - 1.0).max() < 1e-13
     eye = np.eye(3)[:, :, None, None, None]
     assert np.abs(cache.a - eye).max() < 1e-13
@@ -40,7 +46,7 @@ def test_linear_shear_map_exact(grid16):
     cache = build_geometry(g, eta, 0.0)
     d = deformation_gradient(g, eta)
     assert np.abs(d[2, 0] - 0.2 * np.pi * np.cos(2 * np.pi * g.y1)[:, None, None]).max() < 1e-10
-    assert np.abs(cache.J - 1.0).max() < 1e-10  # unimodular shear
+    assert np.abs(_raw_jacobian(g, eta) - 1.0).max() < 1e-10  # unimodular shear
     # inverse of the triangular shear: a[mu=3, alpha=1] = -d(eta_3)/d(y_1)
     assert np.abs(cache.a[2, 0] + d[2, 0]).max() < 1e-10
 
@@ -108,9 +114,16 @@ def test_cov_laplacian_matches_div_grad(grid16, rng):
     eta = perturbed_map(g, rng, eps=0.05)
     cache = build_geometry(g, eta, KAPPA)
     f = random_scalar(g, rng)
-    lhs = cov_laplacian(g, cache.a_s, f)
-    rhs = cov_div(g, cache.a_s, g.gradient(cov_grad(g, cache.a_s, g.gradient(f))))
+    grad_f = cov_grad(g, cache.a_s, g.gradient(f))
+    lhs = cov_laplacian(g, cache.a_s, grad_f)
+    rhs = cov_div(g, cache.a_s, g.gradient(grad_f))
     assert np.abs(lhs - rhs).max() < 1e-12
+    # a vector's table: the Laplacian of each component
+    X = random_vector(g, rng)
+    lhs = cov_laplacian(g, cache.a_s, cov_grad_vector(g, cache.a_s, g.gradient(X)))
+    for lam in range(3):
+        rhs = cov_div(g, cache.a_s, g.gradient(cov_grad(g, cache.a_s, g.gradient(X[lam]))))
+        assert np.abs(lhs[lam] - rhs).max() < 1e-12
 
 
 def test_piola_identity_refinement_order(rng):
@@ -130,7 +143,7 @@ def test_smoothed_geometry_close_to_raw_for_small_kappa(grid16, rng):
     eta = perturbed_map(grid16, rng, eps=0.05)
     c1 = build_geometry(grid16, eta, 0.05)
     c2 = build_geometry(grid16, eta, 0.0125)
-    raw = build_geometry(grid16, eta, 0.0)
-    d1 = np.abs(c1.J_s - raw.J).max()
-    d2 = np.abs(c2.J_s - raw.J).max()
+    raw = _raw_jacobian(grid16, eta)
+    d1 = np.abs(c1.J_s - raw).max()
+    d2 = np.abs(c2.J_s - raw).max()
     assert d2 < d1
