@@ -11,10 +11,10 @@ Layout, all integers little-endian u32 unless noted:
 
 Every payload is one scalar lattice; vectors are stored component-wise
 (``v1``..``v3``), trajectory snapshots under ``snapNNN.`` prefixes, and
-scalar metadata (time, smoothing scale, step, diffusivity, dealias
-fraction) as constant lattices so the format stays uniform.  The header
-dims must make a ``GridSpec``; they are checked before any payload is
-read.  A field with a NaN or an infinity is refused on read.
+scalar metadata (time, smoothing scale, step, diffusivity) as constant
+lattices so the format stays uniform.  The header dims must make a
+``GridSpec``; they are checked before any payload is read.  A field with
+a NaN or an infinity is refused on read.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, GridSpec
+from .grid import DEALIAS_FRACTION, Grid, GridSpec
 from .linear_step import Trajectory
 from .state import EquationOfState, FlowState
 
@@ -150,29 +150,24 @@ def _state_from_fields(path: str | Path, grid: Grid, eos: EquationOfState,
 
 def _run_fields(grid: Grid, eos: EquationOfState) -> dict[str, np.ndarray]:
     """The run parameters a checkpoint records, as constant lattices."""
-    return {
-        "meta.diffusivity": np.full(grid.shape, eos.diffusivity),
-        "meta.dealias_fraction": np.full(grid.shape, grid.spec.dealias_fraction),
-    }
+    return {"meta.diffusivity": np.full(grid.shape, eos.diffusivity)}
 
 
 def _read_run(path: str | Path):
     """Read ``path`` and the run it records: its grid, equation of state,
     ``meta.`` scalars and fields.
 
-    Files without ``meta.diffusivity`` or ``meta.dealias_fraction`` read
-    as 1.0 and 2/3, the values every run used before they were recorded.
-    A recorded diffusivity or dealias fraction out of range is refused.
+    A file without ``meta.diffusivity`` reads as 1.0, the value every run
+    used before it was recorded.  A recorded diffusivity out of range, or a
+    ``meta.dealias_fraction`` (older files) other than ``DEALIAS_FRACTION``, is refused.
     """
     dims, fields = read_fields(path)
-    meta = {"diffusivity": 1.0, "dealias_fraction": 2.0 / 3.0}
+    meta = {"diffusivity": 1.0, "dealias_fraction": DEALIAS_FRACTION}
     meta.update((key.removeprefix("meta."), float(field.flat[0]))
                 for key, field in fields.items() if key.startswith("meta."))
     _require_range(path, meta, "diffusivity", 0.0 < meta["diffusivity"] < math.inf)
-    try:
-        grid = Grid(GridSpec(*dims, dealias_fraction=meta["dealias_fraction"]))
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+    _require_range(path, meta, "dealias_fraction", meta["dealias_fraction"] == DEALIAS_FRACTION)
+    grid = Grid(GridSpec(*dims))
     return grid, EquationOfState(diffusivity=meta["diffusivity"]), meta, fields
 
 
@@ -188,7 +183,7 @@ def write_state(path: str | Path, state: FlowState) -> None:
 
 
 def read_state(path: str | Path) -> FlowState:
-    """Read a state with the diffusivity and dealias fraction it ran at."""
+    """Read a state with the diffusivity it ran at."""
     grid, eos, _, fields = _read_run(path)
     return _state_from_fields(path, grid, eos, fields)
 
@@ -210,7 +205,7 @@ def write_trajectory(path: str | Path, traj: Trajectory) -> None:
 
 
 def read_trajectory(path: str | Path) -> Trajectory:
-    """Read a trajectory with the diffusivity and dealias fraction it ran at."""
+    """Read a trajectory with the diffusivity it ran at."""
     grid, eos, meta, fields = _read_run(path)
     for key in ("kappa", "dt", "nodes"):
         if key not in meta:
@@ -224,9 +219,16 @@ def read_trajectory(path: str | Path) -> Trajectory:
         _state_from_fields(path, grid, eos, fields, prefix=f"snap{j:03d}.")
         for j in range(int(nodes))
     ]
-    # the time derivatives divide by dt, so snapshot j must sit at t = j dt
+    # the time derivatives divide by dt, so snapshot j must sit at t = j dt;
+    # the diagnostics read node 0's reference density as well as node j's,
+    # so every state holds snapshot 0's
+    rho0 = states[0].rho0
     for j, state in enumerate(states):
         if abs(state.t - j * dt) > 1e-9 * max(j, 1) * dt:
             raise CheckpointError(f"{path}: snapshot {j} is at t = {state.t!r}, "
                                   f"but meta.dt = {dt!r} puts it at t = {j * dt!r}")
+        if not np.array_equal(state.rho0.view(np.uint64), rho0.view(np.uint64)):
+            raise CheckpointError(f"{path}: snapshot {j} holds a reference density rho0 "
+                                  "that differs from snapshot 0's")
+        state.rho0 = rho0
     return Trajectory(grid=grid, eos=eos, kappa=kappa, dt=dt, states=states)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, read_trajectory, write_state, write_trajectory
+from .checkpoint import CheckpointError, read_trajectory, write_trajectory
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import (ENERGY_COLUMNS, SMALL_GEOMETRY, EnergyReport, energy_functionals,
                           lemma_suite)
@@ -204,7 +204,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _say_where_the_regime_ends(report, cfg.physics.c0)
     if cfg.outputs.checkpoint:
         _write(out / "trajectory.ckpt", write_trajectory, traj)
-        _write(out / "final_state.ckpt", write_state, traj.final)
     _print_table(f"run: {cfg.data.preset} preset, kappa = {cfg.scheme.kappa}", [
         ("nodes", str(len(traj))),
         ("picard iterates", str(log.iterations)),

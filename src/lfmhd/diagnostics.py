@@ -29,7 +29,7 @@ from .geometry import (
     deformation_gradient,
 )
 from .grid import Grid
-from .linear_step import Trajectory
+from .linear_step import Trajectory, acoustic_weight
 from .smoothing import mollify
 from .state import taylor_sign_margin
 
@@ -184,7 +184,7 @@ class EnergyReport:
     columns: dict[str, np.ndarray] = field(default_factory=dict)
     residuals: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def constraint_rows(self, c0: float | None = None) -> list[dict]:
+    def constraint_rows(self, c0: float | None) -> list[dict]:
         """Per-node div b, Taylor margin and geometry gauge, with flags for a
         margin below c0 / 2 and a gauge above ``SMALL_GEOMETRY``."""
         c = self.columns
@@ -202,6 +202,8 @@ def small_geometry_norm(grid: Grid, a_s: np.ndarray, J_s: np.ndarray) -> float:
     return float(grid.norm(J_s - 1.0, 3) + grid.norm(delta, 3))
 
 
+# an overflow shows as a non-finite cell, which the table writers refuse
+@np.errstate(all="ignore")
 def energy_functionals(traj: Trajectory, order: int = 2, residuals: bool = False) -> EnergyReport:
     """Tabulate the truncated energy scale, the physical energy balance and
     the constraints along a trajectory, in one pass over its nodes.
@@ -222,8 +224,9 @@ def energy_functionals(traj: Trajectory, order: int = 2, residuals: bool = False
     Ek = {name: _time_energies(grid, [getattr(s, name) for s in traj.states], dt, order)
           for name in ("v", "b", "q")}
     audit = {name: np.empty(n) for name in ("eta", "v", "q", "b", "wave")} if residuals else {}
+    weight = acoustic_weight(traj) if residuals else None
     for j in range(n):
-        _node_pass(traj, j, cols, audit)
+        _node_pass(traj, j, cols, audit, weight)
 
     for name in ("v", "b", "q"):
         cols["E_" + name] = sum(Ek[name])
@@ -245,7 +248,7 @@ def energy_functionals(traj: Trajectory, order: int = 2, residuals: bool = False
     return EnergyReport(kappa=kappa, dt=dt, truncation_order=order, columns=cols, residuals=audit)
 
 
-def _node_pass(traj: Trajectory, j: int, cols: dict, audit: dict) -> None:
+def _node_pass(traj: Trajectory, j: int, cols: dict, audit: dict, weight) -> None:
     """Fill node j of every column, and of ``audit`` when it has keys, from
     one covariant gradient of Q and, where b is nonzero, one gradient table
     of b.  The tables go when this returns, before the next node's come."""
@@ -284,16 +287,17 @@ def _node_pass(traj: Trajectory, j: int, cols: dict, audit: dict) -> None:
         cols["D_diss"][j] = eos.diffusivity * grid.integrate(J_s * Gb2)
         b_tables = (Gb, div_b, Gb2)
     if audit:
-        for name, value in _defects(traj, j, grad_Q, b_tables).items():
+        for name, value in _defects(traj, j, grad_Q, b_tables, weight).items():
             audit[name][j] = value
 
 
-def _defects(traj: Trajectory, j: int, grad_Q: np.ndarray, b_tables) -> dict[str, float]:
+def _defects(traj: Trajectory, j: int, grad_Q: np.ndarray, b_tables, weight) -> dict[str, float]:
     """L2 defects at node j of the smoothed nonlinear system (``eta``, ``v``,
     ``q``, ``b``) and of the second-order pressure-head equation (``wave``,
     the time derivative of continuity with momentum substituted), in the
-    trajectory's own geometry and correction field.  On a converged fixed
-    point every defect is scheme error (time and wall stencils, dealiasing).
+    trajectory's own geometry, correction field and stacked acoustic
+    ``weight``.  On a converged fixed point every defect is scheme error
+    (time and wall stencils, dealiasing).
     """
     grid, eos, dt, geo = traj.grid, traj.eos, traj.dt, traj.geometry
     states = traj.states
@@ -303,10 +307,6 @@ def _defects(traj: Trajectory, j: int, grad_Q: np.ndarray, b_tables) -> dict[str
 
     def field(name):
         return lambda k: getattr(states[k], name)
-
-    def weight(k):
-        # the acoustic weight r = Js R'(q) / rho0
-        return geo.J_s[k] * np.asarray(eos.rho_p(states[k].q)) / rho0
 
     def d_dt(row, order=1):
         return time_difference(row, n, j, dt, order)
@@ -326,7 +326,7 @@ def _defects(traj: Trajectory, j: int, grad_Q: np.ndarray, b_tables) -> dict[str
             - np.einsum("al...,la...->...", Gb, Gb)
             - np.einsum("a...,a...->...", b, cov_grad(grid, a, grid.gradient(div_b)))
         )
-    r = weight(j)
+    r = weight[j]
     dq = d_dt(field("q"))
 
     out = {"eta": grid.low_norm(d_dt(field("eta")) - s.v - geo.psi[j])}
@@ -337,7 +337,7 @@ def _defects(traj: Trajectory, j: int, grad_Q: np.ndarray, b_tables) -> dict[str
 
     lap_q = cov_laplacian(grid, a, cov_grad(grid, a, grid.gradient(s.q)))
     lhs = r * d_dt(field("q"), 2) - Jr * lap_q
-    w0 = w0 - d_dt(weight) * dq
+    w0 = w0 - d_dt(weight.__getitem__) * dq
     w0 -= np.einsum("ma...,ma...->...", d_dt(geo.a_s.__getitem__), gv)
     w0 -= np.einsum("l...,l...->...", lorentz - grad_Q, cov_grad(grid, a, grid.gradient(Jr)))
     out["wave"] = grid.low_norm(lhs - rhs - w0)
@@ -465,7 +465,7 @@ class LemmaReport:
 
 def lemma_suite(
     grid: Grid,
-    seed: int = 0,
+    seed: int,
     kappa: float = 0.1,
 ) -> LemmaReport:
     """Measure the constants in the normal-trace div-curl estimate, the

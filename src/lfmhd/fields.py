@@ -55,7 +55,7 @@ def random_boundary_rough(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((2, grid.spec.n1, grid.spec.n2))
 
 
-def wall_vanishing_scalar(grid: Grid, rng: np.random.Generator, band: int = 2) -> np.ndarray:
+def wall_vanishing_scalar(grid: Grid, rng: np.random.Generator, band: int) -> np.ndarray:
     """Smooth interior scalar vanishing on both walls (sin(pi y3) profile)."""
     prof = np.sin(np.pi * grid.y3)[None, None, :]
     return random_scalar(grid, rng, band=band, n3_modes=0) * prof
@@ -63,8 +63,8 @@ def wall_vanishing_scalar(grid: Grid, rng: np.random.Generator, band: int = 2) -
 
 def perturbed_map(
     grid: Grid,
-    rng: np.random.Generator | None = None,
-    eps: float = 0.05,
+    rng: np.random.Generator,
+    eps: float,
     band: int = 1,
 ) -> np.ndarray:
     """Identity map plus a smooth, low-mode, wall-respecting perturbation.
@@ -72,8 +72,6 @@ def perturbed_map(
     The normal component keeps the perturbation inside the slab by a
     y3 (1 - y3) factor; tangential components use full-depth profiles.
     """
-    rng = rng or np.random.default_rng(0)
-    shape = grid.spec.shape
     Y3 = grid.y3[None, None, :]
     eta = grid.identity_map.copy()
     for alpha in range(3):

@@ -80,6 +80,8 @@ def _invert_pointwise(deta: np.ndarray, grid: Grid):
     return J, A, A / J
 
 
+# an overflow shows as a Jacobian that is not finite, which is refused
+@np.errstate(all="ignore")
 def build_geometry(grid: Grid, eta: np.ndarray, kappa: float) -> GeometryCache:
     """Assemble the geometry cache for a flow map and its smoothed copy.
 

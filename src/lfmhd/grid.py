@@ -26,6 +26,8 @@ import numpy as np
 
 # the largest point count per axis a lattice may have
 MAX_POINTS = 4096
+# fraction of the tangential spectrum kept when products are dealiased
+DEALIAS_FRACTION = 2.0 / 3.0
 
 
 class FieldShapeError(ValueError):
@@ -34,7 +36,7 @@ class FieldShapeError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution and dealiasing parameters for the slab grid.
+    """Resolution of the slab grid.
 
     Attributes
     ----------
@@ -43,15 +45,11 @@ class GridSpec:
     n3 : int
         Number of normal intervals, in 8..4096; the lattice carries
         n3 + 1 planes.
-    dealias_fraction : float
-        Fraction of the tangential spectrum retained when products are
-        dealiased.  1.0 disables truncation.
     """
 
     n1: int
     n2: int
     n3: int
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
         for name in ("n1", "n2", "n3"):
@@ -61,10 +59,6 @@ class GridSpec:
             if n < 8 or (n % 2 != 0 and name != "n3"):
                 parity = "" if name == "n3" else "even and "
                 raise ValueError(f"{name} must be {parity}>= 8, got {n}")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError(
-                f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"
-            )
 
     @property
     def h3(self) -> float:
@@ -301,15 +295,11 @@ class Grid:
         return self.apply_symbol(g, self.cached_symbol("inverse_laplacian", build))
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
-        """Truncate the tangential spectrum to the dealias fraction, one axis
+        """Truncate the tangential spectrum to ``DEALIAS_FRACTION``, one axis
         after the other."""
-        frac = self.spec.dealias_fraction
-        if frac >= 1.0:
-            return f
-
         def mask(k):
-            n = len(k)
-            return (np.abs(np.rint(k / (2.0 * np.pi))) <= np.floor(frac * n / 2.0)).astype(float)
+            keep = np.floor(DEALIAS_FRACTION * len(k) / 2.0)
+            return (np.abs(np.rint(k / (2.0 * np.pi))) <= keep).astype(float)
         return self.apply_factor(self.apply_factor(f, 1, "dealias", mask), 2, "dealias", mask)
 
     # ------------------------------------------------------------------

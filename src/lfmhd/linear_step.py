@@ -166,6 +166,12 @@ def trivial_trajectory(
     return traj
 
 
+def acoustic_weight(traj: Trajectory) -> np.ndarray:
+    """The acoustic weight r = Js R'(q) / rho0 at every node, stacked."""
+    q = np.stack([s.q for s in traj.states])
+    return traj.geometry.J_s * traj.eos.rho_p(q) / traj.states[0].rho0
+
+
 @dataclass
 class FrozenSample:
     """Ring coefficients at one node or one step midpoint."""
@@ -184,7 +190,7 @@ class FrozenCoefficients:
     ``node`` reads one node of the frozen iterate ``traj`` in place: the
     smoothed-geometry inverse and Jacobian and the correction field psi
     from its geometry memo, the magnetic field from its state.  The
-    acoustic weight r = Js R'(q) / rho0 is the one array formed here.
+    acoustic weight r (``acoustic_weight``) is the one array formed here.
     ``midpoint`` is the mean of two neighbouring nodes.
     """
 
@@ -193,15 +199,14 @@ class FrozenCoefficients:
 
     @classmethod
     def freeze(cls, traj: Trajectory) -> "FrozenCoefficients":
-        geo = traj.geometry
-        r = geo.J_s * traj.eos.rho_p(np.stack([s.q for s in traj.states])) / traj.states[0].rho0
+        r = acoustic_weight(traj)
         if not r.min() > 0.0:  # NaN fails too
             j = next(j for j in range(len(r)) if not r[j].min() > 0.0)
             raise BreakdownError(
                 f"frozen acoustic weight r must be positive: node {j} "
                 f"(t = {traj.states[j].t:.6g}) has min {r[j].min():.3e}"
             )
-        geo.psi  # built here, on first read, and not inside the advance
+        traj.geometry.psi  # built here, on first read, and not inside the advance
         return cls(traj=traj, r=r)
 
     def node(self, j: int) -> FrozenSample:

@@ -134,8 +134,7 @@ def test_implausible_dims_refused(tmp_path):
             read_fields(path)
 
 
-def test_state_records_diffusivity_and_dealias(tmp_path, state):
-    grid = lfmhd.Grid(lfmhd.GridSpec(8, 8, 8, dealias_fraction=0.5))
+def test_state_records_diffusivity(tmp_path, grid, state):
     eos = lfmhd.EquationOfState(diffusivity=0.5)
     other = FlowState(grid=grid, eos=eos, t=0.25, eta=state.eta, v=state.v,
                       b=state.b, q=state.q, rho0=state.rho0)
@@ -145,7 +144,7 @@ def test_state_records_diffusivity_and_dealias(tmp_path, state):
     assert back.eos == eos
     assert back.grid.spec == grid.spec
     assert back.t == 0.25 and np.array_equal(back.b, state.b)
-    # a state file written before the two settings were recorded reads the defaults
+    # a state file written before the diffusivity was recorded reads the default
     old = tmp_path / "old.ckpt"
     fields = {name: field for name, field in read_fields(path)[1].items()
               if not name.startswith("meta.")}
@@ -248,27 +247,31 @@ def _trajectory_fields(extra):
     return fields
 
 
-def test_trajectory_records_diffusivity_and_dealias(tmp_path):
-    grid = lfmhd.Grid(lfmhd.GridSpec(8, 8, 8, dealias_fraction=0.5))
+def test_trajectory_records_diffusivity(tmp_path, grid):
     eos = lfmhd.EquationOfState(diffusivity=0.25)
     traj = trivial_trajectory(grid, eos, np.ones(grid.shape), kappa=0.1, dt=0.01, nsteps=2)
     path = tmp_path / "t.ckpt"
     write_trajectory(path, traj)
+    assert not any(name.startswith("meta.dealias") for name in read_fields(path)[1])
     back = read_trajectory(path)
     assert back.eos == eos
     assert back.grid.spec == grid.spec
-    # a file written before the two settings were recorded reads the defaults
+    # a file written before the diffusivity was recorded reads the default,
+    # and one that records the dealias fraction every run applies reads too
     old = tmp_path / "old.ckpt"
-    write_fields(old, (8, 8, 8), _trajectory_fields({}))
-    back = read_trajectory(old)
-    assert back.eos == lfmhd.EquationOfState()
-    assert back.grid.spec == lfmhd.GridSpec(8, 8, 8)
+    for extra in ({}, {"meta.dealias_fraction": 2.0 / 3.0}):
+        write_fields(old, (8, 8, 8), _trajectory_fields(extra))
+        back = read_trajectory(old)
+        assert back.eos == lfmhd.EquationOfState()
+        assert back.grid.spec == lfmhd.GridSpec(8, 8, 8)
 
 
 @pytest.mark.parametrize("key,value", [
     ("meta.diffusivity", 0.0), ("meta.diffusivity", np.inf), ("meta.diffusivity", np.nan),
+    # a fraction other than the 2/3 every run applies, which older files record
     ("meta.dealias_fraction", 0.0), ("meta.dealias_fraction", 1.5),
-    ("meta.dealias_fraction", np.nan), ("meta.nodes", np.nan), ("meta.nodes", 1.5),
+    ("meta.dealias_fraction", np.nan), ("meta.dealias_fraction", 0.5),
+    ("meta.nodes", np.nan), ("meta.nodes", 1.5),
     ("meta.dt", 0.0), ("meta.kappa", -0.1),
 ])
 def test_out_of_range_recorded_setting_refused(tmp_path, key, value):

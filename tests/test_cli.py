@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import lfmhd
 from lfmhd import cli
-from lfmhd.checkpoint import MAGIC, read_state, read_trajectory, write_trajectory
+from lfmhd.checkpoint import MAGIC, read_fields, read_trajectory, write_fields, write_trajectory
 from lfmhd.linear_step import trivial_trajectory
 from lfmhd.picard import NonContractionError
 from lfmhd.state import PRESETS
@@ -142,9 +142,10 @@ def test_run_says_where_it_leaves_the_a_priori_regime(tmp_path, capsys, preset, 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
     # run has no lemma switch: check-lemmas alone writes lemmas.csv; the
-    # gauge bound, the CFL factor and the snapshot stride are constants
+    # gauge bound, the CFL factor, the snapshot stride and the dealias
+    # fraction are constants
     for key in ("scheme.kapa", "diagnostics.lemma_suite", "physics.epsilon",
-                "scheme.cfl_safety", "outputs.snapshot_stride"):
+                "scheme.cfl_safety", "outputs.snapshot_stride", "grid.dealias_fraction"):
         cfg = write_cfg(tmp_path, tmp_path / "out", extra=f"{key} = on\n")
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
         assert f"unknown key '{key}'" in capsys.readouterr().err
@@ -342,23 +343,21 @@ def test_check_lemmas_runs_the_suite_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("extra", [
     "",
-    # a field that diffuses, at settings the reader once replaced by 1.0 and 2/3
-    SMALL + "data.preset = magnetic-tube\nphysics.diffusivity = 0.5\n"
-    "grid.dealias_fraction = 0.5\n",
+    # a field that diffuses, at a diffusivity the reader once replaced by 1.0
+    SMALL + "data.preset = magnetic-tube\nphysics.diffusivity = 0.5\n",
 ], ids=["defaults", "recorded-settings"])
 def test_energy_report_matches_run_output(tmp_path, capsys, extra):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, out, extra="outputs.checkpoint = on\n" + extra)
     assert cli.main(["run", cfg]) == 0
+    # the trajectory is the one checkpoint: its last snapshot is the final state
+    assert sorted(p.name for p in out.iterdir()) == [
+        "energy.csv", "iteration.csv", "residuals.csv", "trajectory.ckpt"]
     ckpt = out / "trajectory.ckpt"
-    assert ckpt.exists() and (out / "final_state.ckpt").exists()
     rep = tmp_path / "rep"
     assert cli.main(["energy-report", str(ckpt), "--out", str(rep)]) == 0
     assert (rep / "energy.csv").read_bytes() == (out / "energy.csv").read_bytes()
     assert "final E_total" in capsys.readouterr().out
-    # the final state reads back at the run's settings too
-    final, traj = read_state(out / "final_state.ckpt"), read_trajectory(ckpt)
-    assert (final.eos, final.grid.spec) == (traj.eos, traj.grid.spec)
 
 
 def test_energy_report_rejects_garbage(tmp_path, capsys):
@@ -404,24 +403,61 @@ def test_energy_report_refuses_non_finite_field(tmp_path, capsys, grid_small, eo
     assert not rep.exists()
 
 
-def test_energy_report_refuses_a_non_finite_cell(tmp_path, capsys):
-    # finite fields whose energies overflow: the table is refused, not written
+def _tube_checkpoint(tmp_path, capsys):
+    """The trajectory checkpoint of an 8^3 magnetic-tube run."""
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, out, extra=SMALL + "data.preset = magnetic-tube\n"
                     "outputs.checkpoint = on\n")
     assert cli.main(["run", cfg]) == 0
-    traj = read_trajectory(out / "trajectory.ckpt")
-    for s in traj.states:
-        s.v *= 1e200
-    path = tmp_path / "fast.ckpt"
-    write_trajectory(path, traj)
     capsys.readouterr()
+    return out / "trajectory.ckpt"
+
+
+def _scaled_energy_report(tmp_path, capsys, name, factor):
+    """energy-report on the tube checkpoint with field ``name`` of every state
+    scaled by ``factor``: (exit code, stderr, RuntimeWarnings raised)."""
+    traj = read_trajectory(_tube_checkpoint(tmp_path, capsys))
+    for s in traj.states:
+        setattr(s, name, getattr(s, name) * factor)
+    path = tmp_path / "scaled.ckpt"
+    write_trajectory(path, traj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["energy-report", str(path), "--out", str(tmp_path / "rep")])
+    return code, capsys.readouterr().err, [w for w in caught
+                                           if issubclass(w.category, RuntimeWarning)]
+
+
+def test_energy_report_refuses_a_non_finite_cell(tmp_path, capsys):
+    # finite fields whose energies overflow: the table is refused, not
+    # written, and the refusal is the one line on stderr
+    code, err, warned = _scaled_energy_report(tmp_path, capsys, "v", 1e200)
+    assert code == cli.EXIT_BREAKDOWN and warned == []
     rep = tmp_path / "rep"
-    with np.errstate(all="ignore"):
-        assert cli.main(["energy-report", str(path), "--out", str(rep)]) == cli.EXIT_BREAKDOWN
-    err = capsys.readouterr().err
-    assert err.startswith(f"numerical breakdown: {rep / 'energy.csv'}: column E_total of row 1 is ")
+    assert err == (f"numerical breakdown: {rep / 'energy.csv'}: column E_total of row 1 "
+                   "is inf, not a finite number; the table is not written\n")
     assert not (rep / "energy.csv").exists()
+
+
+def test_energy_report_refuses_an_overflowing_map(tmp_path, capsys):
+    # a finite map whose Jacobian overflows is refused as degenerate, in one line
+    code, err, warned = _scaled_energy_report(tmp_path, capsys, "eta", 1e160)
+    assert code == cli.EXIT_DEGENERATE and warned == []
+    assert re.fullmatch(r"degenerate map: flow map degenerate: det = \S+ at lattice index "
+                        r"\(\d+, \d+, \d+\), y = \([^)]*\)\n", err), err
+
+
+def test_energy_report_refuses_a_second_reference_density(tmp_path, capsys):
+    # each state would otherwise carry its own rho0, while the audits read node 0's
+    path = _tube_checkpoint(tmp_path, capsys)
+    dims, fields = read_fields(path)
+    fields["snap002.rho0"] = 2.0 * fields["snap002.rho0"]
+    write_fields(path, dims, fields)
+    rep = tmp_path / "rep"
+    assert cli.main(["energy-report", str(path), "--out", str(rep)]) == cli.EXIT_CHECKPOINT
+    assert capsys.readouterr().err == (f"checkpoint error: {path}: snapshot 2 holds a reference "
+                                       "density rho0 that differs from snapshot 0's\n")
+    assert not rep.exists()
 
 
 def test_cli_imports_no_scipy():
@@ -482,17 +518,6 @@ def test_diffusion_stall_exit_code(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", cfg]) == cli.EXIT_DIFFUSION
     err = capsys.readouterr().err
     assert err.startswith("diffusion solve stalled:") and "target 1.0e-30" in err
-
-
-def test_rounding_noise_field_component_is_solved(tmp_path, capsys):
-    # at this dealias fraction a component of b is rounding noise (norm
-    # about 4e-21); its diffusion solve converges instead of reporting a
-    # Krylov breakdown (exit 8)
-    out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, out, extra=SMALL + "data.preset = magnetic-tube\n"
-                    "grid.dealias_fraction = 0.45\n")
-    assert cli.main(["run", cfg]) == 0, capsys.readouterr().err
-    assert (out / "residuals.csv").exists()
 
 
 def test_numerical_breakdown_exit_code(tmp_path, capsys, monkeypatch):
@@ -560,31 +585,27 @@ def _documented_exit(command, extra, names, text_columns=()):
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(preset=st.sampled_from(PRESETS), amplitude=_log_uniform(1e-4, 0.5),
-       kappa=_log_uniform(1e-3, 1.0), dealias=st.floats(0.2, 1.0),
+       kappa=_log_uniform(1e-3, 1.0),
        diffusivity=st.floats(0.05, 4.0), c0=_log_uniform(1e-3, 100.0),
        max_iter=st.integers(3, 6))
 # the derandomized draw follows the test's source, so the exits the c0 range
 # is there to reach are pinned: 3 in the narrow band of c0 (about 22 to 35 on
 # quiescent data) where the CFL gate refuses first, and 5 above it
-@example(preset="quiescent", amplitude=0.1, kappa=0.1, dealias=2 / 3, diffusivity=1.0,
-         c0=30.0, max_iter=6)
-@example(preset="magnetic-tube", amplitude=0.1, kappa=0.1, dealias=2 / 3, diffusivity=1.0,
-         c0=100.0, max_iter=6)
+@example(preset="quiescent", amplitude=0.1, kappa=0.1, diffusivity=1.0, c0=30.0, max_iter=6)
+@example(preset="magnetic-tube", amplitude=0.1, kappa=0.1, diffusivity=1.0, c0=100.0, max_iter=6)
 # c0 = 0 is pinned rather than drawn: quiescent data are then all zero and
 # run (exit 0), while acoustic data have no Taylor margin (exit 2)
-@example(preset="quiescent", amplitude=0.1, kappa=0.1, dealias=2 / 3, diffusivity=1.0,
-         c0=0.0, max_iter=6)
-@example(preset="acoustic", amplitude=0.1, kappa=0.1, dealias=2 / 3, diffusivity=1.0,
-         c0=0.0, max_iter=6)
+@example(preset="quiescent", amplitude=0.1, kappa=0.1, diffusivity=1.0, c0=0.0, max_iter=6)
+@example(preset="acoustic", amplitude=0.1, kappa=0.1, diffusivity=1.0, c0=0.0, max_iter=6)
 def test_run_of_any_accepted_config_exits_with_a_documented_code(
-        preset, amplitude, kappa, dealias, diffusivity, c0, max_iter):
+        preset, amplitude, kappa, diffusivity, c0, max_iter):
     # BASE runs T = 2 dt; SMALL puts it on the 8^3 lattice.  There a run
     # leaves the a priori regime from c0 = 1 on quiescent data and at any c0
     # on acoustic data, and exits 3 or 5 from about c0 = 10 on
     extra = SMALL + (
         f"data.preset = {preset}\ndata.amplitude = {amplitude!r}\nscheme.kappa = {kappa!r}\n"
-        f"grid.dealias_fraction = {dealias!r}\nphysics.diffusivity = {diffusivity!r}\n"
-        f"physics.c0 = {c0!r}\nscheme.picard_max_iter = {max_iter}\n"
+        f"physics.diffusivity = {diffusivity!r}\nphysics.c0 = {c0!r}\n"
+        f"scheme.picard_max_iter = {max_iter}\n"
     )
     tables, err = _documented_exit("run", extra,
                                    ("energy.csv", "iteration.csv", "residuals.csv"))
@@ -659,8 +680,7 @@ def test_energy_report_output_below_a_file_exit_code(tmp_path, capsys, grid_smal
     assert err.startswith("output error: ") and str(out) in err
 
 
-@pytest.mark.parametrize("artifact", ["iteration.csv", "energy.csv", "trajectory.ckpt",
-                                      "final_state.ckpt"])
+@pytest.mark.parametrize("artifact", ["iteration.csv", "energy.csv", "trajectory.ckpt"])
 def test_unwritable_artifact_exit_code(tmp_path, capsys, artifact):
     # a directory where the artifact goes: the write itself fails
     out = tmp_path / "out"

@@ -15,7 +15,6 @@ CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 def test_empty_text_gives_defaults():
     cfg = parse_config("")
     assert cfg.grid.n1 == 16 and cfg.grid.n2 == 16 and cfg.grid.n3 == 16
-    assert cfg.grid.dealias_fraction == pytest.approx(2.0 / 3.0)
     assert cfg.physics.diffusivity == 1.0
     assert cfg.physics.c0 == 0.25
     assert cfg.scheme.kappa == 0.1
@@ -101,8 +100,6 @@ def test_bad_value_reports_key_and_line():
     # the bound the checkpoint reader applies to header dims
     ("grid.n1 = 100000", r"grid\.n1 must be <= 4096, got 100000"),
     ("grid.n3 = 4097", r"grid\.n3 must be <= 4096"),
-    ("grid.dealias_fraction = 0", "dealias_fraction"),
-    ("grid.dealias_fraction = 1.5", "dealias_fraction"),
     ("physics.diffusivity = -1", "diffusivity"),
     ("physics.c0 = -0.1", "c0"),
     ("scheme.kappa = 0", "kappa"),
@@ -111,10 +108,12 @@ def test_bad_value_reports_key_and_line():
     ("scheme.dt = 0", "dt"),
     ("scheme.T = -0.1", "T"),
     ("scheme.picard_max_iter = 0", "picard_max_iter"),
-    # the CFL factor and the snapshot stride are constants now: naming
-    # either key is refused as unknown, whatever the value
+    # the CFL factor, the snapshot stride and the dealias fraction are
+    # constants now: naming any of the keys is refused as unknown, whatever
+    # the value
     ("scheme.cfl_safety = 1.2", "cfl_safety"),
     ("outputs.snapshot_stride = 0", "snapshot_stride"),
+    ("grid.dealias_fraction = 0.5", r"unknown key 'grid\.dealias_fraction'"),
     # below the rounding floor of the diffusion solve's residual
     ("scheme.diffusion_tol = 1e-17", r"scheme\.diffusion_tol must be >= 1e-14, the rounding floor"),
     ("data.preset = vortex", "preset"),
@@ -125,7 +124,6 @@ def test_bad_value_reports_key_and_line():
     ("scheme.kappa = inf", r"scheme\.kappa: not a finite number"),
     ("data.amplitude = inf", r"data\.amplitude: not a finite number"),
     ("scheme.dt = nan", r"scheme\.dt: not a finite number"),
-    ("grid.dealias_fraction = -inf", r"grid\.dealias_fraction: not a finite number"),
     ("scheme.kappa_list = inf 0.2", r"scheme\.kappa_list: not a finite number"),
 ])
 def test_range_validation(line, fragment):

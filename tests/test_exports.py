@@ -7,8 +7,8 @@ of ``src/lfmhd`` has a caller other than a unit test: the library
 itself, a demo, an acceptance test of a paper claim, or the benchmark.
 So the root cannot grow a name nobody reaches through it, and an entry
 point that only its own unit test calls fails here.  The same rule holds
-for options: every defaulted parameter of a function is set by some call.
-And for records: every dataclass field is read by some code other than a
+for options: every defaulted parameter of a function is set by some call,
+and left at its default by some other.  And for records: every dataclass field is read by some code other than a
 unit test.
 """
 
@@ -111,16 +111,31 @@ def _calls(tree: ast.Module):
             yield name, len(node.args), {k.arg for k in node.keywords}, unpacks
 
 
-def test_every_defaulted_parameter_is_set_by_some_call():
+def _defaulted_parameter_calls():
+    """(parameter label, [whether the call may set it, per call]) of every
+    defaulted parameter; a call that unpacks arguments may set it."""
     calls = {}
     for path in CALLERS:
         for name, *call in _calls(ast.parse(path.read_text())):
             calls.setdefault(name, []).append(call)
-    unset = [f"{path.stem}.{func}({param}=)" for path in MODULES
-             for func, param, pos in _defaulted_parameters(ast.parse(path.read_text()))
-             if not any(unpacks or param in keywords or (pos is not None and count > pos)
-                        for count, keywords, unpacks in calls.get(func, []))]
+    for path in MODULES:
+        for func, param, pos in _defaulted_parameters(ast.parse(path.read_text())):
+            yield f"{path.stem}.{func}({param}=)", [
+                (unpacks, param in keywords or (pos is not None and count > pos))
+                for count, keywords, unpacks in calls.get(func, [])]
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    unset = [label for label, sets in _defaulted_parameter_calls()
+             if not any(unpacks or named for unpacks, named in sets)]
     assert unset == [], f"defaulted parameters no call sets: {unset}"
+
+
+def test_every_default_is_relied_on_by_some_call():
+    # a default that every call overrides is a required parameter in disguise
+    always = [label for label, sets in _defaulted_parameter_calls()
+              if sets and all(named and not unpacks for unpacks, named in sets)]
+    assert always == [], f"defaulted parameters every call sets: {always}"
 
 
 # where a record field may be read: everything but the unit tests

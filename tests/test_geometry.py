@@ -97,9 +97,9 @@ def test_cov_ops_reduce_to_flat_at_identity(grid16, rng):
 
 def test_cov_curl_annihilates_cov_grad(grid16, rng):
     # curl_a grad_a f = 0 identically (antisymmetrization of a symmetric
-    # second covariant derivative) whenever products are not re-truncated;
-    # with dealiasing it holds on the kept band
-    g = Grid(GridSpec(16, 16, 16, dealias_fraction=1.0))
+    # second covariant derivative); with dealiased products it holds on the
+    # kept band
+    g = grid16
     eta = perturbed_map(g, rng, eps=0.03, band=1)
     cache = build_geometry(g, eta, KAPPA)
     f = random_scalar(g, rng, band=2)

@@ -11,8 +11,6 @@ def test_spec_validation():
         GridSpec(7, 16, 16)  # odd tangential count
     with pytest.raises(ValueError):
         GridSpec(16, 16, 4)  # too few levels
-    with pytest.raises(ValueError):
-        GridSpec(16, 16, 16, dealias_fraction=0.0)
     s = GridSpec(16, 32, 24)
     assert s.shape == (16, 32, 25)
     assert s.h3 == pytest.approx(1.0 / 24)

@@ -24,7 +24,7 @@ from lfmhd.correction import harmonic_extension
 from lfmhd.diagnostics import map_norm
 from lfmhd.fields import perturbed_map
 from lfmhd.geometry import DegenerateMapError, _invert_pointwise, build_geometry, deformation_gradient
-from lfmhd.grid import Grid, GridSpec
+from lfmhd.grid import DEALIAS_FRACTION, Grid, GridSpec
 from lfmhd.linear_step import _flat_preconditioner
 from lfmhd.smoothing import mollify
 
@@ -172,7 +172,7 @@ def test_plane_symbols_match_full_fft(grid, layout):
         gauss = np.exp(-0.5 * power * kappa * kappa * ksq)
         assert _close(mollify(grid, f, kappa, power), _full_apply(grid, f, gauss), 1e-12)
 
-    n1, n2, frac = grid.spec.n1, grid.spec.n2, grid.spec.dealias_fraction
+    n1, n2, frac = grid.spec.n1, grid.spec.n2, DEALIAS_FRACTION
     idx1 = np.abs(np.fft.fftfreq(n1, d=1.0 / n1))
     idx2 = np.abs(np.fft.fftfreq(n2, d=1.0 / n2))
     mask = (idx1[:, None] <= np.floor(frac * n1 / 2.0)) & (idx2[None, :] <= np.floor(frac * n2 / 2.0))
