@@ -18,8 +18,8 @@ import numpy as np
 
 from .checkpoint import CheckpointError, read_trajectory, write_trajectory
 from .config import ConfigError, RunConfig, load_config
-from .diagnostics import (ENERGY_COLUMNS, SMALL_GEOMETRY, EnergyReport, energy_functionals,
-                          lemma_suite)
+from .diagnostics import (ENERGY_COLUMNS, SMALL_GEOMETRY, TRUNCATION_ORDER, EnergyReport,
+                          energy_functionals, lemma_suite)
 from .geometry import DegenerateMapError
 from .grid import Grid
 from .linear_step import BreakdownError, CflError, DiffusionSolveError
@@ -35,6 +35,7 @@ EXIT_NOT_CONVERGED = 7  # Picard hit max_iter; only iteration.csv is written
 EXIT_DIFFUSION = 8
 EXIT_BREAKDOWN = 9
 EXIT_OUTPUT = 10
+EXIT_MEMORY = 11
 
 _UNITS_NOTE = "units: dimensionless reference-slab quantities"
 
@@ -54,6 +55,7 @@ FAILURES = (
     ((DiffusionSolveError,), EXIT_DIFFUSION, "diffusion solve stalled"),
     ((BreakdownError,), EXIT_BREAKDOWN, "numerical breakdown"),
     ((OutputError,), EXIT_OUTPUT, "output error"),
+    ((MemoryError,), EXIT_MEMORY, "out of memory"),
 )
 
 
@@ -126,11 +128,11 @@ def _write_energy_csv(out: Path, report: EnergyReport) -> None:
     )
 
 
-def _write_iteration_csv(out: Path, log: IterationLog, order: int) -> None:
+def _write_iteration_csv(out: Path, log: IterationLog) -> None:
     rows = zip(range(1, len(log.d_history) + 1), log.d_history, [None, *log.ratios()])
     _write_csv(
         out / "iteration.csv",
-        f"{_UNITS_NOTE}; truncation order m = {order}; tol = {_fmt(log.tol)}; "
+        f"{_UNITS_NOTE}; truncation order m = {TRUNCATION_ORDER}; tol = {_fmt(log.tol)}; "
         f"stop = {log.stop_reason}; self_check = {_fmt(log.self_check)}",
         ["iterate", "difference_energy", "ratio"],
         rows,
@@ -147,7 +149,7 @@ def _write_residuals_csv(out: Path, cfg: RunConfig, report: EnergyReport) -> Non
             for j, c in enumerate(cons))
     _write_csv(
         out / "residuals.csv",
-        f"{_UNITS_NOTE}; truncation order m = {cfg.diagnostics.max_time_order}; "
+        f"{_UNITS_NOTE}; truncation order m = {TRUNCATION_ORDER}; "
         "residuals are L2 over the slab",
         header,
         rows,
@@ -172,7 +174,7 @@ def _solver_options(cfg: RunConfig) -> dict:
     """The solver keywords of the config, shared by one solve and the sweep."""
     s = cfg.scheme
     return dict(T=s.T, dt=s.dt, tol=s.picard_tol, max_iter=s.picard_max_iter,
-                truncation_order=cfg.diagnostics.max_time_order, diffusion_tol=s.diffusion_tol)
+                diffusion_tol=s.diffusion_tol)
 
 
 def _solve_from_config(cfg: RunConfig):
@@ -193,12 +195,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     out = _output_directory(cfg.outputs.directory)
     traj, log = _solve_from_config(cfg)
-    order = cfg.diagnostics.max_time_order
-    _write_iteration_csv(out, log, order)
+    _write_iteration_csv(out, log)
     if not log.converged:
         return _not_converged(log)
     # one pass over the nodes fills both tables
-    report = energy_functionals(traj, order=order, residuals=True)
+    report = energy_functionals(traj, residuals=True)
     _write_energy_csv(out, report)
     _write_residuals_csv(out, cfg, report)
     _say_where_the_regime_ends(report, cfg.physics.c0)
@@ -222,7 +223,7 @@ def _cmd_picard_trace(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     out = _output_directory(cfg.outputs.directory)
     traj, log = _solve_from_config(cfg)
-    _write_iteration_csv(out, log, cfg.diagnostics.max_time_order)
+    _write_iteration_csv(out, log)
     print(f"picard-trace: {cfg.data.preset} preset, kappa = {cfg.scheme.kappa}, "
           f"T = {cfg.scheme.T}, dt = {cfg.scheme.dt}")
     print("  iterate  difference_energy      ratio")
@@ -241,7 +242,7 @@ def _cmd_kappa_sweep(args: argparse.Namespace) -> int:
     traj, report = kappa_sweep(init, kappas=cfg.scheme.kappa_list, **_solver_options(cfg))
     _write_csv(
         out / "sweep.csv",
-        f"{_UNITS_NOTE}; truncation order m = {cfg.diagnostics.max_time_order}; "
+        f"{_UNITS_NOTE}; truncation order m = {TRUNCATION_ORDER}; "
         "delta = difference energy sup between consecutive kappa runs",
         ["kappa", "iterations", "d_final", "psi_max", "delta_to_prev"],
         # the first member has no predecessor: its delta cell stays empty
@@ -253,7 +254,7 @@ def _cmd_kappa_sweep(args: argparse.Namespace) -> int:
             if not lg.converged:
                 print(f"not converged: kappa = {kappa}: {lg.stop_reason}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    energy = energy_functionals(traj, order=cfg.diagnostics.max_time_order)
+    energy = energy_functionals(traj)
     _write_energy_csv(out, energy)
     _say_where_the_regime_ends(energy, cfg.physics.c0)
     if cfg.outputs.checkpoint:
@@ -292,15 +293,13 @@ def _cmd_check_lemmas(args: argparse.Namespace) -> int:
 
 
 def _cmd_energy_report(args: argparse.Namespace) -> int:
-    path, order = args.checkpoint, args.order
+    path = args.checkpoint
     traj = read_trajectory(path)
-    if len(traj) < order + 1:
-        raise CheckpointError(
-            f"{path}: {len(traj)} nodes; an order-{order} time derivative "
-            f"needs at least {order + 1}"
-        )
+    if len(traj) < 3:
+        raise CheckpointError(f"{path}: {len(traj)} nodes; the order-{TRUNCATION_ORDER} "
+                              "time derivatives of the energies need at least 3")
     out = _output_directory(args.out)
-    report = energy_functionals(traj, order=order)
+    report = energy_functionals(traj)
     _write_energy_csv(out, report)
     _print_table(f"energy-report: {path}", [
         ("nodes", str(len(traj))),
@@ -338,8 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "energy-report":
             p.add_argument("checkpoint", help="path to a trajectory checkpoint")
             p.add_argument("--out", default=".", help="output directory (default: current)")
-            p.add_argument("--order", type=int, default=2, choices=(1, 2),
-                           help="time-derivative truncation order")
         else:
             p.add_argument("config", help="path to a key = value config file")
     return parser

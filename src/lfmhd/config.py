@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
+from .diagnostics import TRUNCATION_ORDER
 from .grid import GridSpec
 from .linear_step import step_count
 from .state import PRESETS
@@ -76,7 +77,7 @@ class OutputConfig:
 
 @dataclass
 class DiagnosticsConfig:
-    max_time_order: int = 2
+    max_time_order: int = TRUNCATION_ORDER
 
 
 @dataclass
@@ -171,5 +172,7 @@ def _validate(cfg: RunConfig, source: str) -> None:
              f"data.preset must be one of {list(PRESETS)}, got {d.preset!r}")
     _require(d.amplitude >= 0.0, source, "data.amplitude must be nonnegative")
     _require(d.seed >= 0, source, f"data.seed must be >= 0, got {d.seed}")
-    _require(cfg.diagnostics.max_time_order in (1, 2), source,
-             f"diagnostics.max_time_order must be 1 or 2, got {cfg.diagnostics.max_time_order}")
+    # still parsed so that configs naming it keep working; the order is fixed
+    _require(cfg.diagnostics.max_time_order == TRUNCATION_ORDER, source,
+             f"diagnostics.max_time_order must be {TRUNCATION_ORDER}, "
+             f"got {cfg.diagnostics.max_time_order}")

@@ -38,12 +38,16 @@ from .state import taylor_sign_margin
 # time differences on snapshot stacks
 
 
+# the highest time-derivative order in the energy sums (the full scale
+# runs to order 4; the desk-scale laboratory stops at 2)
+TRUNCATION_ORDER = 2
+
+
 def _require_history(n: int, order: int) -> None:
-    if n < order + 1:
-        raise ValueError(
-            f"insufficient history: order-{order} time derivative needs at least "
-            f"{order + 1} snapshots, got {n}"
-        )
+    # every stencil of order 1 or 2 reads three nodes
+    if order and n < 3:
+        raise ValueError(f"insufficient history: order-{order} time derivative needs "
+                         f"at least 3 snapshots, got {n}")
     if order not in (0, 1, 2):
         raise ValueError(f"time derivative order must be 0, 1 or 2, got {order}")
 
@@ -52,15 +56,13 @@ def time_difference(row, n: int, j: int, dt: float, order: int) -> np.ndarray:
     """Row j of the discrete d/dt of an n-node sequence whose node k is row(k).
 
     Second order where possible: centered inside, one-sided at the ends;
-    with exactly order + 1 nodes the end rows fall back to the interior
+    with exactly three nodes the order-2 end rows fall back to the interior
     stencil.  Reads at most four nodes, so no whole-sequence stack is needed.
     """
     if order == 0:
         return row(j)
     _require_history(n, order)
     if order == 1:
-        if n == 2:
-            return (row(1) - row(0)) / dt
         if j == 0:
             return (-3.0 * row(0) + 4.0 * row(1) - row(2)) / (2.0 * dt)
         if j == n - 1:
@@ -138,12 +140,12 @@ def _check_comparable(t1: Trajectory, t2: Trajectory) -> None:
         )
 
 
-def difference_energy(t1: Trajectory, t2: Trajectory, order: int = 2) -> np.ndarray:
+def difference_energy(t1: Trajectory, t2: Trajectory) -> np.ndarray:
     """Order-limited difference energy per time node.
 
-    At each node this sums, over k = 0..order, the squared H^k norms of
-    the (order - k)-th time differences of [v], [b], [q], plus the
-    squared H^order norm of the map difference [eta].
+    At each node this sums, over k = 0..m with m = ``TRUNCATION_ORDER``,
+    the squared H^k norms of the (m - k)-th time differences of [v], [b],
+    [q], plus the squared H^m norm of the map difference [eta].
     """
     _check_comparable(t1, t2)
     grid, dt = t1.grid, t1.dt
@@ -152,10 +154,10 @@ def difference_energy(t1: Trajectory, t2: Trajectory, order: int = 2) -> np.ndar
     pairs = list(zip(t1.states, t2.states))
     for name in ("v", "b", "q"):
         diffs = [getattr(s1, name) - getattr(s2, name) for s1, s2 in pairs]
-        for row in _time_energies(grid, diffs, dt, order):
+        for row in _time_energies(grid, diffs, dt, TRUNCATION_ORDER):
             total += row
     for j, (s1, s2) in enumerate(pairs):
-        total[j] += grid.norm(s1.eta - s2.eta, order) ** 2
+        total[j] += grid.norm(s1.eta - s2.eta, TRUNCATION_ORDER) ** 2
     return total
 
 
@@ -204,15 +206,16 @@ def small_geometry_norm(grid: Grid, a_s: np.ndarray, J_s: np.ndarray) -> float:
 
 # an overflow shows as a non-finite cell, which the table writers refuse
 @np.errstate(all="ignore")
-def energy_functionals(traj: Trajectory, order: int = 2, residuals: bool = False) -> EnergyReport:
+def energy_functionals(traj: Trajectory, order: int = TRUNCATION_ORDER,
+                       residuals: bool = False) -> EnergyReport:
     """Tabulate the truncated energy scale, the physical energy balance and
     the constraints along a trajectory, in one pass over its nodes.
 
     ``order`` is the highest time-derivative order entering the interior
-    sums (the full scale would run to order 4; the desk-scale default
-    stops at 2 and the report header says so).  With ``residuals`` the
-    pass also fills ``EnergyReport.residuals`` with the defects of the
-    evolution equations, contracted from the same per-node tables.
+    sums; the readers that need no time energy pass 0, and the report
+    header names the order.  With ``residuals`` the pass also fills
+    ``EnergyReport.residuals`` with the defects of the evolution
+    equations, contracted from the same per-node tables.
     """
     grid, dt, kappa = traj.grid, traj.dt, traj.kappa
     n = len(traj)

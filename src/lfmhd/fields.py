@@ -12,7 +12,6 @@ def random_scalar(
     rng: np.random.Generator,
     band: int = 3,
     n3_modes: int = 2,
-    amplitude: float = 1.0,
 ) -> np.ndarray:
     """Smooth random interior scalar, band-limited tangentially.
 
@@ -38,7 +37,7 @@ def random_scalar(
                     2.0 * np.pi * (k1 * Y1 + k2 * Y2) + phase
                 )
         out += prof * plane / (1.0 + m * m)
-    return amplitude * out
+    return out
 
 
 def random_vector(grid: Grid, rng: np.random.Generator, **kw) -> np.ndarray:
@@ -75,7 +74,7 @@ def perturbed_map(
     Y3 = grid.y3[None, None, :]
     eta = grid.identity_map.copy()
     for alpha in range(3):
-        pert = random_scalar(grid, rng, band=band, n3_modes=1, amplitude=1.0)
+        pert = random_scalar(grid, rng, band=band, n3_modes=1)
         scale = np.max(np.abs(pert))
         pert = pert / scale if scale > 0 else pert
         if alpha == 2:

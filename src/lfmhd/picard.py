@@ -81,15 +81,14 @@ def solve_nonlinear_kappa(
     dt: float,
     tol: float = 1e-8,
     max_iter: int = 12,
-    truncation_order: int = 2,
     diffusion_tol: float = 1e-9,
 ) -> tuple[Trajectory, IterationLog]:
     """Iterate frozen-coefficient solves on ``init``'s grid to a fixed point.
 
     Stops when the sup-in-time difference energy d_n between consecutive
-    iterates (order ``truncation_order``) falls below tol * (1 + d_1),
-    checked from the second iterate on.  Three consecutive increases of
-    d_n raise :class:`NonContractionError`, and a non-finite d_n raises
+    iterates falls below tol * (1 + d_1), checked from the second iterate
+    on.  Three consecutive increases of d_n raise
+    :class:`NonContractionError`, and a non-finite d_n raises
     :class:`BreakdownError` naming the iterate.  A converged trajectory is
     taken through one more iterate and its d_{n+1} stored in the log as
     the self-check, so the fixed point is certified self-consistent; that
@@ -106,7 +105,7 @@ def solve_nonlinear_kappa(
                                   diffusion_tol=diffusion_tol)
         traj.start_geometry = start
         with np.errstate(all="ignore"):  # the next line checks d_n
-            d_n = float(np.max(difference_energy(traj, prev, truncation_order)))
+            d_n = float(np.max(difference_energy(traj, prev)))
         if not np.isfinite(d_n):  # it would fail every convergence comparison
             raise BreakdownError(
                 f"picard iterate {n}: difference energy d_{n} = {d_n} is not finite; "
@@ -174,7 +173,6 @@ def kappa_sweep(init: FlowState, kappas: list[float], T: float, dt: float,
     if any(a <= b for a, b in zip(kappas, kappas[1:])):
         raise ValueError(f"kappas must be strictly descending, got {kappas}")
 
-    order = kwargs.get("truncation_order", 2)
     logs: list[IterationLog] = []
     psi_max: list[float] = []
     deltas: list[float] = []
@@ -187,5 +185,5 @@ def kappa_sweep(init: FlowState, kappas: list[float], T: float, dt: float,
         logs.append(logbook)
         psi_max.append(max_correction_norm(traj))
         if prev is not None:
-            deltas.append(float(np.max(difference_energy(prev, traj, order))))
+            deltas.append(float(np.max(difference_energy(prev, traj))))
     return traj, SweepReport(kappas=list(kappas), logs=logs, psi_max=psi_max, deltas=deltas)

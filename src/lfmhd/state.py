@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryCache, build_geometry, cov_div, cov_grad, cov_grad_vector, cov_laplacian
+from .geometry import GeometryCache, build_geometry, cov_div, cov_grad
 from .grid import Grid
 
 PRESETS = ("quiescent", "acoustic", "magnetic-tube")
@@ -81,36 +81,18 @@ def taylor_sign_margin(grad_Q: np.ndarray) -> float:
     return float(min(g3[..., 0].min(), (-g3[..., -1]).min()))
 
 
-def check_compatibility(state: FlowState, cache: GeometryCache, order: int = 0) -> dict[str, float]:
-    """Boundary and constraint residuals at order 0 or 1, by name, in the
-    unsmoothed geometry of ``cache``.
-
-    Order 0: q and b vanish on the walls (``q_wall_sup``, ``b_wall_sup``),
-    div_a b vanishes in the bulk (``div_b_norm``).  Order 1 adds the
-    quantities forced by the evolution at t = 0: the continuity trace
-    div_a v on the walls (``div_v_wall_sup``) and the heat-equation trace
-    of b there (``heat_trace_sup``; with b = 0 on the walls the transport
-    terms drop out).
+def check_compatibility(state: FlowState, cache: GeometryCache) -> dict[str, float]:
+    """Order-0 boundary and constraint residuals, by name, in the
+    unsmoothed geometry of ``cache``: q and b vanish on the walls
+    (``q_wall_sup``, ``b_wall_sup``), div_a b vanishes in the bulk
+    (``div_b_norm``).
     """
-    if order not in (0, 1):
-        raise ValueError(f"compatibility order must be 0 or 1, got {order}")
-    grid, a = state.grid, cache.a
-    gb = grid.gradient(state.b)
-    out = {
+    grid = state.grid
+    return {
         "q_wall_sup": float(np.abs(grid.boundary_slices(state.q)).max()),
         "b_wall_sup": float(np.abs(grid.boundary_slices(state.b)).max()),
-        "div_b_norm": grid.low_norm(cov_div(grid, a, gb)),
+        "div_b_norm": grid.low_norm(cov_div(grid, cache.a, grid.gradient(state.b))),
     }
-    if order == 1:
-        gv = grid.gradient(state.v)
-        div_v = cov_div(grid, a, gv)
-        out["div_v_wall_sup"] = float(np.abs(grid.boundary_slices(div_v)).max())
-        lap_b = cov_laplacian(grid, a, cov_grad_vector(grid, a, gb))
-        Gv = cov_grad_vector(grid, a, gv)
-        transport = np.einsum("a...,al...->l...", state.b, Gv) - state.b * div_v
-        trace = grid.boundary_slices(state.eos.diffusivity * lap_b + transport)
-        out["heat_trace_sup"] = float(np.abs(trace).max())
-    return out
 
 
 def admit(state: FlowState, cache: GeometryCache, c0: float = 0.0) -> None:
@@ -162,7 +144,7 @@ def make_initial_data(
 
     * ``quiescent``: tangential modulation of the background head only;
     * ``acoustic``: quiescent plus a low-mode velocity with nonzero
-      divergence (order-1 compatibility intentionally not satisfied);
+      divergence, so div_a v does not vanish on the walls;
     * ``magnetic-tube``: velocity-free, with b the tangential curl of a
       vector potential whose normal profile (4 y3 (1 - y3))^3 vanishes to
       second order at the walls; div b vanishes identically.

@@ -176,6 +176,19 @@ def test_unlisted_failure_exits_1_naming_its_type(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err == "error: KeyError: 'x'\n"
 
 
+def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    # numpy's message names the shape it could not allocate
+    def boom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array with shape "
+                          "(512, 512, 513) and data type float64")
+
+    monkeypatch.setattr(cli, "make_initial_data", boom)
+    out = tmp_path / "out"
+    assert cli.main(["run", write_cfg(tmp_path, out, extra=SMALL)]) == cli.EXIT_MEMORY
+    assert capsys.readouterr().err == ("out of memory: Unable to allocate 1.00 GiB for an array "
+                                       "with shape (512, 512, 513) and data type float64\n")
+
+
 def test_picard_trace_prints_iterates(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["picard-trace", write_cfg(tmp_path, out)]) == 0
@@ -374,20 +387,25 @@ def test_missing_checkpoint_exit_code(tmp_path, capsys):
     assert "checkpoint error" in err and "nonexistent.ckpt" in err
 
 
-@pytest.mark.parametrize("nodes,order", [(1, 2), (2, 2), (1, 1)])
-def test_energy_report_refuses_short_trajectory(tmp_path, capsys, grid_small, eos,
-                                                nodes, order):
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_energy_report_refuses_short_trajectory(tmp_path, capsys, grid_small, eos, nodes):
     rho0 = np.full(grid_small.shape, eos.rho(0.0))
     traj = trivial_trajectory(grid_small, eos, rho0, 0.1, 0.0125, nodes - 1)
     path = tmp_path / "short.ckpt"
     write_trajectory(path, traj)
     rep = tmp_path / "rep"
-    code = cli.main(["energy-report", str(path), "--out", str(rep), "--order", str(order)])
-    assert code == cli.EXIT_CHECKPOINT
-    err = capsys.readouterr().err
-    assert err.startswith("checkpoint error:")
-    assert f"{nodes} nodes" in err and f"order-{order}" in err
+    assert cli.main(["energy-report", str(path), "--out", str(rep)]) == cli.EXIT_CHECKPOINT
+    assert capsys.readouterr().err == (f"checkpoint error: {path}: {nodes} nodes; the order-2 "
+                                       "time derivatives of the energies need at least 3\n")
     assert not rep.exists()
+
+
+def test_energy_report_has_no_order_option(tmp_path, capsys):
+    # the truncation order is fixed: the former flag is an argparse error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["energy-report", str(tmp_path / "any.ckpt"), "--order", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order 2" in capsys.readouterr().err
 
 
 def test_energy_report_refuses_non_finite_field(tmp_path, capsys, grid_small, eos):
@@ -648,6 +666,45 @@ def test_kappa_sweep_of_any_kappa_list_exits_with_a_documented_code(preset, kapp
 def test_check_lemmas_of_any_seed_exits_with_a_documented_code(seed):
     _documented_exit("check-lemmas", SMALL + f"data.seed = {seed}\n", ("lemmas.csv",),
                      text_columns=("check", "label"))
+
+
+@pytest.fixture(scope="module")
+def tube_fields(tmp_path_factory):
+    """(dims, fields) of the trajectory checkpoint of an 8^3 magnetic-tube run."""
+    tmp = tmp_path_factory.mktemp("tube")
+    cfg = write_cfg(tmp, tmp / "out", extra=SMALL + "data.preset = magnetic-tube\n"
+                    "outputs.checkpoint = on\n")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["run", cfg]) == 0
+    return read_fields(tmp / "out" / "trajectory.ckpt")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["eta1", "v1", "b2", "q", "rho0"]), exponent=st.floats(0.0, 300.0))
+@example(name="v1", exponent=200.0)  # the energies overflow: exit 9
+@example(name="eta1", exponent=10.0)  # the map folds over: exit 5
+def test_energy_report_of_any_scaled_field_exits_with_a_documented_code(tube_fields, name,
+                                                                         exponent):
+    # a finite field passes the reader, however large; the report then
+    # exits with a documented code, in one stderr line at most, with no
+    # RuntimeWarning and no non-finite cell
+    dims, fields = tube_fields
+    scaled = {key: value * 10.0 ** exponent if key.endswith("." + name) else value
+              for key, value in fields.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, rep = Path(tmp) / "scaled.ckpt", Path(tmp) / "rep"
+        write_fields(path, dims, scaled)
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO()) as err):
+            warnings.simplefilter("always")
+            code = cli.main(["energy-report", str(path), "--out", str(rep)])
+        cells = ([cell for line in (rep / "energy.csv").read_text().splitlines()[2:]
+                  for cell in line.split(",")] if code == 0 else [])
+    assert code in DOCUMENTED_EXITS
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert all(np.isfinite(float(cell)) for cell in cells if cell != "")
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ def test_empty_text_gives_defaults():
     assert cfg.data.preset == "quiescent"
     assert cfg.outputs.checkpoint is False
     assert cfg.diagnostics.max_time_order == 2
+    assert parse_config("diagnostics.max_time_order = 2").diagnostics.max_time_order == 2
 
 
 def test_overrides_comments_and_blank_lines():
@@ -118,7 +119,9 @@ def test_bad_value_reports_key_and_line():
     ("scheme.diffusion_tol = 1e-17", r"scheme\.diffusion_tol must be >= 1e-14, the rounding floor"),
     ("data.preset = vortex", "preset"),
     ("data.amplitude = -0.1", "amplitude"),
+    # the truncation order is fixed at 2; the key is parsed only for that value
     ("diagnostics.max_time_order = 3", "max_time_order"),
+    ("diagnostics.max_time_order = 1", r"diagnostics\.max_time_order must be 2, got 1"),
     ("data.seed = -1", "data.seed must be >= 0"),
     ("physics.c0 = inf", r"physics\.c0: not a finite number"),
     ("scheme.kappa = inf", r"scheme\.kappa: not a finite number"),

@@ -7,9 +7,10 @@ of ``src/lfmhd`` has a caller other than a unit test: the library
 itself, a demo, an acceptance test of a paper claim, or the benchmark.
 So the root cannot grow a name nobody reaches through it, and an entry
 point that only its own unit test calls fails here.  The same rule holds
-for options: every defaulted parameter of a function is set by some call,
-and left at its default by some other.  And for records: every dataclass field is read by some code other than a
-unit test.
+for options: every defaulted parameter of a function is set to another
+value by some call other than a unit test, and left at its default by
+some call.  And for records: every dataclass field is read by some code
+other than a unit test.
 """
 
 import ast
@@ -83,9 +84,9 @@ CALLERS = (
 
 
 def _defaulted_parameters(tree: ast.Module):
-    """(function, parameter, position) of every defaulted parameter of a
-    function or method; position counts the positional arguments a call
-    passes (self and cls aside), and is None for a keyword-only one."""
+    """(function, parameter, position, default) of every defaulted parameter
+    of a function or method; position counts the positional arguments a
+    call passes (self and cls aside), and is None for a keyword-only one."""
     methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
                if isinstance(f, ast.FunctionDef)
                and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)}
@@ -94,47 +95,60 @@ def _defaulted_parameters(tree: ast.Module):
             continue
         positional = f.args.posonlyargs + f.args.args
         skip = 1 if id(f) in methods else 0
-        for i in range(len(positional) - len(f.args.defaults), len(positional)):
-            yield f.name, positional[i].arg, i - skip
+        first = len(positional) - len(f.args.defaults)
+        for i, default in enumerate(f.args.defaults, start=first):
+            yield f.name, positional[i].arg, i - skip, default
         for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
             if default is not None:
-                yield f.name, arg.arg, None
+                yield f.name, arg.arg, None, default
 
 
 def _calls(tree: ast.Module):
-    """(called name, positional count, keyword names, unpacks) of every call."""
+    """(called name, positional arguments, keyword arguments by name, unpacks)
+    of every call."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
                        or any(k.arg is None for k in node.keywords))
-            yield name, len(node.args), {k.arg for k in node.keywords}, unpacks
+            yield name, node.args, {k.arg: k.value for k in node.keywords}, unpacks
 
 
 def _defaulted_parameter_calls():
-    """(parameter label, [whether the call may set it, per call]) of every
-    defaulted parameter; a call that unpacks arguments may set it."""
+    """(parameter label, default, [(caller path, unpacks, the argument the
+    call passes for it or None), per call]) of every defaulted parameter;
+    a call that unpacks arguments may set it."""
     calls = {}
     for path in CALLERS:
-        for name, *call in _calls(ast.parse(path.read_text())):
-            calls.setdefault(name, []).append(call)
+        for name, args, keywords, unpacks in _calls(ast.parse(path.read_text())):
+            calls.setdefault(name, []).append((path, args, keywords, unpacks))
     for path in MODULES:
-        for func, param, pos in _defaulted_parameters(ast.parse(path.read_text())):
-            yield f"{path.stem}.{func}({param}=)", [
-                (unpacks, param in keywords or (pos is not None and count > pos))
-                for count, keywords, unpacks in calls.get(func, [])]
+        for func, param, pos, default in _defaulted_parameters(ast.parse(path.read_text())):
+            yield f"{path.stem}.{func}({param}=)", default, [
+                (caller, unpacks, keywords.get(param, args[pos] if pos is not None
+                                                and len(args) > pos else None))
+                for caller, args, keywords, unpacks in calls.get(func, [])]
+
+
+# the callers whose settings count: the package and every caller that is
+# not a unit test
+SETTERS = set(MODULES) | set(OUTSIDE)
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
-    unset = [label for label, sets in _defaulted_parameter_calls()
-             if not any(unpacks or named for unpacks, named in sets)]
-    assert unset == [], f"defaulted parameters no call sets: {unset}"
+    # set means set outside the unit tests, to something other than the
+    # default's own literal
+    unset = [label for label, default, sets in _defaulted_parameter_calls()
+             if not any(caller in SETTERS and (unpacks or (
+                 passed is not None and ast.dump(passed) != ast.dump(default)))
+                 for caller, unpacks, passed in sets)]
+    assert unset == [], f"defaulted parameters no call outside the unit tests sets: {unset}"
 
 
 def test_every_default_is_relied_on_by_some_call():
     # a default that every call overrides is a required parameter in disguise
-    always = [label for label, sets in _defaulted_parameter_calls()
-              if sets and all(named and not unpacks for unpacks, named in sets)]
+    always = [label for label, _, sets in _defaulted_parameter_calls()
+              if sets and all(passed is not None and not unpacks for _, unpacks, passed in sets)]
     assert always == [], f"defaulted parameters every call sets: {always}"
 
 

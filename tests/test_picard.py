@@ -63,9 +63,9 @@ def test_non_finite_difference_energy_raises_breakdown(grid_small, monkeypatch):
     st = make_initial_data(grid_small, "quiescent", amplitude=0.1, seed=3)
     calls = []
 
-    def nan_from_the_second(t1, t2, order=2):
+    def nan_from_the_second(t1, t2):
         calls.append(None)
-        d = difference_energy(t1, t2, order)
+        d = difference_energy(t1, t2)
         return d if len(calls) < 2 else np.full_like(d, np.nan)
 
     monkeypatch.setattr(picard, "difference_energy", nan_from_the_second)
@@ -82,9 +82,9 @@ def test_non_finite_self_check_raises_breakdown(grid_small, monkeypatch):
     n = log.iterations
     calls = []
 
-    def nan_at_the_self_check(t1, t2, order=2):
+    def nan_at_the_self_check(t1, t2):
         calls.append(None)
-        d = difference_energy(t1, t2, order)
+        d = difference_energy(t1, t2)
         return d if len(calls) <= n else np.full_like(d, np.nan)
 
     monkeypatch.setattr(picard, "difference_energy", nan_at_the_self_check)
@@ -100,10 +100,10 @@ def test_no_frozen_coefficients_live_through_a_difference_energy(grid_small, eos
     st = make_initial_data(grid_small, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
     live = []
 
-    def counting(t1, t2, order=2):
+    def counting(t1, t2):
         gc.collect()
         live.append(sum(isinstance(o, FrozenCoefficients) for o in gc.get_objects()))
-        return difference_energy(t1, t2, order)
+        return difference_energy(t1, t2)
 
     monkeypatch.setattr(picard, "difference_energy", counting)
     _, log = solve_nonlinear_kappa(st, KAPPA, T, DT)
