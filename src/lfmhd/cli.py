@@ -31,7 +31,7 @@ EXIT_CFL = 3
 EXIT_NON_CONTRACTION = 4
 EXIT_DEGENERATE = 5
 EXIT_CHECKPOINT = 6
-EXIT_NOT_CONVERGED = 7  # Picard hit max_iter; only iteration.csv is written
+EXIT_NOT_CONVERGED = 7  # Picard hit max_iter; only iteration.csv or sweep.csv is written
 EXIT_DIFFUSION = 8
 EXIT_BREAKDOWN = 9
 EXIT_OUTPUT = 10
@@ -121,7 +121,7 @@ def _write_energy_csv(out: Path, report: EnergyReport) -> None:
     rows = zip(*(report.columns[name] for name in ENERGY_COLUMNS))
     _write_csv(
         out / "energy.csv",
-        f"{_UNITS_NOTE}; truncation order m = {report.truncation_order}; "
+        f"{_UNITS_NOTE}; truncation order m = {TRUNCATION_ORDER}; "
         f"kappa = {_fmt(report.kappa)}; dt = {_fmt(report.dt)}",
         list(ENERGY_COLUMNS),
         rows,
@@ -177,16 +177,6 @@ def _solver_options(cfg: RunConfig) -> dict:
                 diffusion_tol=s.diffusion_tol)
 
 
-def _solve_from_config(cfg: RunConfig):
-    init = _build_problem(cfg)
-    return solve_nonlinear_kappa(init, kappa=cfg.scheme.kappa, **_solver_options(cfg))
-
-
-def _not_converged(log: IterationLog) -> int:
-    print(f"not converged: {log.stop_reason}", file=sys.stderr)
-    return EXIT_NOT_CONVERGED
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -194,10 +184,12 @@ def _not_converged(log: IterationLog) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     out = _output_directory(cfg.outputs.directory)
-    traj, log = _solve_from_config(cfg)
+    init = _build_problem(cfg)
+    traj, log = solve_nonlinear_kappa(init, kappa=cfg.scheme.kappa, **_solver_options(cfg))
     _write_iteration_csv(out, log)
     if not log.converged:
-        return _not_converged(log)
+        print(f"not converged: {log.stop_reason}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     # one pass over the nodes fills both tables
     report = energy_functionals(traj, residuals=True)
     _write_energy_csv(out, report)
@@ -217,20 +209,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ("artifacts", str(out)),
     ])
     return 0
-
-
-def _cmd_picard_trace(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    out = _output_directory(cfg.outputs.directory)
-    traj, log = _solve_from_config(cfg)
-    _write_iteration_csv(out, log)
-    print(f"picard-trace: {cfg.data.preset} preset, kappa = {cfg.scheme.kappa}, "
-          f"T = {cfg.scheme.T}, dt = {cfg.scheme.dt}")
-    print("  iterate  difference_energy      ratio")
-    for i, (d, r) in enumerate(zip(log.d_history, [None, *log.ratios()]), 1):
-        print(f"  {i:7d}  {d:.11e}  {'' if r is None else f'{r:.6f}'}")
-    print(f"  stop: {log.stop_reason}")
-    return 0 if log.converged else _not_converged(log)
 
 
 def _cmd_kappa_sweep(args: argparse.Namespace) -> int:
@@ -319,7 +297,6 @@ def _cmd_energy_report(args: argparse.Namespace) -> int:
 # subcommand -> (help text, handler); the handler takes the parsed command line
 COMMANDS = {
     "run": ("solve one nonlinear fixed point and write all artifacts", _cmd_run),
-    "picard-trace": ("solve and print the per-iterate contraction trace", _cmd_picard_trace),
     "kappa-sweep": ("run the descending smoothing-scale cascade", _cmd_kappa_sweep),
     "check-lemmas": ("measure inequality constants on random corpora", _cmd_check_lemmas),
     "energy-report": ("tabulate energies from a trajectory checkpoint", _cmd_energy_report),

@@ -182,7 +182,6 @@ class EnergyReport:
 
     kappa: float
     dt: float
-    truncation_order: int
     columns: dict[str, np.ndarray] = field(default_factory=dict)
     residuals: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -206,25 +205,21 @@ def small_geometry_norm(grid: Grid, a_s: np.ndarray, J_s: np.ndarray) -> float:
 
 # an overflow shows as a non-finite cell, which the table writers refuse
 @np.errstate(all="ignore")
-def energy_functionals(traj: Trajectory, order: int = TRUNCATION_ORDER,
-                       residuals: bool = False) -> EnergyReport:
+def energy_functionals(traj: Trajectory, residuals: bool = False) -> EnergyReport:
     """Tabulate the truncated energy scale, the physical energy balance and
     the constraints along a trajectory, in one pass over its nodes.
 
-    ``order`` is the highest time-derivative order entering the interior
-    sums; the readers that need no time energy pass 0, and the report
-    header names the order.  With ``residuals`` the pass also fills
-    ``EnergyReport.residuals`` with the defects of the evolution
-    equations, contracted from the same per-node tables.
+    The interior sums run to time-derivative order ``TRUNCATION_ORDER``,
+    so the trajectory needs at least three nodes.  With ``residuals`` the
+    pass also fills ``EnergyReport.residuals`` with the defects of the
+    evolution equations, contracted from the same per-node tables.
     """
     grid, dt, kappa = traj.grid, traj.dt, traj.kappa
     n = len(traj)
-    if residuals:
-        _require_history(n, 2)  # the wave equation reads three nodes
-
     cols: dict[str, np.ndarray] = {name: np.zeros(n) for name in ENERGY_COLUMNS}
     cols["t"] = traj.times
-    Ek = {name: _time_energies(grid, [getattr(s, name) for s in traj.states], dt, order)
+    Ek = {name: _time_energies(grid, [getattr(s, name) for s in traj.states], dt,
+                               TRUNCATION_ORDER)
           for name in ("v", "b", "q")}
     audit = {name: np.empty(n) for name in ("eta", "v", "q", "b", "wave")} if residuals else {}
     weight = acoustic_weight(traj) if residuals else None
@@ -238,17 +233,14 @@ def energy_functionals(traj: Trajectory, order: int = TRUNCATION_ORDER,
     # running and pointwise parts of the heat/wave companions
     hb_run = Ek["b"][0]
     cols["H_run"] = np.concatenate([[0.0], np.cumsum(0.5 * dt * (hb_run[1:] + hb_run[:-1]))])
-    if order == 0:  # no time derivative: both companions are undefined
-        cols["H_b"], cols["W_q"] = np.full(n, np.nan), np.full(n, np.nan)
-    else:
-        cols["H_b"] = Ek["b"][1]
-        cols["W_q"] = Ek["q"][0] + Ek["q"][1]
+    cols["H_b"] = Ek["b"][1]
+    cols["W_q"] = Ek["q"][0] + Ek["q"][1]
 
     # the defect of E(t_j) - E(t_{j-1}) + trapezoid of D over the step
     D = cols["D_diss"]
     cols["balance_residual"][1:] = np.diff(cols["E_phys"]) + 0.5 * dt * (D[1:] + D[:-1])
 
-    return EnergyReport(kappa=kappa, dt=dt, truncation_order=order, columns=cols, residuals=audit)
+    return EnergyReport(kappa=kappa, dt=dt, columns=cols, residuals=audit)
 
 
 def _node_pass(traj: Trajectory, j: int, cols: dict, audit: dict, weight) -> None:
@@ -355,13 +347,13 @@ def physical_energy_balance(traj: Trajectory):
     """Physical energy, resistive dissipation and the step residuals: the
     pass's (E_phys, D_diss, balance_residual) columns; an exact balance
     makes the residual zero."""
-    c = energy_functionals(traj, order=0).columns
+    c = energy_functionals(traj).columns
     return c["E_phys"], c["D_diss"], c["balance_residual"]
 
 
 def constraint_residuals(traj: Trajectory, c0: float | None = None) -> list[dict]:
     """Per-node constraint table of the pass: see ``EnergyReport.constraint_rows``."""
-    return energy_functionals(traj, order=0).constraint_rows(c0)
+    return energy_functionals(traj).constraint_rows(c0)
 
 
 def divergence_monitor(traj: Trajectory, drift_constant: float) -> tuple[np.ndarray, np.ndarray]:
@@ -372,20 +364,20 @@ def divergence_monitor(traj: Trajectory, drift_constant: float) -> tuple[np.ndar
     trips the flag immediately.
     """
     h3 = traj.grid.h3
-    div = energy_functionals(traj, order=0).columns["div_b"]
+    div = energy_functionals(traj).columns["div_b"]
     envelope = 1e-8 + drift_constant * traj.times * (traj.dt + h3 * h3)
     return div, div > envelope
 
 
 def nonlinear_residuals(traj: Trajectory) -> dict[str, np.ndarray]:
     """The pass's four first-order defects per node (``eta``, ``v``, ``q``, ``b``)."""
-    audit = energy_functionals(traj, order=0, residuals=True).residuals
+    audit = energy_functionals(traj, residuals=True).residuals
     return {name: audit[name] for name in ("eta", "v", "q", "b")}
 
 
 def wave_equation_residual(traj: Trajectory) -> np.ndarray:
     """The pass's second-order pressure-head defect per node."""
-    return energy_functionals(traj, order=0, residuals=True).residuals["wave"]
+    return energy_functionals(traj, residuals=True).residuals["wave"]
 
 
 # ----------------------------------------------------------------------

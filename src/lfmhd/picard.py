@@ -93,8 +93,11 @@ def solve_nonlinear_kappa(
     taken through one more iterate and its d_{n+1} stored in the log as
     the self-check, so the fixed point is certified self-consistent; that
     freeze also fills the trajectory's ``geometry``.  T must be a positive
-    integer multiple of dt (ValueError, before any iterate).
+    integer multiple of dt, and max_iter at least 1 (ValueError, before any
+    iterate).
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     nsteps = step_count(T, dt)
     start = _start_geometry(init, kappa)
 
@@ -146,7 +149,7 @@ class SweepReport:
             yield {
                 "kappa": kappa,
                 "iterations": lg.iterations,
-                "d_final": lg.d_history[-1] if lg.d_history else 0.0,
+                "d_final": lg.d_history[-1],
                 "psi_max": self.psi_max[j],
                 "delta_to_prev": self.deltas[j - 1] if j >= 1 else None,
             }

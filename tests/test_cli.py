@@ -71,6 +71,14 @@ def test_run_writes_artifact_set(tmp_path, capsys):
     assert len(rows) == 3  # t = 0, dt, 2 dt
     times = column(header, rows, "t")
     assert times == pytest.approx([0.0, 0.0125, 0.025])
+    # the contraction trace: one row per Picard iterate
+    _, header, rows = read_csv(out / "iteration.csv")
+    assert header == ["iterate", "difference_energy", "ratio"]
+    d = column(header, rows, "difference_energy")
+    assert len(d) >= 2 and d[-1] < 1e-8 * (1.0 + d[0])
+    ratios = column(header, rows, "ratio")
+    assert ratios[0] is None
+    assert all(r is not None and r < 0.5 for r in ratios[1:])
     captured = capsys.readouterr()
     assert "picard iterates" in captured.out
     assert "converged" in captured.out
@@ -189,21 +197,6 @@ def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
                                        "with shape (512, 512, 513) and data type float64\n")
 
 
-def test_picard_trace_prints_iterates(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert cli.main(["picard-trace", write_cfg(tmp_path, out)]) == 0
-    captured = capsys.readouterr().out
-    assert "difference_energy" in captured
-    assert "stop: d_" in captured
-    _, header, rows = read_csv(out / "iteration.csv")
-    assert header == ["iterate", "difference_energy", "ratio"]
-    d = column(header, rows, "difference_energy")
-    assert len(d) >= 2 and d[-1] < 1e-8 * (1.0 + d[0])
-    ratios = column(header, rows, "ratio")
-    assert ratios[0] is None
-    assert all(r is not None and r < 0.5 for r in ratios[1:])
-
-
 def test_max_iter_without_convergence_exit_code(tmp_path, capsys):
     # convergence is checked from the second iterate on, so one never converges
     out = tmp_path / "out"
@@ -214,10 +207,22 @@ def test_max_iter_without_convergence_exit_code(tmp_path, capsys):
     assert comment.endswith("stop = max_iter = 1 reached; self_check = ")
     assert len(rows) == 1
     assert not (out / "energy.csv").exists()
-    assert cli.main(["picard-trace", cfg]) == cli.EXIT_NOT_CONVERGED
-    captured = capsys.readouterr()
-    assert "stop: max_iter = 1 reached" in captured.out
-    assert "max_iter = 1 reached" in captured.err
+
+
+def test_picard_trace_is_not_a_command(tmp_path, capsys):
+    # run writes the same trace to iteration.csv
+    cfg = write_cfg(tmp_path, tmp_path / "out", extra=SMALL)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["picard-trace", cfg])
+    assert exc.value.code == 2
+    assert "invalid choice: 'picard-trace'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_lists_every_command():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    words = re.findall(r"^lfmhd (\S+)", readme.read_text(), flags=re.MULTILINE)
+    assert set(words) == set(cli.COMMANDS), words
 
 
 def test_kappa_sweep_requires_list(tmp_path, capsys):
@@ -601,11 +606,13 @@ def _documented_exit(command, extra, names, text_columns=()):
     return tables, err.getvalue()
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+# max_iter = 1 always exits 7, since convergence is checked from the second
+# iterate on; of the 50 draws, 28 still reach exit 0
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(preset=st.sampled_from(PRESETS), amplitude=_log_uniform(1e-4, 0.5),
        kappa=_log_uniform(1e-3, 1.0),
        diffusivity=st.floats(0.05, 4.0), c0=_log_uniform(1e-3, 100.0),
-       max_iter=st.integers(3, 6))
+       max_iter=st.integers(1, 6))
 # the derandomized draw follows the test's source, so the exits the c0 range
 # is there to reach are pinned: 3 in the narrow band of c0 (about 22 to 35 on
 # quiescent data) where the CFL gate refuses first, and 5 above it
@@ -637,16 +644,6 @@ def test_run_of_any_accepted_config_exits_with_a_documented_code(
     # the regime line appears exactly when some row is flagged
     flags = column(r_header, r_rows, "taylor_ok", int) + column(r_header, r_rows, "small_ok", int)
     assert ("outside the a priori regime from t = " in err) == (0 in flags), err
-
-
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(preset=st.sampled_from(PRESETS), amplitude=_log_uniform(1e-4, 0.5),
-       kappa=_log_uniform(1e-3, 1.0), max_iter=st.integers(1, 6))
-def test_picard_trace_of_any_accepted_config_exits_with_a_documented_code(
-        preset, amplitude, kappa, max_iter):
-    extra = SMALL + (f"data.preset = {preset}\ndata.amplitude = {amplitude!r}\n"
-                     f"scheme.kappa = {kappa!r}\nscheme.picard_max_iter = {max_iter}\n")
-    _documented_exit("picard-trace", extra, ("iteration.csv",))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -718,7 +715,7 @@ def _blocked(tmp_path):
     return blocker / "x"
 
 
-@pytest.mark.parametrize("command", ["run", "picard-trace", "kappa-sweep", "check-lemmas"])
+@pytest.mark.parametrize("command", ["run", "kappa-sweep", "check-lemmas"])
 def test_output_directory_below_a_file_exit_code(tmp_path, capsys, command):
     out = _blocked(tmp_path)
     cfg = write_cfg(tmp_path, out, extra=SMALL + "scheme.kappa_list = 0.2 0.1\n")

@@ -225,9 +225,7 @@ def test_difference_energy_mismatch_rejected(quiescent_run, grid16, eos):
 def test_trivial_trajectory_report(grid16, eos):
     rho0 = np.full(grid16.shape, eos.rho(0.0))
     triv = trivial_trajectory(grid16, eos, rho0, 0.1, 0.0125, 4)
-    rep = energy_functionals(triv)
-    c = rep.columns
-    assert rep.truncation_order == 2
+    c = energy_functionals(triv).columns
     assert c["E_eta4"][0] == pytest.approx(ID4_SQ, rel=1e-13)
     for name in ("E_boundary", "E_v", "E_b", "E_q", "H_run", "H_b", "W_q",
                  "E_phys", "D_diss", "taylor_margin", "small_geometry", "div_b"):
@@ -240,7 +238,11 @@ def test_single_snapshot_insufficient(grid16, eos):
     rho0 = np.full(grid16.shape, eos.rho(0.0))
     one = trivial_trajectory(grid16, eos, rho0, 0.1, 0.0125, 0)
     with pytest.raises(ValueError, match="insufficient history"):
-        energy_functionals(one, order=1)
+        energy_functionals(one)
+    # the readers run the same pass, order-2 time energies included
+    two = trivial_trajectory(grid16, eos, rho0, 0.1, 0.0125, 1)
+    with pytest.raises(ValueError, match="insufficient history"):
+        constraint_residuals(two)
 
 
 def test_quiescent_energy_stays_bounded(quiescent_run):
@@ -412,9 +414,7 @@ def test_residual_audit_takes_one_gradient_of_b_and_v_per_node(magnetic_run, mon
     energy_functionals(magnetic_run)  # no defects, so no gradient of v
     assert sorted(seen) == [(j, name) for j in range(len(states)) for name in ("Q", "b")]
     monkeypatch.undo()
-    audit = energy_functionals(magnetic_run, order=0, residuals=True).residuals
-    for name, col in report.residuals.items():
-        np.testing.assert_array_equal(audit[name], col)
+    audit = report.residuals
     res = nonlinear_residuals(magnetic_run)
     assert set(audit) == set(res) | {"wave"}
     for name in res:
@@ -435,7 +435,7 @@ def test_field_free_audit_takes_one_gradient_per_node_for_v(quiescent_run, monke
         return real(self, f)
 
     monkeypatch.setattr(Grid, "gradient", recording)
-    D = energy_functionals(quiescent_run, order=0, residuals=True).columns["D_diss"]
+    D = energy_functionals(quiescent_run, residuals=True).columns["D_diss"]
     assert seen == [(j, "v") for j in range(len(states))]
     assert D.tobytes() == np.zeros(len(states)).tobytes()
 
@@ -472,11 +472,10 @@ def test_induction_residual_reads_the_diffusivity(grid16, magnetic_run):
 
 
 def test_audit_dissipation_is_the_energy_balance_column(magnetic_run):
-    audited = energy_functionals(magnetic_run, order=0, residuals=True).columns["D_diss"]
-    _, D, _ = physical_energy_balance(magnetic_run)
-    np.testing.assert_array_equal(audited, D)
-    assert D.max() > 0.0
     shared = energy_functionals(magnetic_run, residuals=True).columns
+    _, D, _ = physical_energy_balance(magnetic_run)
+    np.testing.assert_array_equal(shared["D_diss"], D)
+    assert D.max() > 0.0
     for name, col in energy_functionals(magnetic_run).columns.items():
         np.testing.assert_array_equal(shared[name], col, err_msg=name)
 
@@ -574,7 +573,7 @@ def test_frozen_and_audited_psi_is_the_per_node_correction_field(grid_small, eos
         res_eta = [grid.low_norm(time_difference(eta.__getitem__, n, j, traj.dt, 1)
                                  - s.v - want[j])
                    for j, s in enumerate(traj.states)]
-        audit = energy_functionals(traj, order=0, residuals=True).residuals
+        audit = energy_functionals(traj, residuals=True).residuals
         assert audit["eta"].tobytes() == np.array(res_eta).tobytes()
 
 

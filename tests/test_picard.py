@@ -127,6 +127,24 @@ def test_horizon_off_the_lattice_is_refused_before_any_freeze(grid_small, monkey
     assert freezes == []
 
 
+def test_max_iter_below_one_is_refused_before_any_freeze(grid_small, monkeypatch):
+    # no iterate would leave the trivial trajectory, b = 0 even at node 0
+    st = make_initial_data(grid_small, "magnetic-tube", amplitude=0.1, seed=3)
+    freezes = []
+    real = FrozenCoefficients.freeze.__func__
+
+    def counting(cls, traj):
+        freezes.append(None)
+        return real(cls, traj)
+
+    monkeypatch.setattr(FrozenCoefficients, "freeze", classmethod(counting))
+    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+        solve_nonlinear_kappa(st, KAPPA, T, DT, max_iter=0)
+    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+        kappa_sweep(st, (0.2, 0.1), T, DT, max_iter=0)
+    assert freezes == []
+
+
 def test_quiescent_contracts_fast(grid16):
     st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
     traj, log = solve_nonlinear_kappa(st, KAPPA, T, DT)
