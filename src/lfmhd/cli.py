@@ -22,7 +22,7 @@ from .diagnostics import (ENERGY_COLUMNS, SMALL_GEOMETRY, TRUNCATION_ORDER, Ener
                           energy_functionals, lemma_suite)
 from .geometry import DegenerateMapError
 from .grid import Grid
-from .linear_step import BreakdownError, CflError, DiffusionSolveError
+from .linear_step import BreakdownError, CflError, DiffusionSolveError, Trajectory
 from .picard import IterationLog, NonContractionError, kappa_sweep, solve_nonlinear_kappa
 from .state import EquationOfState, InitialDataError, make_initial_data
 
@@ -117,12 +117,12 @@ def _build_problem(cfg: RunConfig):
                              seed=cfg.data.seed, eos=eos, c0=cfg.physics.c0)
 
 
-def _write_energy_csv(out: Path, report: EnergyReport) -> None:
+def _write_energy_csv(out: Path, traj: Trajectory, report: EnergyReport) -> None:
     rows = zip(*(report.columns[name] for name in ENERGY_COLUMNS))
     _write_csv(
         out / "energy.csv",
         f"{_UNITS_NOTE}; truncation order m = {TRUNCATION_ORDER}; "
-        f"kappa = {_fmt(report.kappa)}; dt = {_fmt(report.dt)}",
+        f"kappa = {_fmt(traj.kappa)}; dt = {_fmt(traj.dt)}",
         list(ENERGY_COLUMNS),
         rows,
     )
@@ -192,7 +192,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_NOT_CONVERGED
     # one pass over the nodes fills both tables
     report = energy_functionals(traj, residuals=True)
-    _write_energy_csv(out, report)
+    _write_energy_csv(out, traj, report)
     _write_residuals_csv(out, cfg, report)
     _say_where_the_regime_ends(report, cfg.physics.c0)
     if cfg.outputs.checkpoint:
@@ -233,7 +233,7 @@ def _cmd_kappa_sweep(args: argparse.Namespace) -> int:
                 print(f"not converged: kappa = {kappa}: {lg.stop_reason}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     energy = energy_functionals(traj)
-    _write_energy_csv(out, energy)
+    _write_energy_csv(out, traj, energy)
     _say_where_the_regime_ends(energy, cfg.physics.c0)
     if cfg.outputs.checkpoint:
         _write(out / "trajectory.ckpt", write_trajectory, traj)
@@ -254,17 +254,17 @@ def _cmd_check_lemmas(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     out = _output_directory(cfg.outputs.directory)
     grid = Grid(cfg.grid)
-    report = lemma_suite(grid, seed=cfg.data.seed, kappa=cfg.scheme.kappa)
+    rows = lemma_suite(grid, seed=cfg.data.seed, kappa=cfg.scheme.kappa)
     _write_csv(
         out / "lemmas.csv",
         f"{_UNITS_NOTE}; empirical inequality constants; "
         f"seed = {cfg.data.seed}; kappa = {_fmt(cfg.scheme.kappa)}",
         ["check", "label", "value"],
-        ([r["check"], r["label"], r["value"]] for r in report.rows),
+        ([r["check"], r["label"], r["value"]] for r in rows),
     )
     pairs = []
     for check in ("hodge", "elliptic", "trace_pin", "trace_ratio"):
-        vals = report.values(check)
+        vals = [r["value"] for r in rows if r["check"] == check]
         pairs.append((check, f"max {max(vals):.6g}  min {min(vals):.6g}"))
     _print_table(f"check-lemmas on {grid.spec.n1}x{grid.spec.n2}x{grid.spec.n3 + 1}", pairs)
     return 0
@@ -278,7 +278,7 @@ def _cmd_energy_report(args: argparse.Namespace) -> int:
                               "time derivatives of the energies need at least 3")
     out = _output_directory(args.out)
     report = energy_functionals(traj)
-    _write_energy_csv(out, report)
+    _write_energy_csv(out, traj, report)
     _print_table(f"energy-report: {path}", [
         ("nodes", str(len(traj))),
         ("kappa", _fmt(traj.kappa)),

@@ -12,7 +12,7 @@ trajectory diagnostics read its columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,10 +180,8 @@ class EnergyReport:
     """Tabulated energy functionals along a trajectory, and the equation
     defects when the pass computed them."""
 
-    kappa: float
-    dt: float
-    columns: dict[str, np.ndarray] = field(default_factory=dict)
-    residuals: dict[str, np.ndarray] = field(default_factory=dict)
+    columns: dict[str, np.ndarray]
+    residuals: dict[str, np.ndarray]
 
     def constraint_rows(self, c0: float | None) -> list[dict]:
         """Per-node div b, Taylor margin and geometry gauge, with flags for a
@@ -214,7 +212,7 @@ def energy_functionals(traj: Trajectory, residuals: bool = False) -> EnergyRepor
     pass also fills ``EnergyReport.residuals`` with the defects of the
     evolution equations, contracted from the same per-node tables.
     """
-    grid, dt, kappa = traj.grid, traj.dt, traj.kappa
+    grid, dt = traj.grid, traj.dt
     n = len(traj)
     cols: dict[str, np.ndarray] = {name: np.zeros(n) for name in ENERGY_COLUMNS}
     cols["t"] = traj.times
@@ -240,7 +238,7 @@ def energy_functionals(traj: Trajectory, residuals: bool = False) -> EnergyRepor
     D = cols["D_diss"]
     cols["balance_residual"][1:] = np.diff(cols["E_phys"]) + 0.5 * dt * (D[1:] + D[:-1])
 
-    return EnergyReport(kappa=kappa, dt=dt, columns=cols, residuals=audit)
+    return EnergyReport(columns=cols, residuals=audit)
 
 
 def _node_pass(traj: Trajectory, j: int, cols: dict, audit: dict, weight) -> None:
@@ -448,32 +446,22 @@ def alinhac_residual(cache: GeometryCache, f: np.ndarray) -> float:
 # lemma battery
 
 
-@dataclass
-class LemmaReport:
-    """Empirical constants for the div-curl, elliptic and trace estimates."""
-
-    rows: list[dict] = field(default_factory=list)
-
-    def values(self, check: str) -> list[float]:
-        return [r["value"] for r in self.rows if r["check"] == check]
-
-
 def lemma_suite(
     grid: Grid,
     seed: int,
     kappa: float = 0.1,
-) -> LemmaReport:
+) -> list[dict]:
     """Measure the constants in the normal-trace div-curl estimate, the
     variable-coefficient elliptic gradient estimate, and the harmonic
     trace sandwich on single modes.
 
-    Each random corpus holds four samples.  The report carries one row
-    per (check, sample/mode, order); the estimates hold when the values
+    Each random corpus holds four samples.  Returns one row per (check,
+    sample/mode, order); the estimates hold when the values
     stay bounded as the corpus and the resolution vary, which is what the
     tests assert.
     """
     rng = np.random.default_rng(seed)
-    report = LemmaReport()
+    rows = []
 
     # div-curl with normal trace
     for i in range(4):
@@ -489,7 +477,7 @@ def lemma_suite(
                 + grid.norm(div, s - 1)
                 + grid.norm(grid.boundary_slices(X[2]), s - 0.5)
             )
-            report.rows.append({
+            rows.append({
                 "check": "hodge", "label": f"sample {i} s={s}", "value": num / den,
             })
 
@@ -507,7 +495,7 @@ def lemma_suite(
         den = P * (
             grid.norm(cov_laplacian(grid, cache.a_s, Gf), 1) + dbar_norm * grid.norm(f, 2)
         )
-        report.rows.append({
+        rows.append({
             "check": "elliptic", "label": f"sample {i}", "value": num / den,
         })
 
@@ -520,12 +508,12 @@ def lemma_suite(
         g[0] = np.cos(2.0 * np.pi * (m1 * Y1 + m2 * Y2))
         psi = harmonic_extension(grid, g)
         closed = (np.sinh(2.0 * k) / (2.0 * k) - 1.0) / (4.0 * np.sinh(k) ** 2)
-        report.rows.append({
+        rows.append({
             "check": "trace_pin", "label": f"mode ({m1} {m2})",
             "value": abs(grid.low_norm(psi) ** 2 - closed) / closed,
         })
         ratio = grid.norm(psi, 1) / grid.norm(g, 0.5)
-        report.rows.append({
+        rows.append({
             "check": "trace_ratio", "label": f"mode ({m1} {m2})", "value": ratio,
         })
-    return report
+    return rows

@@ -441,11 +441,14 @@ def _induction_rhs(grid, smp: FrozenSample, v, b_lag, dt):
 
 def step_count(T: float, dt: float) -> int:
     """The number of dt steps in [0, T]; ValueError unless T is a positive
-    integer multiple of dt, to 1e-9 relative, with a finite count."""
+    integer multiple of dt, to 1e-9 relative, with a finite count of at
+    least 2: the wave residual and the order-2 energies read three nodes."""
     steps = T / dt if dt > 0.0 else np.nan
     n = round(steps) if np.isfinite(steps) else 0
     if n < 1 or abs(n * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T = {T} is not a positive integer multiple of dt = {dt}")
+    if n < 2:
+        raise ValueError(f"T = {T} at dt = {dt} gives {n + 1} nodes; at least 3 are needed")
     return n
 
 

@@ -47,10 +47,10 @@ class NonContractionError(RuntimeError):
 class IterationLog:
     """Per-iterate difference energies and the stopping outcome."""
 
+    tol: float
     d_history: list[float] = field(default_factory=list)
     converged: bool = False
     stop_reason: str = ""
-    tol: float = 0.0
     self_check: float | None = None
     wall_seconds: list[float] = field(default_factory=list)
 
@@ -93,8 +93,9 @@ def solve_nonlinear_kappa(
     taken through one more iterate and its d_{n+1} stored in the log as
     the self-check, so the fixed point is certified self-consistent; that
     freeze also fills the trajectory's ``geometry``.  T must be a positive
-    integer multiple of dt, and max_iter at least 1 (ValueError, before any
-    iterate).
+    integer multiple of dt giving at least three nodes (T >= 2 dt), which
+    the wave residual and the order-2 energies read, and max_iter at least
+    1 (ValueError, before any iterate).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")

@@ -137,7 +137,9 @@ def test_range_validation(line, fragment):
 @pytest.mark.parametrize("line", ["scheme.T = 0.03", "scheme.T = 0.006", "scheme.T = 1e308"])
 def test_T_must_be_a_multiple_of_dt(line):
     # the default dt is 0.0125
-    with pytest.raises(ConfigError, match=r"scheme\.T = .* multiple of scheme\.dt = 0\.0125"):
+    with pytest.raises(ConfigError, match=r"scheme\.T = .* must be a whole multiple of scheme\.dt "
+                                          r"= 0\.0125, at least 2 steps: T = .* is not a "
+                                          r"positive integer multiple of dt = 0\.0125$"):
         parse_config(line)
     assert parse_config("scheme.T = 0.0375").scheme.T == 0.0375
 

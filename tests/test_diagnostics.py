@@ -601,16 +601,20 @@ def test_alinhac_perturbed_map_small():
 # lemma battery
 
 
+def _values(rows, check):
+    return [r["value"] for r in rows if r["check"] == check]
+
+
 def test_lemma_suite_windows(grid16):
-    rep = lemma_suite(grid16, seed=0)
-    hodge = rep.values("hodge")
+    rows = lemma_suite(grid16, seed=0)
+    hodge = _values(rows, "hodge")
     assert len(hodge) == 8
     assert 0.2 < min(hodge) and max(hodge) < 1.5
-    elliptic = rep.values("elliptic")
+    elliptic = _values(rows, "elliptic")
     assert all(0.005 < v < 0.1 for v in elliptic)
-    pins = rep.values("trace_pin")
+    pins = _values(rows, "trace_pin")
     assert all(v < 0.5 for v in pins)  # trapezoid error on sinh^2, worst mode k ~ 19
-    ratios = rep.values("trace_ratio")
+    ratios = _values(rows, "trace_ratio")
     assert all(0.9 < v < 1.3 for v in ratios)
 
 
@@ -618,8 +622,8 @@ def test_lemma_constants_stable_under_refinement(grid16):
     r16 = lemma_suite(grid16, seed=0)
     r32 = lemma_suite(Grid(GridSpec(32, 32, 32)), seed=0)
     for check in ("hodge", "elliptic"):
-        lo = min(min(r16.values(check)), min(r32.values(check)))
-        hi = max(max(r16.values(check)), max(r32.values(check)))
+        lo = min(min(_values(r16, check)), min(_values(r32, check)))
+        hi = max(max(_values(r16, check)), max(_values(r32, check)))
         assert hi / lo < 2.0, check
     # the closed-form trace pin tightens with the wall-normal resolution
-    assert max(r32.values("trace_pin")) < max(r16.values("trace_pin"))
+    assert max(_values(r32, "trace_pin")) < max(_values(r16, "trace_pin"))

@@ -10,7 +10,8 @@ point that only its own unit test calls fails here.  The same rule holds
 for options: every defaulted parameter of a function is set to another
 value by some call other than a unit test, and left at its default by
 some call.  And for records: every dataclass field is read by some code
-other than a unit test.
+other than a unit test, and every field default is left in place by some
+construction.
 """
 
 import ast
@@ -114,14 +115,21 @@ def _calls(tree: ast.Module):
             yield name, node.args, {k.arg: k.value for k in node.keywords}, unpacks
 
 
-def _defaulted_parameter_calls():
-    """(parameter label, default, [(caller path, unpacks, the argument the
-    call passes for it or None), per call]) of every defaulted parameter;
-    a call that unpacks arguments may set it."""
+def _calls_by_name() -> dict:
+    """called name -> [(caller path, positional arguments, keyword arguments
+    by name, unpacks), per call] over every caller."""
     calls = {}
     for path in CALLERS:
         for name, args, keywords, unpacks in _calls(ast.parse(path.read_text())):
             calls.setdefault(name, []).append((path, args, keywords, unpacks))
+    return calls
+
+
+def _defaulted_parameter_calls():
+    """(parameter label, default, [(caller path, unpacks, the argument the
+    call passes for it or None), per call]) of every defaulted parameter;
+    a call that unpacks arguments may set it."""
+    calls = _calls_by_name()
     for path in MODULES:
         for func, param, pos, default in _defaulted_parameters(ast.parse(path.read_text())):
             yield f"{path.stem}.{func}({param}=)", default, [
@@ -157,13 +165,15 @@ READERS = MODULES + [ROOT / "src" / "lfmhd" / "__init__.py"] + OUTSIDE
 
 
 def _dataclass_fields(tree: ast.Module):
-    """(class, field) of every annotated field of a dataclass."""
+    """(class, field, position, default or None) of every annotated field of
+    a dataclass; position counts the fields before it."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and any(
                 "dataclass" in ast.unparse(d) for d in node.decorator_list):
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    yield node.name, stmt.target.id
+            annotated = [stmt for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            for position, stmt in enumerate(annotated):
+                yield node.name, stmt.target.id, position, stmt.value
 
 
 def _reads(tree: ast.Module):
@@ -179,6 +189,18 @@ def _reads(tree: ast.Module):
 def test_every_record_field_is_read():
     read = {name for path in READERS for name in _reads(ast.parse(path.read_text()))}
     unread = [f"{path.stem}.{cls}.{name}" for path in MODULES
-              for cls, name in _dataclass_fields(ast.parse(path.read_text()))
+              for cls, name, _, _ in _dataclass_fields(ast.parse(path.read_text()))
               if name not in read]
     assert unread == [], f"record fields no code outside the unit tests reads: {unread}"
+
+
+def test_every_field_default_is_relied_on_by_some_construction():
+    # a field default that every construction sets is a required field in
+    # disguise; a construction that unpacks arguments may leave it unset
+    calls = _calls_by_name()
+    always = [f"{path.stem}.{cls}.{name}" for path in MODULES
+              for cls, name, pos, default in _dataclass_fields(ast.parse(path.read_text()))
+              if default is not None and calls.get(cls) and all(
+                  not unpacks and (name in keywords or len(args) > pos)
+                  for _, args, keywords, unpacks in calls[cls])]
+    assert always == [], f"dataclass defaults every construction sets: {always}"

@@ -111,8 +111,14 @@ def test_no_frozen_coefficients_live_through_a_difference_energy(grid_small, eos
     assert live == [0] * (log.iterations + 1)
 
 
-@pytest.mark.parametrize("horizon, dt", [(1e300, 1e-300), (0.05, 0.03)])
-def test_horizon_off_the_lattice_is_refused_before_any_freeze(grid_small, monkeypatch, horizon, dt):
+@pytest.mark.parametrize("horizon, dt, message", [
+    (1e300, 1e-300, "is not a positive integer multiple of dt"),
+    (0.05, 0.03, "is not a positive integer multiple of dt"),
+    # one step: the wave residual and the order-2 energies read three nodes
+    (0.0125, 0.0125, r"^T = 0\.0125 at dt = 0\.0125 gives 2 nodes; at least 3 are needed$"),
+], ids=["1e+300-1e-300", "0.05-0.03", "0.0125-0.0125"])
+def test_horizon_off_the_lattice_is_refused_before_any_freeze(grid_small, monkeypatch,
+                                                              horizon, dt, message):
     st = make_initial_data(grid_small, "quiescent", amplitude=0.1, seed=3)
     freezes = []
     real = FrozenCoefficients.freeze.__func__
@@ -122,8 +128,10 @@ def test_horizon_off_the_lattice_is_refused_before_any_freeze(grid_small, monkey
         return real(cls, traj)
 
     monkeypatch.setattr(FrozenCoefficients, "freeze", classmethod(counting))
-    with pytest.raises(ValueError, match="is not a positive integer multiple of dt"):
+    with pytest.raises(ValueError, match=message):
         solve_nonlinear_kappa(st, KAPPA, horizon, dt)
+    with pytest.raises(ValueError, match=message):
+        kappa_sweep(st, (0.2, 0.1), horizon, dt)
     assert freezes == []
 
 
