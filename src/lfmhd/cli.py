@@ -18,8 +18,8 @@ import numpy as np
 
 from .checkpoint import CheckpointError, read_trajectory, write_trajectory
 from .config import ConfigError, RunConfig, load_config
-from .diagnostics import (ENERGY_COLUMNS, SMALL_GEOMETRY, TRUNCATION_ORDER, EnergyReport,
-                          energy_functionals, lemma_suite)
+from .diagnostics import (ENERGY_COLUMNS, RESIDUAL_COLUMNS, SMALL_GEOMETRY, TRUNCATION_ORDER,
+                          constraint_rows, energy_functionals, lemma_suite)
 from .geometry import DegenerateMapError
 from .grid import Grid
 from .linear_step import BreakdownError, CflError, DiffusionSolveError, Trajectory
@@ -117,8 +117,8 @@ def _build_problem(cfg: RunConfig):
                              seed=cfg.data.seed, eos=eos, c0=cfg.physics.c0)
 
 
-def _write_energy_csv(out: Path, traj: Trajectory, report: EnergyReport) -> None:
-    rows = zip(*(report.columns[name] for name in ENERGY_COLUMNS))
+def _write_energy_csv(out: Path, traj: Trajectory, table: dict) -> None:
+    rows = zip(*(table[name] for name in ENERGY_COLUMNS))
     _write_csv(
         out / "energy.csv",
         f"{_UNITS_NOTE}; truncation order m = {TRUNCATION_ORDER}; "
@@ -139,12 +139,11 @@ def _write_iteration_csv(out: Path, log: IterationLog) -> None:
     )
 
 
-def _write_residuals_csv(out: Path, cfg: RunConfig, report: EnergyReport) -> None:
-    cons = report.constraint_rows(c0=cfg.physics.c0)
-    res = report.residuals
-    header = ["t", "res_eta", "res_v", "res_q", "res_b", "wave_residual",
+def _write_residuals_csv(out: Path, cfg: RunConfig, table: dict) -> None:
+    cons = constraint_rows(table, cfg.physics.c0)
+    header = ["t", *RESIDUAL_COLUMNS,
               "div_b", "taylor_margin", "small_geometry", "taylor_ok", "small_ok"]
-    rows = ([c["t"], res["eta"][j], res["v"][j], res["q"][j], res["b"][j], res["wave"][j],
+    rows = ([c["t"], *(table[name][j] for name in RESIDUAL_COLUMNS),
              c["div_b"], c["taylor_margin"], c["small_geometry"], c["taylor_ok"], c["small_ok"]]
             for j, c in enumerate(cons))
     _write_csv(
@@ -156,10 +155,10 @@ def _write_residuals_csv(out: Path, cfg: RunConfig, report: EnergyReport) -> Non
     )
 
 
-def _say_where_the_regime_ends(report: EnergyReport, c0: float) -> None:
-    """One stderr line at the first node that ``report.constraint_rows``
-    flags outside the a priori regime; the exit code does not change."""
-    for j, row in enumerate(report.constraint_rows(c0)):
+def _say_where_the_regime_ends(table: dict, c0: float) -> None:
+    """One stderr line at the first node that ``constraint_rows`` flags
+    outside the a priori regime; the exit code does not change."""
+    for j, row in enumerate(constraint_rows(table, c0)):
         failing = [text for ok, text in (
             (row["taylor_ok"], f"Taylor margin {row['taylor_margin']:.4g} < c0 / 2 = {0.5 * c0:.4g}"),
             (row["small_ok"], f"geometry gauge {row['small_geometry']:.4g} > {SMALL_GEOMETRY:.4g}"),
@@ -191,10 +190,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"not converged: {log.stop_reason}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     # one pass over the nodes fills both tables
-    report = energy_functionals(traj, residuals=True)
-    _write_energy_csv(out, traj, report)
-    _write_residuals_csv(out, cfg, report)
-    _say_where_the_regime_ends(report, cfg.physics.c0)
+    table = energy_functionals(traj, residuals=True)
+    _write_energy_csv(out, traj, table)
+    _write_residuals_csv(out, cfg, table)
+    _say_where_the_regime_ends(table, cfg.physics.c0)
     if cfg.outputs.checkpoint:
         _write(out / "trajectory.ckpt", write_trajectory, traj)
     _print_table(f"run: {cfg.data.preset} preset, kappa = {cfg.scheme.kappa}", [
@@ -203,9 +202,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ("converged", str(log.converged)),
         ("final difference energy", _fmt(log.d_history[-1])),
         ("self-consistency check", _fmt(log.self_check)),
-        ("final physical energy", _fmt(report.columns["E_phys"][-1])),
-        ("min Taylor margin", _fmt(report.columns["taylor_margin"].min())),
-        ("max geometry gauge", _fmt(report.columns["small_geometry"].max())),
+        ("final physical energy", _fmt(table["E_phys"][-1])),
+        ("min Taylor margin", _fmt(table["taylor_margin"].min())),
+        ("max geometry gauge", _fmt(table["small_geometry"].max())),
         ("artifacts", str(out)),
     ])
     return 0
@@ -277,15 +276,15 @@ def _cmd_energy_report(args: argparse.Namespace) -> int:
         raise CheckpointError(f"{path}: {len(traj)} nodes; the order-{TRUNCATION_ORDER} "
                               "time derivatives of the energies need at least 3")
     out = _output_directory(args.out)
-    report = energy_functionals(traj)
-    _write_energy_csv(out, traj, report)
+    table = energy_functionals(traj)
+    _write_energy_csv(out, traj, table)
     _print_table(f"energy-report: {path}", [
         ("nodes", str(len(traj))),
         ("kappa", _fmt(traj.kappa)),
         ("dt", _fmt(traj.dt)),
-        ("final E_total", _fmt(report.columns["E_total"][-1])),
-        ("final E_phys", _fmt(report.columns["E_phys"][-1])),
-        ("max |balance residual|", _fmt(np.abs(report.columns["balance_residual"]).max())),
+        ("final E_total", _fmt(table["E_total"][-1])),
+        ("final E_phys", _fmt(table["E_phys"][-1])),
+        ("max |balance residual|", _fmt(np.abs(table["balance_residual"]).max())),
         ("artifacts", str(out)),
     ])
     return 0

@@ -6,13 +6,11 @@ the same per-node arrays the solver froze, so the diagnostics cannot
 drift out of sync with the solver state.  ``energy_functionals`` is
 the one pass over the nodes: it takes each node's gradient tables of Q
 and b once and reads from them the energies, the constraints and, with
-``residuals=True``, the defects of every evolution equation.  The other
-trajectory diagnostics read its columns.
+``residuals=True``, the defects of every evolution equation, and returns
+them as one table of columns.  The other trajectory diagnostics read it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,29 +50,31 @@ def _require_history(n: int, order: int) -> None:
         raise ValueError(f"time derivative order must be 0, 1 or 2, got {order}")
 
 
-def time_difference(row, n: int, j: int, dt: float, order: int) -> np.ndarray:
-    """Row j of the discrete d/dt of an n-node sequence whose node k is row(k).
+def time_difference(seq, j: int, dt: float, order: int) -> np.ndarray:
+    """Row j of the discrete d/dt of the node sequence ``seq`` (a list of
+    node arrays or a stack with the nodes on axis 0).
 
     Second order where possible: centered inside, one-sided at the ends;
     with exactly three nodes the order-2 end rows fall back to the interior
     stencil.  Reads at most four nodes, so no whole-sequence stack is needed.
     """
     if order == 0:
-        return row(j)
+        return seq[j]
+    n = len(seq)
     _require_history(n, order)
     if order == 1:
         if j == 0:
-            return (-3.0 * row(0) + 4.0 * row(1) - row(2)) / (2.0 * dt)
+            return (-3.0 * seq[0] + 4.0 * seq[1] - seq[2]) / (2.0 * dt)
         if j == n - 1:
-            return (3.0 * row(j) - 4.0 * row(j - 1) + row(j - 2)) / (2.0 * dt)
-        return (row(j + 1) - row(j - 1)) / (2.0 * dt)
+            return (3.0 * seq[j] - 4.0 * seq[j - 1] + seq[j - 2]) / (2.0 * dt)
+        return (seq[j + 1] - seq[j - 1]) / (2.0 * dt)
     if n < 4:
         j = 1
     elif j == 0:
-        return (2.0 * row(0) - 5.0 * row(1) + 4.0 * row(2) - row(3)) / (dt * dt)
+        return (2.0 * seq[0] - 5.0 * seq[1] + 4.0 * seq[2] - seq[3]) / (dt * dt)
     elif j == n - 1:
-        return (2.0 * row(j) - 5.0 * row(j - 1) + 4.0 * row(j - 2) - row(j - 3)) / (dt * dt)
-    return (row(j + 1) - 2.0 * row(j) + row(j - 1)) / (dt * dt)
+        return (2.0 * seq[j] - 5.0 * seq[j - 1] + 4.0 * seq[j - 2] - seq[j - 3]) / (dt * dt)
+    return (seq[j + 1] - 2.0 * seq[j] + seq[j - 1]) / (dt * dt)
 
 
 def _time_energies(grid: Grid, fields, dt: float, order: int) -> np.ndarray:
@@ -91,16 +91,12 @@ def _time_energies(grid: Grid, fields, dt: float, order: int) -> np.ndarray:
     out = np.zeros((order + 1, n))
     if not any(np.any(f) for f in fields):
         return out
-    spectra = [list(grid.normal_spectra(f, order)) for f in fields]
-
-    def differences(j, k):
-        # the (order - k)-th time difference at node j of each normal order
-        for p3 in range(k + 1):
-            yield time_difference(lambda m: spectra[m][p3], n, j, dt, order - k)
-
+    # by_order[p3][m]: node m's p3-th normal spectrum
+    by_order = list(zip(*[list(grid.normal_spectra(f, order)) for f in fields]))
     for k in range(order + 1):
         for j in range(n):
-            out[k, j] = grid.sobolev_sq(differences(j, k), k)
+            out[k, j] = grid.sobolev_sq(
+                (time_difference(seq, j, dt, order - k) for seq in by_order[:k + 1]), k)
     return out
 
 
@@ -171,28 +167,23 @@ ENERGY_COLUMNS = (
     "taylor_margin", "small_geometry", "div_b",
 )
 
+# the equation defects the pass adds with residuals=True: the smoothed
+# nonlinear system (eta, v, q, b) and the second-order pressure-head equation
+RESIDUAL_COLUMNS = ("res_eta", "res_v", "res_q", "res_b", "wave_residual")
+
 # largest geometry gauge the a priori assumptions admit
 SMALL_GEOMETRY = 0.1
 
 
-@dataclass
-class EnergyReport:
-    """Tabulated energy functionals along a trajectory, and the equation
-    defects when the pass computed them."""
-
-    columns: dict[str, np.ndarray]
-    residuals: dict[str, np.ndarray]
-
-    def constraint_rows(self, c0: float | None) -> list[dict]:
-        """Per-node div b, Taylor margin and geometry gauge, with flags for a
-        margin below c0 / 2 and a gauge above ``SMALL_GEOMETRY``."""
-        c = self.columns
-        return [{"t": float(t), "div_b": float(div_b), "taylor_margin": float(margin),
-                 "small_geometry": float(small),
-                 "taylor_ok": bool(c0 is None or margin >= 0.5 * c0),
-                 "small_ok": bool(small <= SMALL_GEOMETRY)}
-                for t, div_b, margin, small
-                in zip(c["t"], c["div_b"], c["taylor_margin"], c["small_geometry"])]
+def constraint_rows(columns: dict[str, np.ndarray], c0: float | None) -> list[dict]:
+    """Per-node div b, Taylor margin and geometry gauge of the pass's table,
+    with flags for a margin below c0 / 2 and a gauge above ``SMALL_GEOMETRY``."""
+    return [{"t": float(t), "div_b": float(div_b), "taylor_margin": float(margin),
+             "small_geometry": float(small),
+             "taylor_ok": bool(c0 is None or margin >= 0.5 * c0),
+             "small_ok": bool(small <= SMALL_GEOMETRY)}
+            for t, div_b, margin, small
+            in zip(*(columns[name] for name in ("t", "div_b", "taylor_margin", "small_geometry")))]
 
 
 def small_geometry_norm(grid: Grid, a_s: np.ndarray, J_s: np.ndarray) -> float:
@@ -203,13 +194,14 @@ def small_geometry_norm(grid: Grid, a_s: np.ndarray, J_s: np.ndarray) -> float:
 
 # an overflow shows as a non-finite cell, which the table writers refuse
 @np.errstate(all="ignore")
-def energy_functionals(traj: Trajectory, residuals: bool = False) -> EnergyReport:
+def energy_functionals(traj: Trajectory, residuals: bool = False) -> dict[str, np.ndarray]:
     """Tabulate the truncated energy scale, the physical energy balance and
-    the constraints along a trajectory, in one pass over its nodes.
+    the constraints along a trajectory, in one pass over its nodes: one
+    column per name of ``ENERGY_COLUMNS``, in that order.
 
     The interior sums run to time-derivative order ``TRUNCATION_ORDER``,
     so the trajectory needs at least three nodes.  With ``residuals`` the
-    pass also fills ``EnergyReport.residuals`` with the defects of the
+    table also holds the ``RESIDUAL_COLUMNS``, the defects of the
     evolution equations, contracted from the same per-node tables.
     """
     grid, dt = traj.grid, traj.dt
@@ -219,10 +211,12 @@ def energy_functionals(traj: Trajectory, residuals: bool = False) -> EnergyRepor
     Ek = {name: _time_energies(grid, [getattr(s, name) for s in traj.states], dt,
                                TRUNCATION_ORDER)
           for name in ("v", "b", "q")}
-    audit = {name: np.empty(n) for name in ("eta", "v", "q", "b", "wave")} if residuals else {}
-    weight = acoustic_weight(traj) if residuals else None
+    weight = None
+    if residuals:
+        cols.update((name, np.empty(n)) for name in RESIDUAL_COLUMNS)
+        weight = acoustic_weight(traj)
     for j in range(n):
-        _node_pass(traj, j, cols, audit, weight)
+        _node_pass(traj, j, cols, weight)
 
     for name in ("v", "b", "q"):
         cols["E_" + name] = sum(Ek[name])
@@ -238,13 +232,14 @@ def energy_functionals(traj: Trajectory, residuals: bool = False) -> EnergyRepor
     D = cols["D_diss"]
     cols["balance_residual"][1:] = np.diff(cols["E_phys"]) + 0.5 * dt * (D[1:] + D[:-1])
 
-    return EnergyReport(columns=cols, residuals=audit)
+    return cols
 
 
-def _node_pass(traj: Trajectory, j: int, cols: dict, audit: dict, weight) -> None:
-    """Fill node j of every column, and of ``audit`` when it has keys, from
-    one covariant gradient of Q and, where b is nonzero, one gradient table
-    of b.  The tables go when this returns, before the next node's come."""
+def _node_pass(traj: Trajectory, j: int, cols: dict, weight) -> None:
+    """Fill node j of every column, the defects too when the acoustic
+    ``weight`` is given, from one covariant gradient of Q and, where b is
+    nonzero, one gradient table of b.  The tables go when this returns,
+    before the next node's come."""
     grid, eos, geo = traj.grid, traj.eos, traj.geometry
     s = traj.states[j]
     a, J_s, b = geo.a_s[j], geo.J_s[j], s.b
@@ -279,30 +274,31 @@ def _node_pass(traj: Trajectory, j: int, cols: dict, audit: dict, weight) -> Non
         cols["div_b"][j] = grid.low_norm(div_b)
         cols["D_diss"][j] = eos.diffusivity * grid.integrate(J_s * Gb2)
         b_tables = (Gb, div_b, Gb2)
-    if audit:
-        for name, value in _defects(traj, j, grad_Q, b_tables, weight).items():
-            audit[name][j] = value
+    if weight is not None:
+        _defects(traj, j, grad_Q, b_tables, weight, cols)
 
 
-def _defects(traj: Trajectory, j: int, grad_Q: np.ndarray, b_tables, weight) -> dict[str, float]:
-    """L2 defects at node j of the smoothed nonlinear system (``eta``, ``v``,
-    ``q``, ``b``) and of the second-order pressure-head equation (``wave``,
-    the time derivative of continuity with momentum substituted), in the
+def _defects(traj: Trajectory, j: int, grad_Q: np.ndarray, b_tables, weight,
+             cols: dict) -> None:
+    """Fill node j of the ``RESIDUAL_COLUMNS``: the L2 defects of the
+    smoothed nonlinear system (``res_eta``, ``res_v``, ``res_q``, ``res_b``)
+    and of the second-order pressure-head equation (``wave_residual``, the
+    time derivative of continuity with momentum substituted), in the
     trajectory's own geometry, correction field and stacked acoustic
     ``weight``.  On a converged fixed point every defect is scheme error
     (time and wall stencils, dealiasing).
     """
     grid, eos, dt, geo = traj.grid, traj.eos, traj.dt, traj.geometry
     states = traj.states
-    s, rho0, n = states[j], states[0].rho0, len(states)
+    s, rho0 = states[j], states[0].rho0
     a, J_s, b = geo.a_s[j], geo.J_s[j], s.b
     Jr = J_s / rho0
 
-    def field(name):
-        return lambda k: getattr(states[k], name)
+    def d_dt(seq, order=1):
+        return time_difference(seq, j, dt, order)
 
-    def d_dt(row, order=1):
-        return time_difference(row, n, j, dt, order)
+    def nodes(name):
+        return [getattr(st, name) for st in states]
 
     gv = grid.gradient(s.v)
     Gv, div_v = cov_grad_vector(grid, a, gv), cov_div(grid, a, gv)
@@ -319,22 +315,21 @@ def _defects(traj: Trajectory, j: int, grad_Q: np.ndarray, b_tables, weight) -> 
             - np.einsum("al...,la...->...", Gb, Gb)
             - np.einsum("a...,a...->...", b, cov_grad(grid, a, grid.gradient(div_b)))
         )
-    r = weight[j]
-    dq = d_dt(field("q"))
+    r, q = weight[j], nodes("q")
+    dq = d_dt(q)
 
-    out = {"eta": grid.low_norm(d_dt(field("eta")) - s.v - geo.psi[j])}
-    r_v = (rho0 / J_s)[None] * d_dt(field("v")) - lorentz + grad_Q
-    out["v"] = grid.low_norm(r_v)
-    out["q"] = grid.low_norm(r * dq + div_v)
-    out["b"] = grid.low_norm(d_dt(field("b")) - eos.diffusivity * lap_b - transport)
+    cols["res_eta"][j] = grid.low_norm(d_dt(nodes("eta")) - s.v - geo.psi[j])
+    r_v = (rho0 / J_s)[None] * d_dt(nodes("v")) - lorentz + grad_Q
+    cols["res_v"][j] = grid.low_norm(r_v)
+    cols["res_q"][j] = grid.low_norm(r * dq + div_v)
+    cols["res_b"][j] = grid.low_norm(d_dt(nodes("b")) - eos.diffusivity * lap_b - transport)
 
     lap_q = cov_laplacian(grid, a, cov_grad(grid, a, grid.gradient(s.q)))
-    lhs = r * d_dt(field("q"), 2) - Jr * lap_q
-    w0 = w0 - d_dt(weight.__getitem__) * dq
-    w0 -= np.einsum("ma...,ma...->...", d_dt(geo.a_s.__getitem__), gv)
+    lhs = r * d_dt(q, 2) - Jr * lap_q
+    w0 = w0 - d_dt(weight) * dq
+    w0 -= np.einsum("ma...,ma...->...", d_dt(geo.a_s), gv)
     w0 -= np.einsum("l...,l...->...", lorentz - grad_Q, cov_grad(grid, a, grid.gradient(Jr)))
-    out["wave"] = grid.low_norm(lhs - rhs - w0)
-    return out
+    cols["wave_residual"][j] = grid.low_norm(lhs - rhs - w0)
 
 
 # ----------------------------------------------------------------------
@@ -345,13 +340,13 @@ def physical_energy_balance(traj: Trajectory):
     """Physical energy, resistive dissipation and the step residuals: the
     pass's (E_phys, D_diss, balance_residual) columns; an exact balance
     makes the residual zero."""
-    c = energy_functionals(traj).columns
+    c = energy_functionals(traj)
     return c["E_phys"], c["D_diss"], c["balance_residual"]
 
 
 def constraint_residuals(traj: Trajectory, c0: float | None = None) -> list[dict]:
-    """Per-node constraint table of the pass: see ``EnergyReport.constraint_rows``."""
-    return energy_functionals(traj).constraint_rows(c0)
+    """Per-node constraint table of the pass: see ``constraint_rows``."""
+    return constraint_rows(energy_functionals(traj), c0)
 
 
 def divergence_monitor(traj: Trajectory, drift_constant: float) -> tuple[np.ndarray, np.ndarray]:
@@ -362,20 +357,20 @@ def divergence_monitor(traj: Trajectory, drift_constant: float) -> tuple[np.ndar
     trips the flag immediately.
     """
     h3 = traj.grid.h3
-    div = energy_functionals(traj).columns["div_b"]
+    div = energy_functionals(traj)["div_b"]
     envelope = 1e-8 + drift_constant * traj.times * (traj.dt + h3 * h3)
     return div, div > envelope
 
 
 def nonlinear_residuals(traj: Trajectory) -> dict[str, np.ndarray]:
     """The pass's four first-order defects per node (``eta``, ``v``, ``q``, ``b``)."""
-    audit = energy_functionals(traj, residuals=True).residuals
-    return {name: audit[name] for name in ("eta", "v", "q", "b")}
+    table = energy_functionals(traj, residuals=True)
+    return {name: table["res_" + name] for name in ("eta", "v", "q", "b")}
 
 
 def wave_equation_residual(traj: Trajectory) -> np.ndarray:
     """The pass's second-order pressure-head defect per node."""
-    return energy_functionals(traj, residuals=True).residuals["wave"]
+    return energy_functionals(traj, residuals=True)["wave_residual"]
 
 
 # ----------------------------------------------------------------------

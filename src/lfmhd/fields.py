@@ -19,7 +19,7 @@ def random_scalar(
     cos(m pi y3) profiles, so the field is analytic in all directions
     without being periodic in y3.
     """
-    shape = grid.spec.shape
+    shape = grid.shape
     Y1 = grid.y1[:, None, None]
     Y2 = grid.y2[None, :, None]
     Y3 = grid.y3[None, None, :]

@@ -60,14 +60,6 @@ class GridSpec:
                 parity = "" if name == "n3" else "even and "
                 raise ValueError(f"{name} must be {parity}>= 8, got {n}")
 
-    @property
-    def h3(self) -> float:
-        return 1.0 / self.n3
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.n1, self.n2, self.n3 + 1)
-
 
 def _wavenumbers(n: int) -> np.ndarray:
     # period-1 torus: mode k carries wavenumber 2*pi*k
@@ -100,8 +92,8 @@ class Grid:
     def __init__(self, spec: GridSpec):
         self.spec = spec
         n1, n2, n3 = spec.n1, spec.n2, spec.n3
-        self.shape = spec.shape
-        self.h3 = spec.h3
+        self.shape = (n1, n2, n3 + 1)
+        self.h3 = 1.0 / n3
         self.y1 = np.arange(n1) / n1
         self.y2 = np.arange(n2) / n2
         self.y3 = np.linspace(0.0, 1.0, n3 + 1)
@@ -122,20 +114,19 @@ class Grid:
     def field_kind(self, f: np.ndarray) -> str:
         """Classify ``f`` as 'interior' or 'boundary' from its trailing axes."""
         s = self.spec
-        if f.ndim >= 3 and f.shape[-3:] == (s.n1, s.n2, s.n3 + 1):
+        if f.ndim >= 3 and f.shape[-3:] == self.shape:
             return "interior"
         if f.ndim >= 2 and f.shape[-2:] == (s.n1, s.n2):
             return "boundary"
         raise FieldShapeError(
-            f"array of shape {f.shape} matches neither interior {s.shape} "
+            f"array of shape {f.shape} matches neither interior {self.shape} "
             f"nor boundary (..., {s.n1}, {s.n2}) layout"
         )
 
     @cached_property
     def identity_map(self) -> np.ndarray:
         """The reference position field y, shape (3, n1, n2, n3 + 1)."""
-        s = self.spec
-        out = np.zeros((3,) + s.shape)
+        out = np.zeros((3,) + self.shape)
         out[0] = self.y1[:, None, None]
         out[1] = self.y2[None, :, None]
         out[2] = self.y3[None, None, :]

@@ -116,7 +116,7 @@ class Trajectory:
         at the run's kappa."""
         grid, kappa, states = self.grid, self.kappa, self.states
         n = len(states)
-        shape = grid.spec.shape
+        shape = grid.shape
         a_s = np.empty((n, 3, 3) + shape)
         J_s = np.empty((n,) + shape)
         psi0 = None
@@ -146,7 +146,7 @@ def trivial_trajectory(
 ) -> Trajectory:
     """Identity map, zero velocity/field/head at every node; its geometry
     memo holds the exact constants a_s = I, J_s = 1, psi = 0."""
-    shape = grid.spec.shape
+    shape = grid.shape
     states = [
         FlowState(
             grid=grid, eos=eos, t=j * dt,
@@ -253,7 +253,7 @@ def _flat_preconditioner(grid: Grid, dt: float):
     def apply(res_int: np.ndarray) -> np.ndarray:
         # the real modal basis acts along y3 only, so it commutes with the
         # tangential transform
-        full = np.zeros(grid.spec.shape)
+        full = np.zeros(grid.shape)
         full[..., 1:-1] = res_int @ Vinv.T
         return grid.apply_symbol(full, symbol)[..., 1:-1] @ V.T
 
@@ -352,7 +352,7 @@ def implicit_diffusion_solve(grid: Grid, a_s: np.ndarray, rhs: np.ndarray, dt: f
             for comp in rhs
         ])
 
-    n1, n2, nz = grid.spec.shape
+    n1, n2, nz = grid.shape
     nint = nz - 2
 
     def embed(x_int: np.ndarray) -> np.ndarray:
@@ -462,7 +462,8 @@ def advance_linearized(frozen: FrozenCoefficients, init: FlowState,
                        diffusion_tol: float = 1e-9) -> Trajectory:
     """Integrate the frozen-coefficient system from ``init`` on the lattice
     of the frozen iterate ``frozen.traj``: its grid, its step dt, its kappa,
-    and one step per pair of nodes.
+    and one step per pair of nodes.  Node 0 is ``init`` itself, not a copy:
+    no step writes into a state it did not just compute.
 
     dt must satisfy the acoustic CFL bound evaluated over all frozen
     nodes, else :class:`CflError`.  A step that leaves v, q or eta
@@ -478,7 +479,7 @@ def advance_linearized(frozen: FrozenCoefficients, init: FlowState,
         raise CflError(dt, bound, grid.h3)
 
     rho0 = init.rho0
-    state = init.copy()
+    state = init
     states = [state]
     for n in range(len(prev) - 1):
         t = n * dt + dt

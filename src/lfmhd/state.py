@@ -102,7 +102,7 @@ def admit(state: FlowState, cache: GeometryCache, c0: float = 0.0) -> None:
     compatibility residual above ``COMPAT_TOL`` and, unless v, b and q are
     all zero, a Taylor sign margin that is not positive and at least c0.
     Each test fails on NaN, and nothing here warns.  This t = 0 gate is
-    stricter than the a priori regime that ``EnergyReport.constraint_rows``
+    stricter than the a priori regime that ``diagnostics.constraint_rows``
     flags along a run (margin >= c0 / 2 and a geometry gauge, which is 0
     on the identity map the presets start from).
     """
@@ -124,7 +124,7 @@ def admit(state: FlowState, cache: GeometryCache, c0: float = 0.0) -> None:
 
 def _background_head(grid: Grid, eps_q: float) -> np.ndarray:
     y3 = grid.y3[None, None, :]
-    return eps_q * y3 * (1.0 - y3) * np.ones(grid.spec.shape)
+    return eps_q * y3 * (1.0 - y3) * np.ones(grid.shape)
 
 
 def make_initial_data(
@@ -162,7 +162,7 @@ def make_initial_data(
     phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
     eps_q = 2.0 * c0
 
-    shape = grid.spec.shape
+    shape = grid.shape
     Y1 = grid.y1[:, None, None] * np.ones(shape)
     Y2 = grid.y2[None, :, None] * np.ones(shape)
 

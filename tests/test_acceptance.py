@@ -229,7 +229,7 @@ def _random_frozen(grid, eos, rng, nodes, dt):
     """Coefficients frozen from random maps and heads with b* = 0; a random
     field stands in for the correction field, injected with the geometry
     the way ``trivial_trajectory`` injects its constants."""
-    shape = grid.spec.shape
+    shape = grid.shape
     n = nodes
     psi = np.empty((n, 3) + shape)
     a_s = np.empty((n, 3, 3) + shape)
@@ -256,7 +256,7 @@ def test_criterion_05_linearized_superposition(grid16, eos):
     rng = np.random.default_rng(123)
     dt = 0.005
     frozen = _random_frozen(grid16, eos, rng, nodes=5, dt=dt)
-    shape = grid16.spec.shape
+    shape = grid16.shape
     rho0 = np.ones(shape)
 
     def make_state(disp, v, q):

@@ -47,6 +47,14 @@ def test_overrides_comments_and_blank_lines():
     assert cfg.outputs.checkpoint is True
 
 
+def test_a_repeated_key_keeps_its_last_value():
+    assert parse_config("scheme.dt = 0.0125\nscheme.dt = 0.025").scheme.dt == 0.025
+    # only the kept value is range-checked, but every value must parse
+    assert parse_config("scheme.dt = -1\nscheme.dt = 0.025").scheme.dt == 0.025
+    with pytest.raises(ConfigError, match=r"<config>:1: bad value for scheme\.dt"):
+        parse_config("scheme.dt = x\nscheme.dt = 0.025")
+
+
 @pytest.mark.parametrize("raw,expected", [
     ("on", True), ("true", True), ("yes", True), ("1", True),
     ("off", False), ("false", False), ("no", False), ("0", False),

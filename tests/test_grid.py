@@ -11,9 +11,9 @@ def test_spec_validation():
         GridSpec(7, 16, 16)  # odd tangential count
     with pytest.raises(ValueError):
         GridSpec(16, 16, 4)  # too few levels
-    s = GridSpec(16, 32, 24)
-    assert s.shape == (16, 32, 25)
-    assert s.h3 == pytest.approx(1.0 / 24)
+    g = Grid(GridSpec(16, 32, 24))
+    assert g.shape == (16, 32, 25)
+    assert g.h3 == pytest.approx(1.0 / 24)
 
 
 def test_field_kind_discrimination(grid16):

@@ -235,3 +235,29 @@ def test_initial_map_geometry_built_once_per_solve(grid_small, eos, monkeypatch)
     assert log.converged
     # check_compatibility reads the unsmoothed inverse of the same build
     assert calls == {"picard": [KAPPA], "state": []}
+
+
+def test_every_iterate_starts_from_init_itself_and_leaves_it_unchanged(grid_small, eos,
+                                                                        monkeypatch):
+    st = make_initial_data(grid_small, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
+    before = st.copy()
+    traj, log = solve_nonlinear_kappa(st, KAPPA, T, DT)
+    assert log.converged
+    assert traj.states[0] is st
+
+    real = picard.solve_nonlinear_kappa
+    starts = []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        starts.append(out[0].states[0])
+        return out
+
+    monkeypatch.setattr(picard, "solve_nonlinear_kappa", recording)
+    finest, _ = kappa_sweep(st, (0.2, 0.1), T, DT)
+    assert len(starts) == 2 and all(s is st for s in starts)
+    assert finest.states[0] is st
+    # no iterate, member or diagnostic wrote into the shared node 0
+    assert st.t == before.t
+    for name in ("eta", "v", "b", "q", "rho0"):
+        assert getattr(st, name).tobytes() == getattr(before, name).tobytes(), name
