@@ -95,7 +95,8 @@ def solve_nonlinear_kappa(
     freeze also fills the trajectory's ``geometry``.  T must be a positive
     integer multiple of dt giving at least three nodes (T >= 2 dt), which
     the wave residual and the order-2 energies read, and max_iter at least
-    1 (ValueError, before any iterate).
+    1 (ValueError, before any iterate).  The trajectory's ``states[0]`` is
+    the caller's ``init`` itself, not a copy.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -168,7 +169,8 @@ def kappa_sweep(init: FlowState, kappas: list[float], T: float, dt: float,
     Returns the smallest-kappa trajectory and a report whose deltas are
     the sup-in-time difference energies between consecutive runs (the
     Cauchy diagnostic for the vanishing-smoothing limit).  The members
-    run one after another, and at most two are held at a time.
+    run one after another, and at most two are held at a time.  Every
+    member's ``states[0]`` is the caller's ``init`` itself, not a copy.
     """
     if len(kappas) == 0:
         raise ValueError("kappas must name at least one smoothing scale")

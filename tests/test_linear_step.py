@@ -450,9 +450,14 @@ def _reference_advance(grid, frozen, init, dt, nsteps):
 
 
 def _frozen_field_vanishing_at(grid, eos, init, nodes):
-    """Coefficients frozen from a magnetic advance, with b* zeroed at ``nodes``."""
+    """Coefficients frozen from a magnetic advance, with b* zeroed at ``nodes``.
+
+    The advance starts from a copy: its node 0 is the state it was given,
+    and zeroing that must leave the caller's ``init`` magnetic.
+    """
     first = advance_linearized(
-        FrozenCoefficients.freeze(trivial_trajectory(grid, eos, init.rho0, KAPPA, DT, 4)), init)
+        FrozenCoefficients.freeze(trivial_trajectory(grid, eos, init.rho0, KAPPA, DT, 4)),
+        init.copy())
     for j in nodes:
         first.states[j].b = np.zeros_like(init.b)
     return FrozenCoefficients.freeze(first)
@@ -464,6 +469,7 @@ def test_vanishing_frozen_field_matches_the_general_formulas_bitwise(grid16, eos
     # b steps into nodes 2 and 3 too; field-free: every stage and b step
     init = make_initial_data(grid16, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
     frozen = _frozen_field_vanishing_at(grid16, eos, init, nodes)
+    assert np.any(init.b)  # the advance below starts from the tube's field
     assert [bool(np.any(s.b)) for s in frozen.traj.states] == [j not in nodes for j in range(5)]
     out = advance_linearized(frozen, init)
     ref = _reference_advance(grid16, frozen, init, DT, 4)
