@@ -23,7 +23,8 @@ from .diagnostics import (ENERGY_COLUMNS, RESIDUAL_COLUMNS, SMALL_GEOMETRY, TRUN
 from .geometry import DegenerateMapError
 from .grid import Grid
 from .linear_step import BreakdownError, CflError, DiffusionSolveError, Trajectory
-from .picard import IterationLog, NonContractionError, kappa_sweep, solve_nonlinear_kappa
+from .picard import (SWEEP_COLUMNS, IterationLog, NonContractionError, kappa_sweep,
+                     solve_nonlinear_kappa)
 from .state import EquationOfState, InitialDataError, make_initial_data
 
 EXIT_CONFIG = 2
@@ -216,34 +217,31 @@ def _cmd_kappa_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("kappa-sweep needs scheme.kappa_list with at least two values")
     out = _output_directory(cfg.outputs.directory)
     init = _build_problem(cfg)
-    traj, report = kappa_sweep(init, kappas=cfg.scheme.kappa_list, **_solver_options(cfg))
+    traj, log, rows = kappa_sweep(init, kappas=cfg.scheme.kappa_list, **_solver_options(cfg))
     _write_csv(
         out / "sweep.csv",
         f"{_UNITS_NOTE}; truncation order m = {TRUNCATION_ORDER}; "
         "delta = difference energy sup between consecutive kappa runs",
-        ["kappa", "iterations", "d_final", "psi_max", "delta_to_prev"],
+        list(SWEEP_COLUMNS),
         # the first member has no predecessor: its delta cell stays empty
-        ([row["kappa"], row["iterations"], row["d_final"], row["psi_max"], row["delta_to_prev"]]
-         for row in report.rows()),
+        ([row[name] for name in SWEEP_COLUMNS] for row in rows),
     )
-    if not all(lg.converged for lg in report.logs):
-        for kappa, lg in zip(report.kappas, report.logs):
-            if not lg.converged:
-                print(f"not converged: kappa = {kappa}: {lg.stop_reason}", file=sys.stderr)
+    if not log.converged:  # the cascade stopped at this member
+        print(f"not converged: kappa = {rows[-1]['kappa']}: {log.stop_reason}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     energy = energy_functionals(traj)
     _write_energy_csv(out, traj, energy)
     _say_where_the_regime_ends(energy, cfg.physics.c0)
     if cfg.outputs.checkpoint:
         _write(out / "trajectory.ckpt", write_trajectory, traj)
-    deltas = report.deltas
+    deltas = [row["delta_to_prev"] for row in rows[1:]]
     decreasing = all(a > b for a, b in zip(deltas, deltas[1:]))
     _print_table("kappa-sweep", [
-        ("kappas", " ".join(_fmt(k) for k in report.kappas)),
+        ("kappas", " ".join(_fmt(row["kappa"]) for row in rows)),
         ("deltas", " ".join(_fmt(d) for d in deltas)),
         ("deltas strictly decreasing",
          str(decreasing) if len(deltas) >= 2 else "n/a (fewer than two deltas)"),
-        ("max correction norm (finest)", _fmt(report.psi_max[-1])),
+        ("max correction norm (finest)", _fmt(rows[-1]["psi_max"])),
         ("artifacts", str(out)),
     ])
     return 0
@@ -262,7 +260,7 @@ def _cmd_check_lemmas(args: argparse.Namespace) -> int:
         ([r["check"], r["label"], r["value"]] for r in rows),
     )
     pairs = []
-    for check in ("hodge", "elliptic", "trace_pin", "trace_ratio"):
+    for check in dict.fromkeys(r["check"] for r in rows):
         vals = [r["value"] for r in rows if r["check"] == check]
         pairs.append((check, f"max {max(vals):.6g}  min {min(vals):.6g}"))
     _print_table(f"check-lemmas on {grid.spec.n1}x{grid.spec.n2}x{grid.spec.n3 + 1}", pairs)

@@ -137,40 +137,26 @@ def solve_nonlinear_kappa(
     return traj, logbook
 
 
-@dataclass
-class SweepReport:
-    """Per-kappa convergence logs and the Cauchy differences between runs."""
-
-    kappas: list[float]
-    logs: list[IterationLog]
-    psi_max: list[float]
-    deltas: list[float]          # sup-in-time difference energy, consecutive kappas
-
-    def rows(self):
-        for j, (kappa, lg) in enumerate(zip(self.kappas, self.logs)):
-            yield {
-                "kappa": kappa,
-                "iterations": lg.iterations,
-                "d_final": lg.d_history[-1],
-                "psi_max": self.psi_max[j],
-                "delta_to_prev": self.deltas[j - 1] if j >= 1 else None,
-            }
-
-
 def max_correction_norm(traj: Trajectory) -> float:
     """max over nodes of ||psi||_0 along a trajectory, at its own kappa."""
     return max(traj.grid.low_norm(psi) for psi in traj.geometry.psi)
 
 
+SWEEP_COLUMNS = ("kappa", "iterations", "d_final", "psi_max", "delta_to_prev")
+
+
 def kappa_sweep(init: FlowState, kappas: list[float], T: float, dt: float,
-                **kwargs) -> tuple[Trajectory, SweepReport]:
+                **kwargs) -> tuple[Trajectory, IterationLog, list[dict]]:
     """Solve at a descending list of smoothing scales and compare runs.
 
-    Returns the smallest-kappa trajectory and a report whose deltas are
-    the sup-in-time difference energies between consecutive runs (the
-    Cauchy diagnostic for the vanishing-smoothing limit).  The members
-    run one after another, and at most two are held at a time.  Every
-    member's ``states[0]`` is the caller's ``init`` itself, not a copy.
+    Returns the last member solved, its log, and one row per member keyed
+    by ``SWEEP_COLUMNS``; ``delta_to_prev`` is the sup-in-time difference
+    energy against the previous member (the Cauchy diagnostic for the
+    vanishing-smoothing limit), None on the first row.  The cascade stops
+    after the first member that does not converge, so that member and its
+    log are the ones returned.  The members run one after another, and at
+    most two are held at a time.  Every member's ``states[0]`` is the
+    caller's ``init`` itself, not a copy.
     """
     if len(kappas) == 0:
         raise ValueError("kappas must name at least one smoothing scale")
@@ -179,17 +165,16 @@ def kappa_sweep(init: FlowState, kappas: list[float], T: float, dt: float,
     if any(a <= b for a, b in zip(kappas, kappas[1:])):
         raise ValueError(f"kappas must be strictly descending, got {kappas}")
 
-    logs: list[IterationLog] = []
-    psi_max: list[float] = []
-    deltas: list[float] = []
+    rows = []
     traj = None
     for kappa in kappas:
         prev = traj
         if prev is not None:
-            del prev.geometry  # only the finest member's memo is read again
+            del prev.geometry  # only the last member's memo is read again
         traj, logbook = solve_nonlinear_kappa(init, kappa, T, dt, **kwargs)
-        logs.append(logbook)
-        psi_max.append(max_correction_norm(traj))
-        if prev is not None:
-            deltas.append(float(np.max(difference_energy(prev, traj))))
-    return traj, SweepReport(kappas=list(kappas), logs=logs, psi_max=psi_max, deltas=deltas)
+        rows.append(dict(zip(SWEEP_COLUMNS, (
+            kappa, logbook.iterations, logbook.d_history[-1], max_correction_norm(traj),
+            None if prev is None else float(np.max(difference_energy(prev, traj)))))))
+        if not logbook.converged:
+            break
+    return traj, logbook, rows

@@ -156,10 +156,10 @@ def test_criterion_02_correction_term(grid16, quiescent_sweep):
     rel = np.abs(u - oracle).max() / np.abs(u).max()
     assert rel <= 1e-8, f"modal extension vs dense solve: rel sup {rel:.3e}"
 
-    _, report = quiescent_sweep
-    psi_max = list(report.psi_max)
+    _, _, rows = quiescent_sweep
+    psi_max = [row["psi_max"] for row in rows]
     assert psi_max[0] > psi_max[1] > psi_max[2], (
-        f"max_t correction norm not decreasing over kappa {list(report.kappas)}: "
+        f"max_t correction norm not decreasing over kappa {[row['kappa'] for row in rows]}: "
         f"{psi_max} (values sit at the cancellation noise floor of this preset "
         f"and the largest two kappas lie beyond the per-mode-pair decay peak)"
     )
@@ -443,8 +443,8 @@ def test_criterion_08_picard_contraction(grid16, eos, contraction_run):
 
 
 def test_criterion_09_cauchy_in_kappa(quiescent_sweep):
-    _, report = quiescent_sweep
-    deltas = [row["delta_to_prev"] for row in report.rows()]
+    _, _, rows = quiescent_sweep
+    deltas = [row["delta_to_prev"] for row in rows]
     deltas = [d for d in deltas if d is not None]
     assert len(deltas) == 2
     assert deltas[0] > deltas[1] > 0.0, f"cascade deltas {deltas} not decreasing"

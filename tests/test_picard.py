@@ -10,6 +10,7 @@ from lfmhd import picard
 from lfmhd.diagnostics import difference_energy
 from lfmhd.linear_step import BreakdownError, FrozenCoefficients
 from lfmhd.picard import (
+    SWEEP_COLUMNS,
     kappa_sweep,
     max_correction_norm,
     solve_nonlinear_kappa,
@@ -189,13 +190,15 @@ def test_determinism_bitwise(grid16):
 def test_kappa_sweep_shapes_and_determinism(grid16):
     st = make_initial_data(grid16, "quiescent", amplitude=0.1, seed=3)
     kappas = (0.2, 0.1)
-    traj, report = kappa_sweep(st, kappas, T, DT)
-    assert report.kappas == list(kappas)
-    assert len(report.deltas) == 1
-    assert report.deltas[0] > 0.0
+    traj, _, rows = kappa_sweep(st, kappas, T, DT)
+    assert [row["kappa"] for row in rows] == list(kappas)
+    deltas = [row["delta_to_prev"] for row in rows[1:]]
+    assert len(deltas) == 1
+    assert deltas[0] > 0.0
     assert traj.kappa == 0.1
-    assert len(report.psi_max) == 2
-    assert all(p >= 0.0 for p in report.psi_max)
+    psi_max = [row["psi_max"] for row in rows]
+    assert len(psi_max) == 2
+    assert all(p >= 0.0 for p in psi_max)
 
 
 def test_kappa_sweep_validates_ordering(grid16):
@@ -237,6 +240,23 @@ def test_initial_map_geometry_built_once_per_solve(grid_small, eos, monkeypatch)
     assert calls == {"picard": [KAPPA], "state": []}
 
 
+def _record_solves(monkeypatch, unconverged=()):
+    """Record each ``(traj, log)`` the sweep's solve returns; the members
+    whose kappa is in ``unconverged`` come back marked unconverged."""
+    real = picard.solve_nonlinear_kappa
+    solves = []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if out[0].kappa in unconverged:
+            out[1].converged = False
+        solves.append(out)
+        return out
+
+    monkeypatch.setattr(picard, "solve_nonlinear_kappa", recording)
+    return solves
+
+
 def test_every_iterate_starts_from_init_itself_and_leaves_it_unchanged(grid_small, eos,
                                                                         monkeypatch):
     st = make_initial_data(grid_small, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
@@ -246,16 +266,9 @@ def test_every_iterate_starts_from_init_itself_and_leaves_it_unchanged(grid_smal
     assert log.converged
     assert traj.states[0] is st
 
-    real = picard.solve_nonlinear_kappa
-    starts = []
-
-    def recording(*args, **kwargs):
-        out = real(*args, **kwargs)
-        starts.append(out[0].states[0])
-        return out
-
-    monkeypatch.setattr(picard, "solve_nonlinear_kappa", recording)
-    finest, _ = kappa_sweep(st, (0.2, 0.1), T, DT)
+    solves = _record_solves(monkeypatch)
+    finest, _, _ = kappa_sweep(st, (0.2, 0.1), T, DT)
+    starts = [traj.states[0] for traj, _ in solves]
     assert len(starts) == 2 and all(s is st for s in starts)
     assert finest.states[0] is st
     # no iterate, member or diagnostic wrote into the shared node 0
@@ -263,3 +276,29 @@ def test_every_iterate_starts_from_init_itself_and_leaves_it_unchanged(grid_smal
     for name, array in arrays.items():
         assert getattr(st, name) is array, name
         assert array.tobytes() == before[name], name
+
+
+def test_kappa_sweep_stops_at_its_first_unconverged_member(grid_small, eos, monkeypatch):
+    st = make_initial_data(grid_small, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
+    solves = _record_solves(monkeypatch)
+    traj, log, rows = kappa_sweep(st, (0.2, 0.1), T, DT, max_iter=1)
+    assert len(solves) == 1
+    assert traj is solves[0][0] and log is solves[0][1]
+    assert traj.kappa == 0.2
+    assert not log.converged and log.stop_reason == "max_iter = 1 reached"
+    assert len(rows) == 1 and tuple(rows[0]) == SWEEP_COLUMNS
+    assert rows[0]["kappa"] == 0.2 and rows[0]["iterations"] == 1
+    assert rows[0]["delta_to_prev"] is None
+
+
+def test_kappa_sweep_gives_an_unconverged_member_its_full_row(grid_small, eos, monkeypatch):
+    st = make_initial_data(grid_small, "magnetic-tube", amplitude=0.1, seed=0, eos=eos)
+    solves = _record_solves(monkeypatch, unconverged=(0.1,))
+    traj, log, rows = kappa_sweep(st, (0.2, 0.1, 0.05), T, DT)
+    # the member after the unconverged one is never solved
+    assert [t.kappa for t, _ in solves] == [0.2, 0.1]
+    assert traj.kappa == 0.1 and not log.converged
+    assert [tuple(row) for row in rows] == [SWEEP_COLUMNS] * 2
+    assert rows[1]["psi_max"] == max_correction_norm(traj)
+    assert rows[1]["delta_to_prev"] == float(np.max(difference_energy(solves[0][0], traj)))
+    assert rows[1]["delta_to_prev"] > 0.0
